@@ -365,12 +365,6 @@ impl StatSink {
         }
     }
 
-    /// Merges another sink, adding values for keys present in both
-    /// (alias of [`StatSink::merge`], kept for source compatibility).
-    pub fn merge_add(&mut self, other: &StatSink) {
-        self.merge(other);
-    }
-
     /// Renders `key,value` CSV with a header row.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("stat,value\n");
@@ -531,19 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn sink_merge_add_sums_common_keys() {
-        let mut a: StatSink = [("x".to_string(), 1.0)].into_iter().collect();
-        let b: StatSink = [("x".to_string(), 2.0), ("y".to_string(), 3.0)]
-            .into_iter()
-            .collect();
-        a.merge_add(&b);
-        assert_eq!(a.get("x"), Some(3.0));
-        assert_eq!(a.get("y"), Some(3.0));
-        assert_eq!(a.len(), 2);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
     fn interned_ids_are_stable_and_bumpable() {
         let mut sink = StatSink::new();
         let hits = sink.register("hits");
@@ -612,5 +593,10 @@ mod tests {
         merged.merge(&shard_a);
         merged.merge(&shard_b);
         assert_eq!(merged, single);
+        // Keys in both sinks sum; keys only in `other` are registered.
+        assert_eq!(merged.get("n.a"), Some(4.0));
+        assert_eq!(merged.get("n.b"), Some(2.0));
+        assert_eq!(merged.len(), 3);
+        assert!(!merged.is_empty());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! One representative case per directory backend (stash, sparse,
 //! limited-ptr, DLS, opaque, full-map), captured from the sweep *before*
-//! the SoA refactor (dense core/bank tables, message arena, batched
-//! cycle stepping, interned witness counters). Re-running the cases must
+//! the SoA refactor (dense core/bank tables, interned witness counters,
+//! the watchdog retire floor). Re-running the cases must
 //! reproduce both the case ids (the config digest covers the full
 //! `Debug` rendering of the config) and the artifact bytes, so the
 //! rewrite cannot silently drift event ordering, stats, or rendering.

@@ -1,16 +1,13 @@
 //! JSON artifact emission, via `stashdir-common::json` (no external
 //! serializers):
 //!
-//! * [`matrix_json`] — the v1 `stashdir-lint/transition-matrix/v1`
-//!   artifact, kept byte-identical for downstream readers.
-//! * [`model_json`] — the v2 `stashdir/protocol-model/v2` artifact: a
-//!   strict superset of v1 (same `sections`/`findings` shape) plus a
-//!   `model` object carrying the waits-for graph.
+//! * [`model_json`] — the v2 `stashdir/protocol-model/v2` artifact:
+//!   transition-matrix `sections` and `findings` plus a `model` object
+//!   carrying the waits-for graph.
 //! * [`findings_json`] — the machine-readable findings list for
 //!   `lint --json`.
-//! * [`verify_v1_compat`] — checks that an artifact is readable under
-//!   the v1 shape, so the v2 schema cannot silently drop what v1
-//!   consumers parse.
+//! * [`verify_chaos_coverage`] — checks the shape of the harness
+//!   campaign's coverage artifact.
 
 use crate::coverage::Section;
 use crate::directives::SUPPRESSIBLE;
@@ -18,8 +15,6 @@ use crate::waitsfor::WaitsForModel;
 use crate::Finding;
 use stashdir_common::json::Value;
 
-/// Schema identifier of the v1 transition-matrix artifact.
-pub const SCHEMA_V1: &str = "stashdir-lint/transition-matrix/v1";
 /// Schema identifier of the v2 protocol-model artifact.
 pub const SCHEMA_V2: &str = "stashdir/protocol-model/v2";
 /// Schema identifier of the findings artifact.
@@ -97,18 +92,6 @@ fn findings_array(findings: &[Finding]) -> Value {
     Value::array(findings.iter().map(finding_json).collect())
 }
 
-/// Renders the full transition-matrix artifact (v1 — kept byte-stable).
-pub fn matrix_json(sections: &[Section], findings: &[Finding]) -> Value {
-    Value::object(vec![
-        ("schema".to_string(), Value::String(SCHEMA_V1.to_string())),
-        (
-            "sections".to_string(),
-            Value::array(sections.iter().map(section_json).collect()),
-        ),
-        ("findings".to_string(), findings_array(findings)),
-    ])
-}
-
 fn waits_json(waits: &WaitsForModel) -> Value {
     let requesters = waits
         .requesters
@@ -170,8 +153,8 @@ fn waits_json(waits: &WaitsForModel) -> Value {
     ])
 }
 
-/// Renders the v2 protocol-model artifact: the v1 sections and findings
-/// verbatim, plus the waits-for graph under `model`.
+/// Renders the v2 protocol-model artifact: the transition-matrix
+/// sections and findings, plus the waits-for graph under `model`.
 pub fn model_json(sections: &[Section], waits: &WaitsForModel, findings: &[Finding]) -> Value {
     Value::object(vec![
         ("schema".to_string(), Value::String(SCHEMA_V2.to_string())),
@@ -244,86 +227,6 @@ pub fn severity_of(rule: &str) -> &'static str {
         crate::RULE_ALLOW_UNUSED => "warning",
         _ => "error",
     }
-}
-
-/// Checks that `artifact` parses under the v1 reader shape: a known
-/// schema id, a `sections` array whose entries carry the v1 keys, and a
-/// `findings` array of `{rule, file, line, message}` objects. Accepts
-/// both the v1 and v2 schema ids — the v2 artifact must stay readable by
-/// v1 consumers that ignore unknown keys.
-pub fn verify_v1_compat(artifact: &Value) -> Result<(), String> {
-    let obj = artifact.as_object().ok_or("artifact is not an object")?;
-    let get = |key: &str| -> Result<&Value, String> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing key `{key}`"))
-    };
-    let schema = get("schema")?.as_str().ok_or("`schema` is not a string")?;
-    if schema != SCHEMA_V1 && schema != SCHEMA_V2 {
-        return Err(format!("unknown schema `{schema}`"));
-    }
-    let sections = get("sections")?
-        .as_array()
-        .ok_or("`sections` is not an array")?;
-    for (i, s) in sections.iter().enumerate() {
-        let s_obj = s
-            .as_object()
-            .ok_or_else(|| format!("section {i} is not an object"))?;
-        for key in [
-            "name",
-            "rows",
-            "cols",
-            "source",
-            "reachable",
-            "race_allowed",
-            "uncovered",
-            "dead",
-        ] {
-            let v = s_obj
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("section {i} missing key `{key}`"))?;
-            let ok = if key == "name" {
-                v.as_str().is_some()
-            } else {
-                v.as_array().is_some()
-            };
-            if !ok {
-                return Err(format!("section {i} key `{key}` has the wrong type"));
-            }
-        }
-    }
-    let findings = get("findings")?
-        .as_array()
-        .ok_or("`findings` is not an array")?;
-    for (i, f) in findings.iter().enumerate() {
-        let f_obj = f
-            .as_object()
-            .ok_or_else(|| format!("finding {i} is not an object"))?;
-        for (key, want_str) in [
-            ("rule", true),
-            ("file", true),
-            ("line", false),
-            ("message", true),
-        ] {
-            let v = f_obj
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("finding {i} missing key `{key}`"))?;
-            let ok = if want_str {
-                v.as_str().is_some()
-            } else {
-                v.as_f64().is_some()
-            };
-            if !ok {
-                return Err(format!("finding {i} key `{key}` has the wrong type"));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Checks that `artifact` is a well-formed chaos-coverage artifact

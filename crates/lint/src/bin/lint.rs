@@ -3,27 +3,21 @@
 //! non-zero when anything fires.
 //!
 //! ```text
-//! usage: lint [--root DIR] [--artifact FILE | --no-artifact]
-//!             [--model FILE] [--json FILE] [--quiet]
-//!        lint --verify-v1 FILE
+//! usage: lint [--root DIR] [--model FILE | --no-artifact] [--json FILE] [--quiet]
 //!        lint --verify-coverage FILE
 //! ```
 //!
-//! Defaults: `--root .`, v1 artifact at
-//! `<root>/results/lint/transition_matrix.json`, v2 protocol model at
+//! Defaults: `--root .`, protocol model (v2) at
 //! `<root>/results/lint/protocol_model.json`. `--json FILE` additionally
 //! writes the machine-readable findings artifact. All artifact writes go
 //! through the shared atomic temp+rename discipline
 //! (`stashdir_common::fsio`).
 //!
-//! `--verify-v1 FILE` is a standalone mode: it parses `FILE` and checks
-//! it is readable under the v1 artifact shape (both schema ids accepted),
-//! exiting 0/1 — `ci.sh` runs it against the freshly written v2 model.
-//!
-//! `--verify-coverage FILE` is the same idea for the harness campaign's
-//! `stashdir/chaos-coverage/v1` artifact: shape, per-section hit-count
-//! consistency and the pairwise/total gate fields — `ci.sh` runs it
-//! against the E19 smoke's `coverage.json`.
+//! `--verify-coverage FILE` is a standalone mode: it parses `FILE` and
+//! checks it is a well-formed harness campaign
+//! `stashdir/chaos-coverage/v1` artifact — shape, per-section hit-count
+//! consistency and the pairwise/total gate fields — exiting 0/1. `ci.sh`
+//! runs it against the E19 smoke's `coverage.json`.
 
 use stashdir_common::fsio::write_atomic;
 use std::path::{Path, PathBuf};
@@ -36,33 +30,6 @@ fn write_artifact(path: &Path, value: &stashdir_common::json::Value) -> Result<(
         eprintln!("lint: cannot write {}: {e}", path.display());
         ExitCode::from(2)
     })
-}
-
-fn verify_v1(path: &Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("lint: cannot read {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let value = match stashdir_common::json::Value::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("lint: {} is not valid JSON: {e}", path.display());
-            return ExitCode::from(1);
-        }
-    };
-    match stashdir_lint::artifact::verify_v1_compat(&value) {
-        Ok(()) => {
-            println!("lint: {} is v1-readable", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("lint: {} fails the v1 reader: {e}", path.display());
-            ExitCode::from(1)
-        }
-    }
 }
 
 fn verify_coverage(path: &Path) -> ExitCode {
@@ -97,10 +64,8 @@ fn verify_coverage(path: &Path) -> ExitCode {
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
-    let mut artifact: Option<PathBuf> = None;
     let mut model: Option<PathBuf> = None;
     let mut json: Option<PathBuf> = None;
-    let mut verify: Option<PathBuf> = None;
     let mut verify_cov: Option<PathBuf> = None;
     let mut no_artifact = false;
     let mut quiet = false;
@@ -112,10 +77,6 @@ fn main() -> ExitCode {
                 Some(v) => root = PathBuf::from(v),
                 None => return usage("--root needs a value"),
             },
-            "--artifact" => match args.next() {
-                Some(v) => artifact = Some(PathBuf::from(v)),
-                None => return usage("--artifact needs a value"),
-            },
             "--model" => match args.next() {
                 Some(v) => model = Some(PathBuf::from(v)),
                 None => return usage("--model needs a value"),
@@ -123,10 +84,6 @@ fn main() -> ExitCode {
             "--json" => match args.next() {
                 Some(v) => json = Some(PathBuf::from(v)),
                 None => return usage("--json needs a value"),
-            },
-            "--verify-v1" => match args.next() {
-                Some(v) => verify = Some(PathBuf::from(v)),
-                None => return usage("--verify-v1 needs a value"),
             },
             "--verify-coverage" => match args.next() {
                 Some(v) => verify_cov = Some(PathBuf::from(v)),
@@ -139,9 +96,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = verify {
-        return verify_v1(&path);
-    }
     if let Some(path) = verify_cov {
         return verify_coverage(&path);
     }
@@ -166,19 +120,11 @@ fn main() -> ExitCode {
 
     if !no_artifact {
         let lint_dir = root.join("results").join("lint");
-        let matrix_path = artifact.unwrap_or_else(|| lint_dir.join("transition_matrix.json"));
-        if let Err(code) = write_artifact(&matrix_path, &report.matrix) {
-            return code;
-        }
         let model_path = model.unwrap_or_else(|| lint_dir.join("protocol_model.json"));
         if let Err(code) = write_artifact(&model_path, &report.model) {
             return code;
         }
         if !quiet {
-            println!(
-                "lint: transition matrix written to {}",
-                matrix_path.display()
-            );
             println!("lint: protocol model written to {}", model_path.display());
         }
     }
@@ -211,7 +157,7 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("lint: {err}");
     }
     eprintln!(
-        "usage: lint [--root DIR] [--artifact FILE | --no-artifact] [--model FILE] [--json FILE] [--quiet]\n       lint --verify-v1 FILE\n       lint --verify-coverage FILE"
+        "usage: lint [--root DIR] [--model FILE | --no-artifact] [--json FILE] [--quiet]\n       lint --verify-coverage FILE"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -34,8 +34,8 @@
 //! ([`directives`]): one that suppresses nothing is itself a finding.
 //!
 //! The `lint` binary runs all passes over a repo root, prints findings
-//! and per-pass timings, writes the v1 transition-matrix and v2
-//! protocol-model JSON artifacts, and exits non-zero on any finding —
+//! and per-pass timings, writes the v2 protocol-model JSON artifact,
+//! and exits non-zero on any finding —
 //! `ci.sh` runs it as a hard gate between clippy and tests.
 
 #![forbid(unsafe_code)]
@@ -120,10 +120,8 @@ pub struct PassTiming {
 pub struct LintReport {
     /// All findings, sorted by file, line, then rule.
     pub findings: Vec<Finding>,
-    /// The v1 transition-matrix artifact (includes the findings).
-    pub matrix: Value,
-    /// The v2 protocol-model artifact: matrix superset plus the
-    /// waits-for graph.
+    /// The v2 protocol-model artifact: the transition-matrix sections,
+    /// the waits-for graph and the findings.
     pub model: Value,
     /// Per-pass wall-clock timings, in run order.
     pub timings: Vec<PassTiming>,
@@ -175,11 +173,9 @@ pub fn run(root: &Path) -> io::Result<LintReport> {
     findings.sort_by(|a, b| {
         (&a.file, a.line, &a.rule, &a.message).cmp(&(&b.file, b.line, &b.rule, &b.message))
     });
-    let matrix = artifact::matrix_json(&sections, &findings);
     let model_artifact = artifact::model_json(&sections, &waits, &findings);
     Ok(LintReport {
         findings,
-        matrix,
         model: model_artifact,
         timings,
     })

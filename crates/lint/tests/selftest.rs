@@ -237,15 +237,15 @@ fn repo_waits_for_graph_is_live() {
     assert!(emits_of("GetM", "Shared").contains(&"Inv".to_string()));
 }
 
-/// The transition-matrix artifact parses back and records the seeded
+/// The protocol-model artifact parses back and records the seeded
 /// coverage holes in the fixture's `uncovered` set.
 #[test]
 fn artifact_records_the_seeded_holes() {
     let report = stashdir_lint::run(&fixture_root()).expect("fixture sources readable");
-    let parsed = Value::parse(&report.matrix.render()).expect("artifact renders valid JSON");
+    let parsed = Value::parse(&report.model.render()).expect("artifact renders valid JSON");
     assert_eq!(
         parsed.get("schema").and_then(Value::as_str),
-        Some("stashdir-lint/transition-matrix/v1")
+        Some("stashdir/protocol-model/v2")
     );
     let sections = parsed
         .get("sections")
@@ -280,18 +280,19 @@ fn artifact_records_the_seeded_holes() {
         .is_empty());
 }
 
-/// The v2 protocol-model artifact carries the waits-for graph, passes the
-/// v1-compat reader, and the findings artifact is well-formed.
+/// The v2 protocol-model artifact carries the waits-for graph and
+/// parses under the campaign's model reader, and the findings artifact
+/// is well-formed.
 #[test]
-fn v2_model_artifact_is_v1_readable() {
+fn v2_model_artifact_is_well_formed() {
     let report = stashdir_lint::run(&repo_root()).expect("repo sources readable");
     let model = Value::parse(&report.model.render()).expect("model renders valid JSON");
     assert_eq!(
         model.get("schema").and_then(Value::as_str),
         Some("stashdir/protocol-model/v2")
     );
-    artifact::verify_v1_compat(&model).expect("v2 model readable by the v1 reader");
-    artifact::verify_v1_compat(&report.matrix).expect("v1 matrix readable by the v1 reader");
+    stashdir_protocol::model::ReachableModel::parse(&model.render())
+        .expect("v2 model readable by the campaign reader");
 
     let graph = model.get("model").expect("model object");
     for key in ["requesters", "home", "probes"] {
@@ -325,13 +326,10 @@ fn v2_model_artifact_is_v1_readable() {
         assert!(row.get("severity").and_then(Value::as_str).is_some());
         assert!(row.get("suppressible").and_then(Value::as_bool).is_some());
     }
-    // A malformed artifact must fail the reader.
-    let broken = Value::parse(r#"{"schema": "stashdir-lint/transition-matrix/v1"}"#).unwrap();
-    assert!(artifact::verify_v1_compat(&broken).is_err());
 }
 
 /// The `lint` binary's exit codes and artifact plumbing: 0 on the clean
-/// repo, 1 on the seeded fixture, `--verify-v1` accepts the v2 model.
+/// repo, 1 on the seeded fixture, with the model and findings written.
 #[test]
 fn binary_exit_codes_gate_ci() {
     let clean = Command::new(env!("CARGO_BIN_EXE_lint"))
@@ -351,14 +349,11 @@ fn binary_exit_codes_gate_ci() {
 
     let tmp = std::env::temp_dir().join(format!("stashdir_lint_selftest_{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("create temp dir");
-    let matrix = tmp.join("matrix.json");
     let model = tmp.join("model.json");
     let findings = tmp.join("findings.json");
     let seeded = Command::new(env!("CARGO_BIN_EXE_lint"))
         .args(["--root"])
         .arg(fixture_root())
-        .arg("--artifact")
-        .arg(&matrix)
         .arg("--model")
         .arg(&model)
         .arg("--json")
@@ -369,22 +364,9 @@ fn binary_exit_codes_gate_ci() {
     let out = String::from_utf8_lossy(&seeded.stdout);
     assert!(out.contains("12 finding(s)"), "stdout:\n{out}");
     assert!(out.contains("lint: passes:"), "stdout:\n{out}");
-    for path in [&matrix, &model, &findings] {
+    for path in [&model, &findings] {
         let text = std::fs::read_to_string(path).expect("artifact written");
         assert!(Value::parse(&text).is_ok(), "artifact is valid JSON");
     }
-
-    let verify = Command::new(env!("CARGO_BIN_EXE_lint"))
-        .args(["--verify-v1"])
-        .arg(&model)
-        .output()
-        .expect("run lint --verify-v1");
-    assert_eq!(
-        verify.status.code(),
-        Some(0),
-        "stdout:\n{}\nstderr:\n{}",
-        String::from_utf8_lossy(&verify.stdout),
-        String::from_utf8_lossy(&verify.stderr)
-    );
     let _ = std::fs::remove_dir_all(&tmp);
 }

@@ -1,6 +1,5 @@
 //! Reader for the lint protocol-model artifact
-//! (`stashdir/protocol-model/v2`, also accepting the v1
-//! transition-matrix shape): the per-section reachable
+//! (`stashdir/protocol-model/v2`): the per-section reachable
 //! (row × column) transition sets the chaos-campaign driver diffs its
 //! witnessed coverage against.
 //!
@@ -16,9 +15,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Schema id of the v2 protocol-model artifact this reader targets.
 pub const MODEL_SCHEMA_V2: &str = "stashdir/protocol-model/v2";
-/// Schema id of the v1 transition-matrix artifact (same `sections`
-/// shape; still accepted).
-pub const MODEL_SCHEMA_V1: &str = "stashdir-lint/transition-matrix/v1";
 
 /// Per-section reachable transition sets, keyed by section name
 /// (`private_probe`, `local_access`, `home`, `fault_response`).
@@ -31,7 +27,7 @@ pub struct ReachableModel {
 }
 
 impl ReachableModel {
-    /// Parses a protocol-model (or transition-matrix) artifact.
+    /// Parses a protocol-model artifact.
     ///
     /// # Errors
     ///
@@ -44,7 +40,7 @@ impl ReachableModel {
             .get("schema")
             .and_then(Value::as_str)
             .ok_or("missing `schema` string")?;
-        if schema != MODEL_SCHEMA_V1 && schema != MODEL_SCHEMA_V2 {
+        if schema != MODEL_SCHEMA_V2 {
             return Err(format!("unknown schema `{schema}`"));
         }
         let sections = value
@@ -149,6 +145,12 @@ mod tests {
     fn rejects_unknown_schemas_and_malformed_pairs() {
         assert!(ReachableModel::parse("{").is_err());
         assert!(ReachableModel::parse(r#"{"schema": "bogus/v9", "sections": []}"#).is_err());
+        // The retired v1 transition-matrix schema is no longer accepted.
+        let v1 = r#"{"schema": "stashdir-lint/transition-matrix/v1", "sections": []}"#;
+        assert_eq!(
+            ReachableModel::parse(v1),
+            Err("unknown schema `stashdir-lint/transition-matrix/v1`".to_string())
+        );
         let bad_pair = r#"{
             "schema": "stashdir/protocol-model/v2",
             "sections": [{"name": "home", "reachable": [["GetS"]]}]

@@ -83,45 +83,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse((t, _, e))| (t, e.0))
     }
 
-    /// Drains every event scheduled at the earliest pending cycle into
-    /// `buf` (cleared first), in push (FIFO) order, and returns that
-    /// cycle. `None` leaves `buf` untouched.
-    ///
-    /// This is the batched-stepping entry point: the caller processes
-    /// one whole cycle from a contiguous buffer instead of re-heaping
-    /// per event. Order is exactly the one-at-a-time [`pop`] order —
-    /// events pushed *while the batch is processed* carry larger
-    /// sequence numbers than everything drained here, so even pushes
-    /// landing back on the same cycle form the *next* batch at that
-    /// cycle, just as they would pop after the already-queued events.
-    ///
-    /// [`pop`]: EventQueue::pop
-    pub fn pop_batch(&mut self, buf: &mut Vec<E>) -> Option<Cycle> {
-        let Reverse((t0, _, _)) = self.heap.peek()?;
-        let t0 = *t0;
-        buf.clear();
-        while let Some(Reverse((t, _, _))) = self.heap.peek() {
-            if *t != t0 {
-                break;
-            }
-            if let Some(Reverse((_, _, e))) = self.heap.pop() {
-                buf.push(e.0);
-            }
-        }
-        Some(t0)
-    }
-
-    /// Every pending event with its full `(time, seq)` key, in
-    /// arbitrary heap order — callers needing pop order sort by the
-    /// key (diagnostic snapshots; see [`pending`] for the sorted form).
-    ///
-    /// [`pending`]: EventQueue::pending
-    pub fn iter(&self) -> impl Iterator<Item = (Cycle, u64, &E)> {
-        self.heap
-            .iter()
-            .map(|Reverse((t, seq, e))| (*t, *seq, &e.0))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -135,9 +96,9 @@ impl<E> EventQueue<E> {
     /// Every pending event in pop order, without disturbing the queue
     /// (diagnostic snapshots).
     pub fn pending(&self) -> Vec<(Cycle, &E)> {
-        let mut items: Vec<(Cycle, u64, &E)> = self.iter().collect();
-        items.sort_by_key(|&(t, seq, _)| (t, seq));
-        items.into_iter().map(|(t, _, e)| (t, e)).collect()
+        let mut items: Vec<_> = self.heap.iter().map(|Reverse(item)| item).collect();
+        items.sort_by_key(|&&(t, seq, _)| (t, seq));
+        items.into_iter().map(|(t, _, e)| (*t, &e.0)).collect()
     }
 
     /// Discards every pending event (quiesce).
@@ -194,76 +155,6 @@ mod tests {
             let popped: Vec<(Cycle, usize)> =
                 std::iter::from_fn(|| q.pop()).collect();
             proptest::prop_assert_eq!(popped, expected);
-        }
-
-        /// Draining with `pop_batch` yields the same flattened event
-        /// sequence as one-at-a-time `pop`, and each batch holds
-        /// exactly one cycle's events.
-        #[test]
-        fn batch_drain_equals_pop_order(times in proptest::collection::vec(0u64..8, 1..64)) {
-            let mut single = EventQueue::new();
-            let mut batched = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                single.push(Cycle::new(t), i);
-                batched.push(Cycle::new(t), i);
-            }
-            let by_pop: Vec<(Cycle, usize)> =
-                std::iter::from_fn(|| single.pop()).collect();
-            let mut by_batch = Vec::new();
-            let mut buf = Vec::new();
-            let mut last_cycle = None;
-            while let Some(t) = batched.pop_batch(&mut buf) {
-                proptest::prop_assert!(
-                    last_cycle.is_none_or(|prev| t > prev),
-                    "batches advance strictly in time"
-                );
-                last_cycle = Some(t);
-                by_batch.extend(buf.iter().map(|&e| (t, e)));
-            }
-            proptest::prop_assert_eq!(by_batch, by_pop);
-        }
-
-        /// The machine-shaped property: handlers push follow-up events
-        /// *while a cycle's batch is being processed*, some landing
-        /// back on the very same cycle. The drain order under batched
-        /// stepping must equal the legacy per-event pop order, because
-        /// same-cycle pushes carry larger sequence numbers and so form
-        /// the next batch at that cycle.
-        #[test]
-        fn batch_drain_matches_pop_with_mid_cycle_pushes(
-            times in proptest::collection::vec(0u64..6, 1..48),
-        ) {
-            // Deterministic "handler": event e at time t spawns a
-            // follow-up (e + 1000) scheduled at t + (e % 3); e % 3 == 0
-            // lands on the same cycle. Only first-generation events
-            // spawn, so both drains terminate.
-            let spawn = |t: Cycle, e: usize| -> Option<(Cycle, usize)> {
-                (e < 1000).then(|| (t + (e % 3) as u64, e + 1000))
-            };
-            let mut single = EventQueue::new();
-            let mut batched = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                single.push(Cycle::new(t), i);
-                batched.push(Cycle::new(t), i);
-            }
-            let mut by_pop = Vec::new();
-            while let Some((t, e)) = single.pop() {
-                by_pop.push((t, e));
-                if let Some((st, se)) = spawn(t, e) {
-                    single.push(st, se);
-                }
-            }
-            let mut by_batch = Vec::new();
-            let mut buf = Vec::new();
-            while let Some(t) = batched.pop_batch(&mut buf) {
-                for &e in &buf {
-                    by_batch.push((t, e));
-                    if let Some((st, se)) = spawn(t, e) {
-                        batched.push(st, se);
-                    }
-                }
-            }
-            proptest::prop_assert_eq!(by_batch, by_pop);
         }
 
         /// `pending()` previews exactly the pop order.

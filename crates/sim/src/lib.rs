@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod bank;
 pub mod checker;
 pub mod config;

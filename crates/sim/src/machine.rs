@@ -11,7 +11,6 @@
 // indexed by CoreId/BankId produced by the config-bounded topology, so
 // the bounds hold by construction.
 
-use crate::arena::{Arena, SlabRef};
 use crate::bank::{Bank, LlcLine};
 use crate::config::SystemConfig;
 use crate::event::EventQueue;
@@ -249,26 +248,14 @@ impl CoreTable {
     }
 }
 
-/// A fully resolved event: what handlers consume, what the diagnostic
-/// ring stores, and the `Debug` shape the snapshot schema renders.
+/// A queued event: what handlers consume, what the diagnostic ring
+/// stores, and the `Debug` shape the snapshot schema renders.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// The core attempts its next trace operation.
     Issue(CoreId),
     /// A core→home protocol message arrives.
     BankMsg(BankMsg),
-}
-
-/// Compact queue payload: an issue slot, or an arena handle to a
-/// [`BankMsg`] parked in [`Machine::msgs`]. 8 bytes against the
-/// resolved [`Event`]'s ~32, so every heap sift moves a small key;
-/// handles resolve (and free their slot) at pop time, or read-only via
-/// [`Arena::get`] when a diagnostic snapshot renders in-flight
-/// messages.
-#[derive(Debug, Clone, Copy)]
-enum QueuedEvent {
-    Issue(CoreId),
-    Msg(SlabRef),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -317,17 +304,7 @@ pub struct Machine {
     /// DLS only: blocks reclassified shared (a second core touched them);
     /// they are served at the home LLC and never cached privately again.
     pub(crate) dls_shared: FxHashSet<BlockAddr>,
-    queue: EventQueue<QueuedEvent>,
-    /// In-flight message payloads; the queue holds handles into this
-    /// slab (see [`QueuedEvent`]).
-    msgs: Arena<BankMsg>,
-    /// The cycle batch currently being swept by the run loop, with
-    /// [`Machine::batch_pos`] marking the next unprocessed entry. Lives
-    /// on the machine (not the loop) so a mid-batch quiesce can render
-    /// the unprocessed remainder as in-flight — exactly the events a
-    /// one-at-a-time pop loop would still have queued.
-    batch: Vec<QueuedEvent>,
-    batch_pos: usize,
+    queue: EventQueue<Event>,
     bank_bits: u32,
     transactions: u64,
     miss_latency: Histogram,
@@ -394,9 +371,6 @@ impl Machine {
             values: ValueTracker::new(),
             dls_shared: FxHashSet::default(),
             queue: EventQueue::new(),
-            msgs: Arena::new(),
-            batch: Vec::new(),
-            batch_pos: 0,
             bank_bits,
             transactions: 0,
             miss_latency: Histogram::new(),
@@ -497,44 +471,28 @@ impl Machine {
         );
         self.cores = CoreTable::new(traces);
         for c in 0..self.cfg.cores {
-            self.queue
-                .push(Cycle::ZERO, QueuedEvent::Issue(CoreId::new(c)));
+            self.queue.push(Cycle::ZERO, Event::Issue(CoreId::new(c)));
         }
         let mut last = Cycle::ZERO;
-        // Batched stepping: each iteration drains one cycle's events
-        // into the reused machine-level buffer, then sweeps them from
-        // contiguous memory. Same-cycle pushes made by handlers carry
-        // larger sequence numbers, so they form the next batch at that
-        // cycle — exactly the one-at-a-time pop order (see
-        // `EventQueue::pop_batch`).
-        'cycles: while let Some(now) = self.queue.pop_batch(&mut self.batch) {
+        while let Some((now, event)) = self.queue.pop() {
             debug_assert!(now >= last, "time went backwards");
             last = now;
-            self.batch_pos = 0;
-            while self.batch_pos < self.batch.len() {
-                let queued = self.batch[self.batch_pos];
-                // Advance *before* handling: the event now being
-                // processed is no longer in flight (matching pop
-                // semantics for any snapshot taken inside the handler).
-                self.batch_pos += 1;
-                let event = self.resolve(queued);
-                if self.faults.is_some() {
-                    self.note_event(now, &event);
-                    if self.watchdog_tripped(now) {
-                        break 'cycles;
-                    }
+            if self.faults.is_some() {
+                self.note_event(now, &event);
+                if self.watchdog_tripped(now) {
+                    break;
                 }
-                if now >= self.next_sample {
-                    self.record_sample(now);
-                    self.next_sample = now + self.cfg.timeline_interval;
-                }
-                match event {
-                    Event::Issue(core) => self.handle_issue(core, now),
-                    Event::BankMsg(msg) => self.handle_bank_msg(msg, now),
-                }
-                if self.quiesced {
-                    break 'cycles;
-                }
+            }
+            if now >= self.next_sample {
+                self.record_sample(now);
+                self.next_sample = now + self.cfg.timeline_interval;
+            }
+            match event {
+                Event::Issue(core) => self.handle_issue(core, now),
+                Event::BankMsg(msg) => self.handle_bank_msg(msg, now),
+            }
+            if self.quiesced {
+                break;
             }
         }
         let violations = self.final_check();
@@ -646,24 +604,9 @@ impl Machine {
         (arrival, duplicate)
     }
 
-    /// Parks `msg` in the arena and schedules its handle for `at`.
+    /// Schedules `msg` to arrive at its home at `at`.
     fn push_msg(&mut self, at: Cycle, msg: BankMsg) {
-        let r = self.msgs.alloc(msg);
-        self.queue.push(at, QueuedEvent::Msg(r));
-    }
-
-    /// Resolves a popped queue payload into the full event, consuming
-    /// (and freeing) the arena slot of a message handle.
-    fn resolve(&mut self, queued: QueuedEvent) -> Event {
-        match queued {
-            QueuedEvent::Issue(core) => Event::Issue(core),
-            QueuedEvent::Msg(r) => Event::BankMsg(
-                self.msgs
-                    .take(r)
-                    // lint: allow(expect) — every handle is queued exactly once and taken exactly once at pop time; a stale handle here is a sim-core bug.
-                    .expect("queued message handle resolves"),
-            ),
-        }
+        self.queue.push(at, Event::BankMsg(msg));
     }
 
     /// The per-block transaction-serialization window (all banks; a
@@ -799,7 +742,6 @@ impl Machine {
         }
         self.snapshot = Some(self.diag_snapshot(now, reason).render());
         self.queue.clear();
-        self.msgs.clear();
     }
 
     /// Attempts state-corruption injections (sharer flip, stash clear,
@@ -998,37 +940,10 @@ impl Machine {
                 ])
             })
             .collect();
-        // Lazily reconstruct the in-flight view from queue handles (the
-        // queue stores arena handles on the hot path; only a snapshot —
-        // quiesce, stall — pays to resolve and sort them into pop order).
-        // A read-only resolver: snapshots must not consume arena slots.
-        let peek = |queued: QueuedEvent| -> Event {
-            match queued {
-                QueuedEvent::Issue(core) => Event::Issue(core),
-                QueuedEvent::Msg(r) => Event::BankMsg(
-                    *self
-                        .msgs
-                        .get(r)
-                        // lint: allow(expect) — a queued handle stays live until the run loop takes it; the queue and arena are cleared together at quiesce.
-                        .expect("queued message handle resolves"),
-                ),
-            }
-        };
-        let mut pending: Vec<(Cycle, u64, Event)> = self
+        let in_flight = self
             .queue
-            .iter()
-            .map(|(t, seq, &queued)| (t, seq, peek(queued)))
-            .collect();
-        pending.sort_by_key(|&(t, seq, _)| (t, seq));
-        // The unprocessed remainder of the cycle batch being swept comes
-        // first: those events were drained from the queue but not yet
-        // handled, and every same-cycle event still *in* the queue was
-        // pushed later (larger seq), so remainder-then-queue is exactly
-        // the one-at-a-time pop order.
-        let in_flight = self.batch[self.batch_pos..]
-            .iter()
-            .map(|&queued| (now, peek(queued)))
-            .chain(pending.into_iter().map(|(t, _, event)| (t, event)))
+            .pending()
+            .into_iter()
             .map(|(t, event)| {
                 Value::object(vec![
                     ("at".into(), t.get().into()),
@@ -1122,7 +1037,7 @@ impl Machine {
                     }
                 }
                 self.cores.ops_done[i] += 1;
-                self.queue.push(t + latency, QueuedEvent::Issue(core));
+                self.queue.push(t + latency, Event::Issue(core));
             }
             AccessResult::Miss { request, latency } => {
                 self.cores.pending[i] = Some(op);
@@ -1519,7 +1434,7 @@ impl Machine {
         self.hold_block(block, fill_done);
         self.miss_latency
             .record(fill_done.saturating_since(self.cores.issue_time[requester.index()]));
-        self.queue.push(fill_done, QueuedEvent::Issue(requester));
+        self.queue.push(fill_done, Event::Issue(requester));
     }
 
     /// DLS demand handling (directoryless). The first toucher of a block
@@ -1625,7 +1540,7 @@ impl Machine {
             self.hold_block(block, done);
             self.miss_latency
                 .record(done.saturating_since(self.cores.issue_time[requester.index()]));
-            self.queue.push(done, QueuedEvent::Issue(requester));
+            self.queue.push(done, Event::Issue(requester));
             return;
         }
 
@@ -1644,7 +1559,7 @@ impl Machine {
         self.hold_block(block, fill_done);
         self.miss_latency
             .record(fill_done.saturating_since(self.cores.issue_time[requester.index()]));
-        self.queue.push(fill_done, QueuedEvent::Issue(requester));
+        self.queue.push(fill_done, Event::Issue(requester));
     }
 
     /// Applies the grant at the requester: fill (or permission upgrade),
