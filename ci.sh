@@ -27,20 +27,30 @@ cargo run -q -p stashdir-lint --offline -- --root . \
 # Chaos smoke (E17): one injected fault per taxonomy class on a small
 # grid; the run fails unless every class is caught by its expected
 # detector (invariant checker or liveness watchdog) — the end-to-end
-# mutation gate for the fault-injection layer.
-echo "== chaos smoke (E17)"
-chaos_out=$(cargo run -q -p stashdir-harness --offline --bin sweep -- \
-  --plan chaos_smoke --run ci_chaos --ops 400 --no-progress)
+# mutation gate for the fault-injection layer. Runs together with the
+# E19 static rounds from a scratch cwd, so the committed CSVs are not
+# clobbered; both experiments cap ops at 400, so the scratch CSVs are the
+# full-scale bytes and must match the committed ones exactly.
+echo "== chaos smoke (E17) + campaign rounds (E19)"
+repo_root=$(pwd)
+chaos_dir=$(mktemp -d)
+chaos_out=$(cd "$chaos_dir" && cargo run -q --manifest-path "$repo_root/Cargo.toml" \
+  -p stashdir-harness --offline --bin sweep -- \
+  --plan chaos_smoke,campaign --run ci_chaos --ops 400 --no-progress)
 echo "$chaos_out" | grep -qF \
   "chaos gate: 7/7 fault classes caught by their expected detector — PASS" \
   || { echo "chaos smoke FAILED:"; echo "$chaos_out"; exit 1; }
+for csv in e17_chaos_smoke.csv e19_campaign.csv; do
+  cmp "$chaos_dir/results/$csv" "results/$csv" \
+    || { echo "chaos smoke FAILED: $csv differs from the committed file"; exit 1; }
+done
+rm -rf "$chaos_dir"
 
 # Shoot-out smoke (E18): the equal-area backend comparison end to end at
 # a reduced op count, from a scratch cwd so the committed full-scale
 # results/e18_shootout.csv is not clobbered. Passes when the sweep
 # completes and the CSV carries every registered backend.
 echo "== shoot-out smoke (E18)"
-repo_root=$(pwd)
 e18_dir=$(mktemp -d)
 (cd "$e18_dir" && cargo run -q --manifest-path "$repo_root/Cargo.toml" \
   -p stashdir-harness --offline --bin sweep -- \

@@ -1,16 +1,15 @@
 //! The experiment front end for the Stash Directory reproduction.
 //!
-//! One binary per experiment (`src/bin/exp_*.rs`), each regenerating one
-//! table or figure from `DESIGN.md`'s per-experiment index. Binaries
-//! print a human-readable table to stdout and write machine-readable CSV
-//! under `results/`.
-//!
-//! The grid expansion, parallel execution, manifests and table assembly
-//! all live in [`stashdir_harness`]; the E1–E14 binaries here are thin
-//! wrappers over [`stashdir_harness::run_single_experiment_cli`], and
-//! the whole suite runs in one parallel invocation via:
+//! Every registered experiment (E1–E15, E17–E20) regenerates one table
+//! or figure from `DESIGN.md`'s per-experiment index through the
+//! harness's `sweep` binary, which prints a human-readable table to
+//! stdout and writes machine-readable CSV under `results/`. The grid
+//! expansion, parallel execution, manifests and table assembly all live
+//! in [`stashdir_harness`]. One experiment runs with `--plan <key>`, the
+//! whole suite in one parallel invocation with `--all`:
 //!
 //! ```sh
+//! cargo run --release -p stashdir-harness --bin sweep -- --plan perf_vs_coverage
 //! cargo run --release -p stashdir-harness --bin sweep -- --all
 //! ```
 //!
@@ -18,9 +17,10 @@
 //! 10000), `STASHDIR_SEED` (default 7), `STASHDIR_JOBS` (worker threads,
 //! default all cores).
 //!
-//! This crate re-exports the harness's shared helpers so the standalone
-//! binaries (`exp_limited_ptr`, `exp_timeline`, `simulate`) and any
-//! external users of `stashdir_bench` keep their original API.
+//! This crate keeps the two binaries the registry does not cover:
+//! `exp_timeline` (E16) and `simulate` (one ad-hoc run). It re-exports
+//! the harness's shared helpers so they and any external users of
+//! `stashdir_bench` keep their original API.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

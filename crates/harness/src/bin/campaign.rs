@@ -15,7 +15,7 @@
 //!
 //! The run writes the usual `results/<run>/manifest.json` and per-case
 //! artifacts, plus `results/<run>/coverage.json`
-//! (`stashdir/chaos-coverage/v1`) and, when a bursty case failed, the
+//! (`stashdir/chaos-coverage/v1`) and, when a composed case failed, the
 //! minimized reproducer at `results/<run>/cases/<id>.minimized.json`.
 
 use stashdir_harness::runner::{common_usage, parse_one_common_flag, FlagOutcome};
@@ -138,7 +138,7 @@ fn main() -> ExitCode {
             m.plan,
             m.path.display()
         ),
-        None => println!("minimized: no bursty failure to minimize"),
+        None => println!("minimized: no composed failure to minimize"),
     }
     println!("[saved {}]", outcome.artifact_path.display());
 

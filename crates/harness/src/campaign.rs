@@ -19,7 +19,7 @@
 //! so an interrupted campaign resumes from its per-case artifacts. The
 //! accumulated coverage lands in a deterministic
 //! `stashdir/chaos-coverage/v1` artifact, and the first reproducible
-//! bursty failure is delta-debugged ([`minimize`]) down to the smallest
+//! composed failure is delta-debugged ([`minimize`]) down to the smallest
 //! seeded [`FaultConfig`] that still reproduces it, saved next to the
 //! case's artifact (and its embedded diag snapshot).
 
@@ -132,7 +132,7 @@ pub struct CampaignOutcome {
     pub classes_total: usize,
     /// Per-round ledger.
     pub rounds: Vec<RoundRecord>,
-    /// The minimized reproducer, when a bursty case failed.
+    /// The minimized reproducer, when a composed case failed.
     pub minimized: Option<MinimizedFailure>,
     /// Cases that panicked or timed out across all rounds.
     pub failed: usize,
@@ -858,7 +858,7 @@ fn minimized_artifact(m: &MinimizedFailure) -> Value {
 
 /// Runs a full campaign: baseline round, pairwise round, adaptive
 /// rounds until plateau or budget, coverage artifact, and minimization
-/// of the first reproducible bursty failure.
+/// of the first reproducible composed failure.
 ///
 /// # Errors
 ///
@@ -972,11 +972,13 @@ pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignOutcome> {
         }
     }
 
-    // Minimize the first bursty failure, in deterministic case order.
+    // Minimize the first composed (multi-burst) failure, in
+    // deterministic case order. Single-class cases are one burst each
+    // and already minimal.
     let run_dir = cfg.out_root.join(&cfg.run);
     let minimized = all_cases
         .iter()
-        .filter(|c| c.fault.as_ref().is_some_and(FaultConfig::has_bursts))
+        .filter(|c| c.fault.as_ref().is_some_and(|f| f.bursts.len() > 1))
         .find_map(|c| {
             let sig = results.get(&c.id()).and_then(failure_signature)?;
             Some((c, sig))
@@ -1068,6 +1070,11 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), 12, "all campaign case ids unique");
+        for c in &base {
+            let f = c.fault.as_ref().expect("baseline cases carry faults");
+            assert_eq!(f.bursts.len(), 1, "a single class is one burst");
+            assert!(f.witness);
+        }
         for c in &pair {
             let f = c.fault.as_ref().expect("pairwise cases carry faults");
             assert_eq!(f.bursts.len(), 2);
@@ -1110,7 +1117,7 @@ mod tests {
         assert!(cases.len() < recipes().len());
         for c in &cases {
             let f = c.fault.as_ref().expect("adaptive cases carry faults");
-            assert!(f.witness && f.has_bursts());
+            assert!(f.witness && !f.bursts.is_empty());
         }
         assert!(cases.iter().any(|c| c.workload == Workload::Tree));
     }

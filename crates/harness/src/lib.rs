@@ -58,5 +58,5 @@ pub use manifest::{CaseRecord, RunManifest};
 pub use params::{geomean, machine_with, run_case, Params};
 pub use plan::{CaseSpec, ExperimentPlan};
 pub use pool::{run_cases, CaseOutcome, CaseStatus, RunOptions};
-pub use runner::{run_single_experiment_cli, SweepConfig};
+pub use runner::SweepConfig;
 pub use table::{f2, f3, n0, Table};

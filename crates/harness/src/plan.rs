@@ -70,15 +70,13 @@ impl CaseSpec {
             .to_string()
             .replace('/', "_")
             .replace('@', "-");
-        let fault = match self.fault.as_ref() {
-            Some(f) => match f.class {
-                Some(c) => format!("-f{}", c.label()),
-                // Burst-only campaign cases: name the schedule size (the
-                // digest suffix still covers the exact schedule).
-                None if f.has_bursts() => format!("-fmulti{}", f.bursts.len()),
-                None => String::new(),
-            },
-            None => String::new(),
+        // A one-burst fault is named by its class, a composed one by its
+        // schedule size (the digest suffix still covers the exact
+        // schedule).
+        let fault = match self.fault.as_ref().map(|f| f.bursts.as_slice()) {
+            None | Some([]) => String::new(),
+            Some([b]) => format!("-f{}", b.class.label()),
+            Some(bursts) => format!("-fmulti{}", bursts.len()),
         };
         format!(
             "{dir}-c{}-{}-o{}-s{}{fault}-{}",

@@ -334,22 +334,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> io::Result<SweepSummary> {
     })
 }
 
-/// Entry point shared by the ported per-experiment binaries
-/// (`exp_perf_vs_coverage` & co.): run exactly one experiment on the
-/// parallel harness, honoring the common command-line flags.
-pub fn run_single_experiment_cli(key: &str) -> ExitCode {
-    let mut cfg = SweepConfig::new(vec![key.to_string()], key);
-    match apply_common_flags(&mut cfg, std::env::args().skip(1)) {
-        Ok(FlagOutcome::Proceed) => {}
-        Ok(FlagOutcome::Exit) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-    finish_sweep(&cfg)
-}
-
 /// Runs a configured sweep and maps the outcome to an exit code,
 /// printing the closing summary line.
 pub fn finish_sweep(cfg: &SweepConfig) -> ExitCode {
@@ -398,7 +382,7 @@ pub enum FlagOutcome {
     Exit,
 }
 
-/// Common flags shared by `sweep` and the per-experiment binaries.
+/// Common flags shared by the `sweep` and `campaign` binaries.
 pub fn common_usage() -> &'static str {
     "  --jobs <n>           worker threads (default: all cores; STASHDIR_JOBS)\n\
      \x20 --ops <n>            operations per core (default 10000; STASHDIR_OPS)\n\

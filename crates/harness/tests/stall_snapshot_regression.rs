@@ -45,7 +45,11 @@ fn chaos_case(class: FaultClass) -> CaseSpec {
         .expect("chaos_smoke is registered");
     exp.cases(Params { ops: 400, seed: 7 })
         .into_iter()
-        .find(|c| c.fault.as_ref().is_some_and(|f| f.class == Some(class)))
+        .find(|c| {
+            c.fault
+                .as_ref()
+                .is_some_and(|f| f.enabled_classes() == [class])
+        })
         .unwrap_or_else(|| panic!("chaos_smoke has a {class:?} case"))
 }
 

@@ -30,5 +30,5 @@
 pub mod network;
 pub mod topology;
 
-pub use network::{LinkFaultConfig, Network, NocConfig, SendOutcome};
+pub use network::{Network, NocConfig};
 pub use topology::{Link, Mesh};

@@ -2,7 +2,7 @@
 
 use crate::topology::Mesh;
 use serde::{Deserialize, Serialize};
-use stashdir_common::{Counter, Cycle, DetRng, Histogram, NodeId, StatSink};
+use stashdir_common::{Counter, Cycle, Histogram, NodeId, StatSink};
 use std::collections::BTreeMap;
 
 /// Configuration for [`Network`].
@@ -27,56 +27,6 @@ impl Default for NocConfig {
             model_contention: true,
         }
     }
-}
-
-/// Fault-injection hook configuration for the network, installed by the
-/// simulator's chaos layer via [`Network::set_link_faults`]. Plain
-/// [`Network::send`] is untouched; only [`Network::send_faulty`]
-/// consults the hook, so a network without faults pays nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkFaultConfig {
-    /// Seed for the hook's own deterministic RNG.
-    pub seed: u64,
-    /// Probability (per mille) that a faulty send is delayed.
-    pub delay_per_mille: u32,
-    /// Extra delivery latency applied to a delayed message.
-    pub delay_cycles: u64,
-    /// Probability (per mille) that a faulty send is duplicated.
-    pub dup_per_mille: u32,
-    /// Cap on total injected faults (delays + duplicates); `0` =
-    /// unlimited.
-    pub max_faults: u64,
-}
-
-/// Installed fault hook state: config, its own RNG, and injection
-/// counters the simulator folds into its fault summary.
-#[derive(Debug, Clone)]
-struct LinkFaults {
-    cfg: LinkFaultConfig,
-    rng: DetRng,
-    delays: u64,
-    duplicates: u64,
-}
-
-impl LinkFaults {
-    fn budget_left(&self) -> bool {
-        self.cfg.max_faults == 0 || self.delays + self.duplicates < self.cfg.max_faults
-    }
-
-    fn roll(rng: &mut DetRng, per_mille: u32) -> bool {
-        per_mille >= 1000 || rng.below(1000) < per_mille as u64
-    }
-}
-
-/// The outcome of a fault-aware send: the (possibly delayed) arrival of
-/// the original packet, plus the arrival of an injected duplicate when
-/// the hook fired one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendOutcome {
-    /// Arrival time of the original packet.
-    pub arrival: Cycle,
-    /// Arrival time of the injected duplicate, when one was sent.
-    pub duplicate: Option<Cycle>,
 }
 
 /// A wormhole-routed mesh NoC: computes delivery times and accounts
@@ -104,7 +54,6 @@ pub struct Network {
     flits: BTreeMap<&'static str, Counter>,
     flit_hops: Counter,
     latency_hist: Histogram,
-    faults: Option<LinkFaults>,
 }
 
 impl Network {
@@ -118,26 +67,7 @@ impl Network {
             flits: BTreeMap::new(),
             flit_hops: Counter::new(),
             latency_hist: Histogram::new(),
-            faults: None,
         }
-    }
-
-    /// Installs the fault-injection hook consulted by
-    /// [`Network::send_faulty`].
-    pub fn set_link_faults(&mut self, cfg: LinkFaultConfig) {
-        self.faults = Some(LinkFaults {
-            rng: DetRng::seed_from(cfg.seed ^ 0x110C_FA17),
-            cfg,
-            delays: 0,
-            duplicates: 0,
-        });
-    }
-
-    /// Injected (delays, duplicates) so far; `(0, 0)` without a hook.
-    pub fn fault_counts(&self) -> (u64, u64) {
-        self.faults
-            .as_ref()
-            .map_or((0, 0), |f| (f.delays, f.duplicates))
     }
 
     /// The underlying mesh.
@@ -195,43 +125,6 @@ impl Network {
         let arrival = head + (flits as u64 - 1);
         self.latency_hist.record(arrival - now);
         arrival
-    }
-
-    /// Like [`Network::send`], but consults the installed
-    /// [`LinkFaultConfig`] hook: the arrival may be delayed, and the
-    /// packet may be duplicated (the duplicate is a real second send, so
-    /// it shows up in traffic accounting). Without a hook this is
-    /// exactly [`Network::send`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flits` is zero or either endpoint is outside the mesh.
-    pub fn send_faulty(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        flits: u32,
-        class: &'static str,
-        now: Cycle,
-    ) -> SendOutcome {
-        let mut arrival = self.send(src, dst, flits, class, now);
-        let Some(mut hook) = self.faults.take() else {
-            return SendOutcome {
-                arrival,
-                duplicate: None,
-            };
-        };
-        let mut duplicate = None;
-        if hook.budget_left() && LinkFaults::roll(&mut hook.rng, hook.cfg.delay_per_mille) {
-            arrival += hook.cfg.delay_cycles;
-            hook.delays += 1;
-        }
-        if hook.budget_left() && LinkFaults::roll(&mut hook.rng, hook.cfg.dup_per_mille) {
-            duplicate = Some(self.send(src, dst, flits, class, now));
-            hook.duplicates += 1;
-        }
-        self.faults = Some(hook);
-        SendOutcome { arrival, duplicate }
     }
 
     /// Sends the same packet to many destinations (an invalidation
@@ -408,52 +301,5 @@ mod tests {
     #[should_panic(expected = "at least one flit")]
     fn zero_flit_packet_panics() {
         net(false).send(NodeId::new(0), NodeId::new(1), 0, "req", Cycle::ZERO);
-    }
-
-    #[test]
-    fn send_faulty_without_hook_matches_send() {
-        let mut plain = net(false);
-        let mut hooked = net(false);
-        let a = plain.send(NodeId::new(0), NodeId::new(3), 2, "req", Cycle::ZERO);
-        let b = hooked.send_faulty(NodeId::new(0), NodeId::new(3), 2, "req", Cycle::ZERO);
-        assert_eq!(b.arrival, a);
-        assert_eq!(b.duplicate, None);
-        assert_eq!(hooked.fault_counts(), (0, 0));
-        assert_eq!(plain.total_messages(), hooked.total_messages());
-    }
-
-    #[test]
-    fn delay_hook_postpones_arrival() {
-        let mut n = net(false);
-        n.set_link_faults(LinkFaultConfig {
-            seed: 1,
-            delay_per_mille: 1000,
-            delay_cycles: 500,
-            dup_per_mille: 0,
-            max_faults: 1,
-        });
-        let first = n.send_faulty(NodeId::new(0), NodeId::new(1), 1, "req", Cycle::ZERO);
-        assert_eq!(first.arrival.get(), 3 + 500);
-        assert_eq!(first.duplicate, None);
-        // Budget of one: the second send is clean.
-        let second = n.send_faulty(NodeId::new(0), NodeId::new(1), 1, "req", Cycle::ZERO);
-        assert_eq!(second.arrival.get(), 3);
-        assert_eq!(n.fault_counts(), (1, 0));
-    }
-
-    #[test]
-    fn duplicate_hook_sends_a_real_second_packet() {
-        let mut n = net(false);
-        n.set_link_faults(LinkFaultConfig {
-            seed: 2,
-            delay_per_mille: 0,
-            delay_cycles: 0,
-            dup_per_mille: 1000,
-            max_faults: 1,
-        });
-        let out = n.send_faulty(NodeId::new(0), NodeId::new(1), 1, "req", Cycle::ZERO);
-        assert!(out.duplicate.is_some(), "hook must duplicate");
-        assert_eq!(n.messages_of("req"), 2, "duplicate counts as traffic");
-        assert_eq!(n.fault_counts(), (0, 1));
     }
 }

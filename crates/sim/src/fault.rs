@@ -11,7 +11,7 @@
 //! faulty run is exactly reproducible and resume-stable: the same case
 //! digest always yields the same injections, detections and snapshot.
 //!
-//! With no class enabled (see [`FaultConfig::disabled`]) the hook layer
+//! With no burst scheduled (see [`FaultConfig::disabled`]) the layer
 //! is provably zero-cost: a `FaultPlan`-threaded run produces reports
 //! and artifacts byte-identical to a plain run (property-tested in the
 //! harness).
@@ -24,11 +24,11 @@ use stashdir_common::DetRng;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultClass {
     /// A NoC message is delayed far beyond any legitimate latency
-    /// (injected through the network hook).
+    /// (injected at the machine's demand send).
     NocDelay,
-    /// A demand request is duplicated in flight (injected through the
-    /// network hook); the second copy arrives with no matching pending
-    /// operation.
+    /// A demand request is duplicated in flight (injected at the
+    /// machine's demand send as a real second packet); the second copy
+    /// arrives with no matching pending operation.
     NocDuplicate,
     /// A directory entry forgets (or mis-names) a live holder: a sharer
     /// bit flips off, or an exclusive owner is dropped.
@@ -188,24 +188,18 @@ impl FaultBurst {
 /// Configuration for one faulty run.
 ///
 /// Thread it into a machine with [`Machine::with_faults`]; a config with
-/// no class, no bursts and no watchdog bound is inert.
+/// no bursts and no watchdog bound is inert.
 ///
-/// Two injection modes compose: the legacy single-`class` mode (always
-/// armed, `rate_per_mille`) and any number of [`FaultBurst`] windows,
-/// which arm their class only inside the scheduled hot windows — the
-/// chaos-campaign layer's multi-fault mode.
+/// Every injection is armed by a [`FaultBurst`] window: a class fires
+/// only inside its scheduled hot windows. A single-class run is one
+/// always-on burst ([`FaultConfig::for_class`]); the chaos-campaign
+/// layer composes several.
 ///
 /// [`Machine::with_faults`]: crate::Machine::with_faults
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultConfig {
-    /// The single always-armed class to inject, or `None` when only
-    /// bursts (or nothing) inject.
-    pub class: Option<FaultClass>,
     /// Seed for the injection RNG (independent of the workload seed).
     pub seed: u64,
-    /// Injection probability per opportunity for the legacy class,
-    /// in thousandths.
-    pub rate_per_mille: u32,
     /// Cap on recorded injections; `0` = unlimited.
     pub max_injections: u64,
     /// Extra delivery delay for [`FaultClass::NocDelay`], cycles.
@@ -216,7 +210,7 @@ pub struct FaultConfig {
     /// Forward-progress bound: a core that retires nothing for this many
     /// cycles is diagnosed as stalled. `0` disables the watchdog.
     pub watchdog_bound: u64,
-    /// Scheduled injection windows (the multi-fault campaign mode).
+    /// Scheduled injection windows; the only way a class is armed.
     pub bursts: Vec<FaultBurst>,
     /// Allowed injection-site indices: when non-empty, only the n-th
     /// would-fire opportunities named here actually inject — the
@@ -229,12 +223,10 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// A fully inert config: no class, no bursts, no watchdog.
+    /// A fully inert config: no bursts, no watchdog.
     pub fn disabled() -> FaultConfig {
         FaultConfig {
-            class: None,
             seed: 0,
-            rate_per_mille: 0,
             max_injections: 0,
             delay_cycles: 0,
             stuck_cycles: 0,
@@ -245,27 +237,25 @@ impl FaultConfig {
         }
     }
 
-    /// The chaos-suite config for `class`: inject at the first
-    /// opportunity (rate 100%, one injection), with starvation horizons
-    /// far beyond the watchdog bound so liveness faults trip it
-    /// deterministically.
+    /// The chaos-suite config for `class`: one always-on burst at rate
+    /// 100% and a budget of one injection, so the fault fires at the
+    /// first opportunity and never again.
     pub fn for_class(class: FaultClass, seed: u64) -> FaultConfig {
-        FaultConfig {
-            class: Some(class),
-            seed,
+        let mut cfg = FaultConfig::for_campaign(seed).with_burst(FaultBurst {
+            class,
+            onset: 0,
+            len: 0,
+            gap: 0,
             rate_per_mille: 1000,
-            max_injections: 1,
-            delay_cycles: 50_000_000,
-            stuck_cycles: 50_000_000,
-            watchdog_bound: 1_000_000,
-            ..FaultConfig::disabled()
-        }
+        });
+        cfg.max_injections = 1;
+        cfg
     }
 
-    /// A campaign config with no legacy class: bursts added via
-    /// [`FaultConfig::with_burst`] drive all injection. Horizons and the
-    /// watchdog bound match [`FaultConfig::for_class`]; the budget is
-    /// unlimited (bursts self-limit through their windows).
+    /// A campaign config: bursts added via [`FaultConfig::with_burst`]
+    /// drive all injection, with starvation horizons far beyond the
+    /// watchdog bound so liveness faults trip it deterministically. The
+    /// budget is unlimited (bursts self-limit through their windows).
     pub fn for_campaign(seed: u64) -> FaultConfig {
         FaultConfig {
             seed,
@@ -288,18 +278,13 @@ impl FaultConfig {
         self
     }
 
-    /// `true` when any burst window is scheduled.
-    pub fn has_bursts(&self) -> bool {
-        !self.bursts.is_empty()
-    }
-
-    /// Every class this config can inject (legacy class plus burst
-    /// classes), deduplicated, in taxonomy order.
+    /// Every class this config's bursts can inject, deduplicated, in
+    /// taxonomy order.
     pub fn enabled_classes(&self) -> Vec<FaultClass> {
         FaultClass::ALL
             .iter()
             .copied()
-            .filter(|&c| self.class == Some(c) || self.bursts.iter().any(|b| b.class == c))
+            .filter(|&c| self.bursts.iter().any(|b| b.class == c))
             .collect()
     }
 }
@@ -310,11 +295,7 @@ impl std::fmt::Display for FaultConfig {
     /// round-trips it exactly.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut parts: Vec<String> = Vec::new();
-        if let Some(class) = self.class {
-            parts.push(format!("class={}", class.label()));
-        }
         parts.push(format!("seed={}", self.seed));
-        parts.push(format!("rate={}", self.rate_per_mille));
         parts.push(format!("max={}", self.max_injections));
         parts.push(format!("delay={}", self.delay_cycles));
         parts.push(format!("stuck={}", self.stuck_cycles));
@@ -367,9 +348,7 @@ impl std::str::FromStr for FaultConfig {
                 .split_once('=')
                 .ok_or_else(|| format!("`{token}` is not a key=value token"))?;
             match key {
-                "class" => cfg.class = Some(parse_class(value)?),
                 "seed" => cfg.seed = parse_num(key, value)?,
-                "rate" => cfg.rate_per_mille = parse_num(key, value)?,
                 "max" => cfg.max_injections = parse_num(key, value)?,
                 "delay" => cfg.delay_cycles = parse_num(key, value)?,
                 "stuck" => cfg.stuck_cycles = parse_num(key, value)?,
@@ -538,13 +517,7 @@ impl FaultPlan {
         self.cfg.max_injections == 0 || self.summary.injected_total() < self.cfg.max_injections
     }
 
-    /// The effective legacy-mode rate for `class` (`None` when `class`
-    /// is not the configured one).
-    fn legacy_rate(&self, class: FaultClass) -> Option<u32> {
-        (self.cfg.class == Some(class)).then_some(self.cfg.rate_per_mille)
-    }
-
-    /// The strongest burst-mode rate for `class` at cycle `now`
+    /// The strongest rate among the bursts for `class` hot at cycle `now`
     /// (`None` when no burst for `class` is hot).
     fn burst_rate(&self, class: FaultClass, now: u64) -> Option<u32> {
         self.cfg
@@ -555,24 +528,22 @@ impl FaultPlan {
             .max()
     }
 
-    /// `true` when `class` is the enabled class and its injection budget
-    /// is not exhausted. Does not consume randomness or record anything.
-    pub fn armed(&self, class: FaultClass) -> bool {
-        self.cfg.class == Some(class) && self.budget_open()
-    }
-
-    /// `true` when `class` can fire at cycle `now` through either mode
-    /// (legacy class or a hot burst) and the budget is open.
+    /// `true` when a burst for `class` is hot at cycle `now` and the
+    /// budget is open. Does not consume randomness or record anything.
     pub fn armed_at(&self, class: FaultClass, now: u64) -> bool {
-        (self.legacy_rate(class).is_some() || self.burst_rate(class, now).is_some())
-            && self.budget_open()
+        self.burst_rate(class, now).is_some() && self.budget_open()
     }
 
-    /// The shared dice-and-site-filter core: consumes one RNG draw when
-    /// `rate` permits firing, counts the would-fire opportunity, and
-    /// applies the `sites` allow-list.
-    fn roll_with_rate(&mut self, rate: Option<u32>) -> bool {
-        let Some(rate) = rate else {
+    /// Rolls the injection dice for `class` at cycle `now`, at the rate
+    /// of the strongest burst hot for `class`: `true` when the fault
+    /// should fire *and the caller will apply it*. Consumes one RNG draw
+    /// when the rate is below 100%, counts the would-fire opportunity,
+    /// and applies the `sites` allow-list. The caller records the
+    /// injection via [`FaultPlan::record_injection`] only once the
+    /// damage is actually applied (targeted corruptions may find no
+    /// victim).
+    pub fn roll_at(&mut self, class: FaultClass, now: u64) -> bool {
+        let Some(rate) = self.burst_rate(class, now) else {
             return false;
         };
         if !self.budget_open() {
@@ -585,35 +556,6 @@ impl FaultPlan {
         let site = self.opportunities;
         self.opportunities += 1;
         self.cfg.sites.is_empty() || self.cfg.sites.contains(&site)
-    }
-
-    /// Rolls the injection dice for `class`: `true` when the fault
-    /// should fire *and the caller will apply it*. The caller records
-    /// the injection via [`FaultPlan::record_injection`] only once the
-    /// damage is actually applied (targeted corruptions may find no
-    /// victim). Legacy single-class entry point — equivalent to
-    /// [`FaultPlan::roll_at`] at cycle 0 for burst-free configs.
-    pub fn roll(&mut self, class: FaultClass) -> bool {
-        self.roll_at(class, 0)
-    }
-
-    /// Rolls for `class` at cycle `now`, arming through whichever mode
-    /// (legacy class or hot burst) offers the higher rate.
-    pub fn roll_at(&mut self, class: FaultClass, now: u64) -> bool {
-        let rate = match (self.legacy_rate(class), self.burst_rate(class, now)) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        self.roll_with_rate(rate)
-    }
-
-    /// Rolls for `class` at cycle `now` through burst windows only —
-    /// used for the NoC classes at the machine layer, where the legacy
-    /// single-class mode already injects inside the network itself (a
-    /// combined roll would double-inject).
-    pub fn roll_burst_at(&mut self, class: FaultClass, now: u64) -> bool {
-        let rate = self.burst_rate(class, now);
-        self.roll_with_rate(rate)
     }
 
     /// Records one applied injection of `class`.
@@ -756,7 +698,7 @@ mod tests {
     fn disabled_plan_never_fires() {
         let mut plan = FaultPlan::new(FaultConfig::disabled());
         for &class in FaultClass::ALL {
-            assert!(!plan.roll(class));
+            assert!(!plan.roll_at(class, 0));
         }
         assert_eq!(plan.summary, FaultSummary::default());
         assert_eq!(plan.watchdog_bound(), None);
@@ -767,12 +709,15 @@ mod tests {
         let mut cfg = FaultConfig::for_class(FaultClass::DropGrant, 7);
         cfg.max_injections = 2;
         let mut plan = FaultPlan::new(cfg);
-        assert!(plan.roll(FaultClass::DropGrant));
+        assert!(plan.roll_at(FaultClass::DropGrant, 0));
         plan.record_injection(FaultClass::DropGrant);
-        assert!(plan.roll(FaultClass::DropGrant));
+        assert!(plan.roll_at(FaultClass::DropGrant, 10));
         plan.record_injection(FaultClass::DropGrant);
-        assert!(!plan.roll(FaultClass::DropGrant), "budget exhausted");
-        assert!(!plan.roll(FaultClass::NocDelay), "wrong class never arms");
+        assert!(!plan.roll_at(FaultClass::DropGrant, 20), "budget exhausted");
+        assert!(
+            !plan.roll_at(FaultClass::NocDelay, 0),
+            "wrong class never arms"
+        );
         assert_eq!(plan.summary.injected_drop_grant, 2);
         assert_eq!(plan.summary.injected_total(), 2);
     }
@@ -869,10 +814,6 @@ mod tests {
 
     #[test]
     fn parse_errors_list_every_valid_class_label() {
-        let err = "class=bogus".parse::<FaultConfig>().expect_err("bad class");
-        for &class in FaultClass::ALL {
-            assert!(err.contains(class.label()), "{err} lists {}", class.label());
-        }
         let err = "burst=bogus:0:0:0:1000"
             .parse::<FaultConfig>()
             .expect_err("bad burst class");
@@ -880,8 +821,12 @@ mod tests {
             assert!(err.contains(class.label()), "{err} lists {}", class.label());
         }
         assert!("nonsense".parse::<FaultConfig>().is_err());
-        assert!("pace=3".parse::<FaultConfig>().is_err());
         assert!("burst=noc_delay:1:2".parse::<FaultConfig>().is_err());
+        // The retired single-class grammar fails by name, not silently.
+        for token in ["pace=3", "class=sharer_flip", "rate=1000"] {
+            let err = token.parse::<FaultConfig>().expect_err(token);
+            assert!(err.contains("unknown fault-config key"), "{token}: {err}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use stashdir_common::{
 };
 use stashdir_core::EvictionAction;
 use stashdir_mem::DramModel;
-use stashdir_noc::{LinkFaultConfig, Network};
+use stashdir_noc::Network;
 use stashdir_protocol::{
     decide, decide_put, discovery_intent, discovery_targets, needs_discovery, DirView,
     DiscoveryIntent, Grant, PrivState, Probe, ProbeReply, PutOutcome, Request, CONTROL_FLITS,
@@ -399,34 +399,10 @@ impl Machine {
     ///
     /// With [`FaultConfig::disabled`] the run is byte-identical to a
     /// plain [`Machine::new`] run (the zero-cost property the harness
-    /// property-tests); with a class enabled, the configured fault is
+    /// property-tests); with a burst scheduled, the configured faults are
     /// injected and the run quiesces with a diagnostic snapshot when the
     /// invariant checker or the liveness watchdog catches the damage.
     pub fn with_faults(mut self, cfg: FaultConfig) -> Self {
-        // The legacy single-class NoC modes inject inside the network
-        // itself; burst-scheduled NoC faults are injected at the machine
-        // layer instead ([`Machine::deliver_faulty`]), where the cycle
-        // clock needed to evaluate burst windows is in scope.
-        if matches!(
-            cfg.class,
-            Some(FaultClass::NocDelay | FaultClass::NocDuplicate)
-        ) {
-            self.net.set_link_faults(LinkFaultConfig {
-                seed: cfg.seed,
-                delay_per_mille: if cfg.class == Some(FaultClass::NocDelay) {
-                    cfg.rate_per_mille
-                } else {
-                    0
-                },
-                delay_cycles: cfg.delay_cycles,
-                dup_per_mille: if cfg.class == Some(FaultClass::NocDuplicate) {
-                    cfg.rate_per_mille
-                } else {
-                    0
-                },
-                max_faults: cfg.max_injections,
-            });
-        }
         if cfg.witness {
             self.witness = Some(Box::default());
         }
@@ -554,10 +530,12 @@ impl Machine {
         arrival
     }
 
-    /// [`Machine::deliver`] through the network's fault hook: the
-    /// arrival may be delayed, and a duplicate delivery time may come
-    /// back. Both are FIFO-clamped on the channel, duplicate after the
-    /// original. Without a threaded fault plan this is exactly
+    /// [`Machine::deliver`] with the NoC fault classes rolled from the
+    /// threaded plan: the arrival may be delayed, and the packet may be
+    /// duplicated. A duplicate is a real second send in the same cycle,
+    /// so it occupies links and counts as traffic. Both arrivals are
+    /// FIFO-clamped on the channel, duplicate after the original.
+    /// Without a threaded fault plan this is exactly
     /// [`Machine::deliver`].
     fn deliver_faulty(
         &mut self,
@@ -567,41 +545,27 @@ impl Machine {
         class: &'static str,
         t: Cycle,
     ) -> (Cycle, Option<Cycle>) {
-        if self.faults.is_none() {
+        let Some(plan) = self.faults.as_mut() else {
             return (self.deliver(src, dst, flits, class, t), None);
-        }
-        let mut out = self.net.send_faulty(src, dst, flits, class, t);
-        // Burst-scheduled NoC faults inject here (the legacy single-class
-        // path injects inside the network and never has bursts, so the
-        // two modes cannot double-fire on one message).
-        if let Some(plan) = self.faults.as_mut() {
-            if plan.config().has_bursts() {
-                if plan.roll_burst_at(FaultClass::NocDelay, t.get()) {
-                    let extra = plan.config().delay_cycles;
-                    out.arrival += extra;
-                    plan.record_injection(FaultClass::NocDelay);
-                }
-                if out.duplicate.is_none() && plan.roll_burst_at(FaultClass::NocDuplicate, t.get())
-                {
-                    out.duplicate = Some(out.arrival + 1);
-                    plan.record_injection(FaultClass::NocDuplicate);
-                }
-            }
-        }
-        let chan = src.index() * self.nodes + dst.index();
-        let arrival = {
-            let slot = &mut self.chan_last[chan];
-            let arrival = out.arrival.max(*slot + 1);
-            *slot = arrival;
-            arrival
         };
-        let duplicate = out.duplicate.map(|raw| {
+        let mut raw = self.net.send(src, dst, flits, class, t);
+        if plan.roll_at(FaultClass::NocDelay, t.get()) {
+            raw += plan.config().delay_cycles;
+            plan.record_injection(FaultClass::NocDelay);
+        }
+        let duplicate = if plan.roll_at(FaultClass::NocDuplicate, t.get()) {
+            plan.record_injection(FaultClass::NocDuplicate);
+            Some(self.net.send(src, dst, flits, class, t))
+        } else {
+            None
+        };
+        let chan = src.index() * self.nodes + dst.index();
+        let mut clamp = |raw: Cycle| {
             let slot = &mut self.chan_last[chan];
-            let a = raw.max(*slot + 1);
-            *slot = a;
-            a
-        });
-        (arrival, duplicate)
+            *slot = raw.max(*slot + 1);
+            *slot
+        };
+        (clamp(raw), duplicate.map(clamp))
     }
 
     /// Schedules `msg` to arrive at its home at `at`.
@@ -713,7 +677,7 @@ impl Machine {
     }
 
     /// Rolls the injection dice for `class` under the threaded plan,
-    /// arming through the legacy class or any burst window hot at `now`.
+    /// arming through any burst window hot at `now`.
     fn roll_fault(&mut self, class: FaultClass, now: Cycle) -> bool {
         self.faults
             .as_mut()
@@ -1058,8 +1022,8 @@ impl Machine {
                 };
                 self.push_msg(arrival, msg);
                 if let Some(dup_arrival) = duplicate {
-                    // The fault hook duplicated the request in flight;
-                    // the copy arrives later as a spurious demand.
+                    // The request was duplicated in flight; the copy
+                    // arrives later as a spurious demand.
                     self.push_msg(dup_arrival, msg);
                 }
             }
@@ -1929,16 +1893,8 @@ impl Machine {
         sink.put("machine.cycles", cycles as f64);
         sink.put("machine.ops", completed_ops as f64);
 
-        // Fold the network hook's injection counters into the plan's
-        // summary (the NoC counts its own delays/duplicates).
-        let (noc_delays, noc_dups) = self.net.fault_counts();
         let (fault, snapshot) = match self.faults {
-            Some(plan) => {
-                let mut summary = plan.summary;
-                summary.injected_noc_delay += noc_delays;
-                summary.injected_noc_duplicate += noc_dups;
-                (summary, self.snapshot)
-            }
+            Some(plan) => (plan.summary, self.snapshot),
             None => (crate::fault::FaultSummary::default(), None),
         };
 
@@ -2753,6 +2709,19 @@ mod tests {
                 caught >= 1,
                 "{class:?} escaped its expected detector: {:?}",
                 report.fault
+            );
+            // The snapshot is rendered mid-run, so its injection count
+            // must already include every injection the report carries.
+            let text = report.snapshot.as_deref().expect("caught runs dump one");
+            let snapshot = Value::parse(text).expect("snapshot is valid JSON");
+            let injected = snapshot
+                .get("fault")
+                .and_then(|f| f.get("injected"))
+                .and_then(Value::as_u64);
+            assert_eq!(
+                injected,
+                Some(report.fault.injected_total()),
+                "{class:?}: snapshot and report disagree on injections"
             );
         }
     }

@@ -1,6 +1,6 @@
 //! Property tests for the `FaultConfig` plan grammar: every plan the
-//! campaign layer can build — legacy single-class, multi-burst
-//! schedules, site pins, witnessing — must round-trip through its
+//! campaign layer can build — single-class and multi-burst schedules,
+//! site pins, witnessing — must round-trip through its
 //! `Display` string (the replayable form the minimizer saves next to
 //! diag snapshots), and an unknown class label must name every valid
 //! one in its error, mirroring `dirspec_props.rs`.
@@ -37,15 +37,11 @@ fn any_burst() -> impl Strategy<Value = FaultBurst> {
         })
 }
 
-/// Plans as the campaign and minimizer produce them: an optional legacy
-/// class, up to four burst windows, optional site pins and witnessing.
-fn maybe_class() -> impl Strategy<Value = Option<FaultClass>> {
-    prop_oneof![Just(None), any_class().prop_map(Some)]
-}
-
+/// Plans as the campaign and minimizer produce them: up to four burst
+/// windows, optional site pins and witnessing.
 fn any_plan() -> impl Strategy<Value = FaultConfig> {
     (
-        (maybe_class(), any::<u64>(), 0u32..1_001, 0u64..1_000),
+        (any::<u64>(), 0u64..1_000),
         (
             1u64..100_000_000,
             1u64..100_000_000,
@@ -56,11 +52,9 @@ fn any_plan() -> impl Strategy<Value = FaultConfig> {
         any::<bool>(),
     )
         .prop_map(
-            |((class, seed, rate, max), (delay, stuck, watchdog, bursts, sites), witness)| {
+            |((seed, max), (delay, stuck, watchdog, bursts, sites), witness)| {
                 let mut cfg = FaultConfig::disabled();
-                cfg.class = class;
                 cfg.seed = seed;
-                cfg.rate_per_mille = rate;
                 cfg.max_injections = max;
                 cfg.delay_cycles = delay;
                 cfg.stuck_cycles = stuck;
@@ -98,9 +92,9 @@ proptest! {
         if FaultClass::parse(&label).is_some() {
             return Ok(()); // sampled a real label; nothing to check
         }
-        let err = format!("class={label}")
+        let err = format!("burst={label}:0:0:0:1000")
             .parse::<FaultConfig>()
-            .expect_err("unknown class must not parse");
+            .expect_err("unknown burst class must not parse");
         for class in FaultClass::ALL {
             prop_assert!(
                 err.contains(class.label()),
@@ -109,10 +103,5 @@ proptest! {
                 class.label()
             );
         }
-        // Burst schedules go through the same class grammar.
-        let err = format!("burst={label}:0:0:0:1000")
-            .parse::<FaultConfig>()
-            .expect_err("unknown burst class must not parse");
-        prop_assert!(err.contains("valid classes"));
     }
 }
