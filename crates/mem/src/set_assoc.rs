@@ -1,37 +1,23 @@
 //! A generic set-associative tag array.
 //!
 //! [`SetAssoc`] maps [`BlockAddr`]s to payloads of type `L` (cache-line
-//! metadata, directory entries, …) with bounded associativity and a
-//! pluggable replacement policy. It is the storage substrate for the
-//! private caches, the LLC banks and the sparse/stash directory slices.
+//! metadata, LLC lines, …) with bounded associativity and a selectable
+//! replacement policy. It is the storage substrate for the private caches
+//! and the LLC banks.
+//!
+//! Storage is flat: one slot vector of `sets × ways` entries, set-major,
+//! and one [`ReplState`] byte vector with a fixed stride per set. Building
+//! an array allocates a constant number of times whatever its size, and a
+//! lookup indexes straight into its set's slots.
 
 // lint: allow-file(indexing) — set indices are masked by `set_mask` and
-// way indices come from `way_of`/`free_way`/the policy, all bounded by the
-// per-set `ways` vector sized at construction.
+// way indices come from `way_of`/`free_way`/the policy, all below `ways`;
+// the slot vector holds `sets × ways` entries from construction on.
 
-use crate::replacement::{ReplKind, ReplacementPolicy};
+use crate::replacement::{ReplKind, ReplState};
 use stashdir_common::{BlockAddr, DetRng};
 
-struct Set<L> {
-    ways: Vec<Option<(BlockAddr, L)>>,
-    policy: Box<dyn ReplacementPolicy>,
-}
-
-impl<L> Set<L> {
-    fn valid_mask(&self) -> Vec<bool> {
-        self.ways.iter().map(Option::is_some).collect()
-    }
-
-    fn way_of(&self, block: BlockAddr) -> Option<usize> {
-        self.ways
-            .iter()
-            .position(|w| matches!(w, Some((b, _)) if *b == block))
-    }
-
-    fn free_way(&self) -> Option<usize> {
-        self.ways.iter().position(Option::is_none)
-    }
-}
+type Slot<L> = Option<(BlockAddr, L)>;
 
 /// A set-associative array of `L` payloads keyed by block address.
 ///
@@ -50,11 +36,12 @@ impl<L> Set<L> {
 /// assert_eq!(a.occupancy(), 1);
 /// ```
 pub struct SetAssoc<L> {
-    sets: Vec<Set<L>>,
+    /// `sets × ways` slots; set `s` owns `slots[s * ways..(s + 1) * ways]`.
+    slots: Vec<Slot<L>>,
+    policy: ReplState,
     ways: usize,
     set_mask: u64,
     rng: DetRng,
-    repl: ReplKind,
 }
 
 impl<L> SetAssoc<L> {
@@ -64,31 +51,50 @@ impl<L> SetAssoc<L> {
     ///
     /// # Panics
     ///
-    /// Panics if `num_sets` is not a power of two or `ways` is zero.
+    /// Panics if `num_sets` is not a power of two, or `ways` is zero or
+    /// above 256.
     pub fn new(num_sets: usize, ways: usize, repl: ReplKind, seed: u64) -> Self {
         assert!(
             num_sets.is_power_of_two(),
             "num_sets must be a power of two, got {num_sets}"
         );
-        assert!(ways > 0, "ways must be positive");
-        let sets = (0..num_sets)
-            .map(|_| Set {
-                ways: (0..ways).map(|_| None).collect(),
-                policy: repl.build(ways),
-            })
-            .collect();
+        let policy = ReplState::new(repl, num_sets, ways);
         SetAssoc {
-            sets,
+            slots: std::iter::repeat_with(|| None)
+                .take(num_sets * ways)
+                .collect(),
+            policy,
             ways,
             set_mask: num_sets as u64 - 1,
             rng: DetRng::seed_from(seed),
-            repl,
         }
+    }
+
+    /// The slots of set `set`.
+    fn set(&self, set: usize) -> &[Slot<L>] {
+        &self.slots[set * self.ways..(set + 1) * self.ways]
+    }
+
+    /// The slots of set `set`, mutably.
+    fn set_mut(&mut self, set: usize) -> &mut [Slot<L>] {
+        &mut self.slots[set * self.ways..(set + 1) * self.ways]
+    }
+
+    /// The way of `set` holding `block`.
+    fn way_of(&self, set: usize, block: BlockAddr) -> Option<usize> {
+        self.set(set)
+            .iter()
+            .position(|w| matches!(w, Some((b, _)) if *b == block))
+    }
+
+    /// The first free way of `set`.
+    fn free_way(&self, set: usize) -> Option<usize> {
+        self.set(set).iter().position(Option::is_none)
     }
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.slots.len() / self.ways
     }
 
     /// Associativity.
@@ -98,20 +104,17 @@ impl<L> SetAssoc<L> {
 
     /// Total capacity in blocks.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+        self.slots.len()
     }
 
     /// Number of blocks currently stored.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.ways.iter().filter(|w| w.is_some()).count())
-            .sum()
+        self.slots.iter().filter(|w| w.is_some()).count()
     }
 
     /// The replacement policy kind this array was built with.
     pub fn repl_kind(&self) -> ReplKind {
-        self.repl
+        self.policy.kind()
     }
 
     /// The set index a block maps to.
@@ -121,18 +124,18 @@ impl<L> SetAssoc<L> {
 
     /// Returns the payload for `block` without updating recency.
     pub fn get(&self, block: BlockAddr) -> Option<&L> {
-        let set = &self.sets[self.set_index(block)];
-        set.way_of(block)
-            .and_then(|w| set.ways[w].as_ref())
+        self.set(self.set_index(block))
+            .iter()
+            .find_map(|w| w.as_ref().filter(|(b, _)| *b == block))
             .map(|(_, l)| l)
     }
 
     /// Returns the payload for `block` mutably without updating recency.
     pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
         let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
-        set.way_of(block)
-            .and_then(|w| set.ways[w].as_mut())
+        self.set_mut(idx)
+            .iter_mut()
+            .find_map(|w| w.as_mut().filter(|(b, _)| *b == block))
             .map(|(_, l)| l)
     }
 
@@ -145,10 +148,9 @@ impl<L> SetAssoc<L> {
     /// Returns `false` if the block is absent.
     pub fn touch(&mut self, block: BlockAddr) -> bool {
         let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
-        match set.way_of(block) {
+        match self.way_of(idx, block) {
             Some(w) => {
-                set.policy.on_hit(w);
+                self.policy.on_hit(idx, w);
                 true
             }
             None => false,
@@ -158,10 +160,9 @@ impl<L> SetAssoc<L> {
     /// Returns the payload mutably and promotes the block (hit semantics).
     pub fn access_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
         let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
-        let w = set.way_of(block)?;
-        set.policy.on_hit(w);
-        set.ways[w].as_mut().map(|(_, l)| l)
+        let w = self.way_of(idx, block)?;
+        self.policy.on_hit(idx, w);
+        self.set_mut(idx)[w].as_mut().map(|(_, l)| l)
     }
 
     /// Inserts `block`, evicting and returning the replacement victim if
@@ -175,21 +176,16 @@ impl<L> SetAssoc<L> {
     /// [`get_mut`]: SetAssoc::get_mut
     pub fn insert(&mut self, block: BlockAddr, payload: L) -> Option<(BlockAddr, L)> {
         let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
         assert!(
-            set.way_of(block).is_none(),
+            self.way_of(idx, block).is_none(),
             "block {block} already present; update it instead of re-inserting"
         );
-        let (way, evicted) = match set.free_way() {
-            Some(w) => (w, None),
-            None => {
-                let valid = set.valid_mask();
-                let w = set.policy.victim(&valid, &mut self.rng);
-                (w, set.ways[w].take())
-            }
+        let way = match self.free_way(idx) {
+            Some(w) => w,
+            None => self.policy.victim(idx, &mut self.rng),
         };
-        set.ways[way] = Some((block, payload));
-        set.policy.on_fill(way);
+        let evicted = self.set_mut(idx)[way].replace((block, payload));
+        self.policy.on_fill(idx, way);
         evicted
     }
 
@@ -199,29 +195,25 @@ impl<L> SetAssoc<L> {
     /// mirrors hardware where the victim choice is made once per miss.
     pub fn victim_for(&mut self, block: BlockAddr) -> Option<BlockAddr> {
         let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
-        if set.way_of(block).is_some() || set.free_way().is_some() {
+        if self.way_of(idx, block).is_some() || self.free_way(idx).is_some() {
             return None;
         }
-        let valid = set.valid_mask();
-        let w = set.policy.victim(&valid, &mut self.rng);
-        set.ways[w].as_ref().map(|(b, _)| *b)
+        let w = self.policy.victim(idx, &mut self.rng);
+        self.set(idx)[w].as_ref().map(|(b, _)| *b)
     }
 
     /// Removes `block`, returning its payload.
     pub fn remove(&mut self, block: BlockAddr) -> Option<L> {
         let idx = self.set_index(block);
-        let set = &mut self.sets[idx];
-        let w = set.way_of(block)?;
-        set.ways[w].take().map(|(_, l)| l)
+        let w = self.way_of(idx, block)?;
+        self.set_mut(idx)[w].take().map(|(_, l)| l)
     }
 
     /// Iterates the occupants of the set `block` maps to, as
     /// `(way, block, payload)` triples. Used by callers that pick victims
     /// by payload content (the stash directory's private-first policy).
     pub fn set_occupants(&self, block: BlockAddr) -> impl Iterator<Item = (usize, BlockAddr, &L)> {
-        self.sets[self.set_index(block)]
-            .ways
+        self.set(self.set_index(block))
             .iter()
             .enumerate()
             .filter_map(|(w, slot)| slot.as_ref().map(|(b, l)| (w, *b, l)))
@@ -230,25 +222,19 @@ impl<L> SetAssoc<L> {
     /// `true` when the set `block` maps to has no free way and does not
     /// already contain `block` (i.e. inserting `block` would evict).
     pub fn would_evict(&self, block: BlockAddr) -> bool {
-        let set = &self.sets[self.set_index(block)];
-        set.way_of(block).is_none() && set.free_way().is_none()
+        let idx = self.set_index(block);
+        self.way_of(idx, block).is_none() && self.free_way(idx).is_none()
     }
 
-    /// Iterates every resident `(block, payload)` pair in set order.
+    /// Iterates every resident `(block, payload)` pair in set order, ways
+    /// in order within a set.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &L)> {
-        self.sets
-            .iter()
-            .flat_map(|s| s.ways.iter().filter_map(|w| w.as_ref()))
-            .map(|(b, l)| (*b, l))
+        self.slots.iter().flatten().map(|(b, l)| (*b, l))
     }
 
     /// Removes every block.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            for way in &mut set.ways {
-                *way = None;
-            }
-        }
+        self.slots.fill_with(|| None);
     }
 }
 
@@ -258,7 +244,7 @@ impl<L: std::fmt::Debug> std::fmt::Debug for SetAssoc<L> {
             .field("num_sets", &self.num_sets())
             .field("ways", &self.ways)
             .field("occupancy", &self.occupancy())
-            .field("repl", &self.repl)
+            .field("repl", &self.repl_kind())
             .finish_non_exhaustive()
     }
 }

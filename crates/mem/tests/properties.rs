@@ -102,7 +102,13 @@ proptest! {
     #[test]
     fn victim_prediction_is_exact(
         blocks in prop::collection::hash_set(0u64..32, 4..8),
-        repl in prop::sample::select(vec![ReplKind::Lru, ReplKind::Fifo]),
+        repl in prop::sample::select(vec![
+            ReplKind::Lru,
+            ReplKind::Fifo,
+            ReplKind::Nru,
+            ReplKind::Srrip,
+            ReplKind::TreePlru,
+        ]),
     ) {
         let mut array: SetAssoc<()> = SetAssoc::new(1, 4, repl, 0);
         for &b in blocks.iter().take(4) {

@@ -3,7 +3,6 @@
 use crate::topology::Mesh;
 use serde::{Deserialize, Serialize};
 use stashdir_common::{Counter, Cycle, Histogram, NodeId, StatSink};
-use std::collections::BTreeMap;
 
 /// Configuration for [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,8 +49,9 @@ pub struct Network {
     mesh: Mesh,
     config: NocConfig,
     link_free: Vec<Cycle>,
-    messages: BTreeMap<&'static str, Counter>,
-    flits: BTreeMap<&'static str, Counter>,
+    /// `(class, messages, flits)` per class, in first-send order; a
+    /// handful of classes, so a scan beats a map lookup.
+    classes: Vec<(&'static str, u64, u64)>,
     flit_hops: Counter,
     latency_hist: Histogram,
 }
@@ -63,8 +63,7 @@ impl Network {
             link_free: vec![Cycle::ZERO; mesh.directed_links()],
             mesh,
             config,
-            messages: BTreeMap::new(),
-            flits: BTreeMap::new(),
+            classes: Vec::new(),
             flit_hops: Counter::new(),
             latency_hist: Histogram::new(),
         }
@@ -96,8 +95,13 @@ impl Network {
         now: Cycle,
     ) -> Cycle {
         assert!(flits > 0, "a packet has at least one flit");
-        self.messages.entry(class).or_default().incr();
-        self.flits.entry(class).or_default().add(flits as u64);
+        match self.classes.iter_mut().find(|(c, _, _)| *c == class) {
+            Some((_, messages, total)) => {
+                *messages += 1;
+                *total += flits as u64;
+            }
+            None => self.classes.push((class, 1, flits as u64)),
+        }
 
         if src == dst {
             let arrival = now + self.config.local_latency;
@@ -105,22 +109,24 @@ impl Network {
             return arrival;
         }
 
-        let route = self.mesh.xy_route(src, dst);
-        self.flit_hops.add(flits as u64 * route.len() as u64);
+        self.flit_hops.add(flits as u64 * self.mesh.hops(src, dst));
 
+        let mesh = self.mesh;
+        let config = self.config;
+        let link_free = &mut self.link_free;
         let mut head = now;
-        for link in route {
-            let depart = if self.config.model_contention {
-                let idx = self.mesh.link_index(link);
-                let depart = head.max(self.link_free[idx]);
+        mesh.for_each_xy_link(src, dst, |link| {
+            let depart = if config.model_contention {
+                let idx = mesh.link_index(link);
+                let depart = head.max(link_free[idx]);
                 // The packet occupies the link for its full length.
-                self.link_free[idx] = depart + flits as u64;
+                link_free[idx] = depart + flits as u64;
                 depart
             } else {
                 head
             };
-            head = depart + self.config.hop_latency;
-        }
+            head = depart + config.hop_latency;
+        });
         // Tail arrives (flits - 1) cycles after the head.
         let arrival = head + (flits as u64 - 1);
         self.latency_hist.record(arrival - now);
@@ -151,19 +157,27 @@ impl Network {
         self.flit_hops.get()
     }
 
+    /// The `(messages, flits)` counts of `class`.
+    fn class_counts(&self, class: &str) -> (u64, u64) {
+        self.classes
+            .iter()
+            .find(|(c, _, _)| *c == class)
+            .map_or((0, 0), |&(_, m, f)| (m, f))
+    }
+
     /// Messages sent under `class`.
     pub fn messages_of(&self, class: &str) -> u64 {
-        self.messages.get(class).map_or(0, |c| c.get())
+        self.class_counts(class).0
     }
 
     /// Flits sent under `class`.
     pub fn flits_of(&self, class: &str) -> u64 {
-        self.flits.get(class).map_or(0, |c| c.get())
+        self.class_counts(class).1
     }
 
     /// Total messages across classes.
     pub fn total_messages(&self) -> u64 {
-        self.messages.values().map(|c| c.get()).sum()
+        self.classes.iter().map(|&(_, m, _)| m).sum()
     }
 
     /// Observed end-to-end packet latencies.
@@ -181,11 +195,13 @@ impl Network {
         if let Some(mean) = self.latency_hist.mean() {
             sink.put(format!("{prefix}.mean_latency"), mean);
         }
-        for (class, count) in &self.messages {
-            sink.put(format!("{prefix}.messages.{class}"), count.get() as f64);
+        let mut classes = self.classes.clone();
+        classes.sort_unstable_by_key(|&(class, _, _)| class);
+        for (class, messages, _) in &classes {
+            sink.put(format!("{prefix}.messages.{class}"), *messages as f64);
         }
-        for (class, count) in &self.flits {
-            sink.put(format!("{prefix}.flits.{class}"), count.get() as f64);
+        for (class, _, flits) in &classes {
+            sink.put(format!("{prefix}.flits.{class}"), *flits as f64);
         }
     }
 }
@@ -289,12 +305,19 @@ mod tests {
     fn export_contains_class_breakdown() {
         let mut n = net(false);
         n.send(NodeId::new(0), NodeId::new(1), 2, "req", Cycle::ZERO);
+        n.send(NodeId::new(0), NodeId::new(1), 5, "data", Cycle::ZERO);
         let mut sink = StatSink::new();
         n.export("noc", &mut sink);
         assert_eq!(sink.get("noc.messages.req"), Some(1.0));
         assert_eq!(sink.get("noc.flits.req"), Some(2.0));
-        assert_eq!(sink.get("noc.flit_hops"), Some(2.0));
+        assert_eq!(sink.get("noc.messages.data"), Some(1.0));
+        assert_eq!(sink.get("noc.flits.data"), Some(5.0));
+        assert_eq!(sink.get("noc.flit_hops"), Some(7.0));
         assert!(sink.get("noc.mean_latency").is_some());
+        // Classes register in name order, not first-send order.
+        let id = |key: &str| sink.id_of(key).map(|id| id.index());
+        assert!(id("noc.messages.data") < id("noc.messages.req"));
+        assert!(id("noc.messages.req") < id("noc.flits.data"));
     }
 
     #[test]

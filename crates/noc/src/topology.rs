@@ -100,25 +100,31 @@ impl Mesh {
         (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
     }
 
-    /// The XY (x-first, then y) route from `src` to `dst` as a sequence of
-    /// directed links. Empty when `src == dst`.
-    pub fn xy_route(self, src: NodeId, dst: NodeId) -> Vec<Link> {
+    /// Calls `f` on each directed link of the XY (x-first, then y) route
+    /// from `src` to `dst`, in order. Calls nothing when `src == dst`.
+    pub fn for_each_xy_link(self, src: NodeId, dst: NodeId, mut f: impl FnMut(Link)) {
         let (mut x, mut y) = self.coords(src);
         let (dx, dy) = self.coords(dst);
-        let mut links = Vec::with_capacity(self.hops(src, dst) as usize);
         let mut from = src;
         while x != dx {
             x = if x < dx { x + 1 } else { x - 1 };
             let to = self.node_at(x, y);
-            links.push(Link { from, to });
+            f(Link { from, to });
             from = to;
         }
         while y != dy {
             y = if y < dy { y + 1 } else { y - 1 };
             let to = self.node_at(x, y);
-            links.push(Link { from, to });
+            f(Link { from, to });
             from = to;
         }
+    }
+
+    /// The XY route from `src` to `dst` as a sequence of directed links
+    /// (see [`Mesh::for_each_xy_link`]). Empty when `src == dst`.
+    pub fn xy_route(self, src: NodeId, dst: NodeId) -> Vec<Link> {
+        let mut links = Vec::with_capacity(self.hops(src, dst) as usize);
+        self.for_each_xy_link(src, dst, |link| links.push(link));
         links
     }
 

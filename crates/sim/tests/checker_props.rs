@@ -34,8 +34,8 @@ fn small_config(dir: DirSpec) -> SystemConfig {
 
 /// Every directory organization, with coverage pressure on the bounded
 /// ones so entry eviction (and stash discovery) actually happens.
-fn any_dir() -> impl Strategy<Value = DirSpec> {
-    prop::sample::select(vec![
+fn dirs() -> Vec<DirSpec> {
+    vec![
         DirSpec::FullMap,
         DirSpec::sparse(CoverageRatio::new(1, 2)),
         DirSpec::sparse(CoverageRatio::new(1, 8)),
@@ -44,7 +44,26 @@ fn any_dir() -> impl Strategy<Value = DirSpec> {
         DirSpec::Cuckoo {
             coverage: CoverageRatio::new(1, 2),
         },
-    ])
+        DirSpec::limited_ptr(CoverageRatio::new(1, 2), 1),
+        DirSpec::Dls,
+        DirSpec::opaque(CoverageRatio::new(1, 2)),
+    ]
+}
+
+fn any_dir() -> impl Strategy<Value = DirSpec> {
+    prop::sample::select(dirs())
+}
+
+/// The list above covers exactly the registered backends, so a new
+/// backend fails here until the property tests run it too.
+#[test]
+fn dirs_cover_every_registered_backend() {
+    let mut covered: Vec<&str> = dirs().iter().map(DirSpec::name).collect();
+    covered.sort_unstable();
+    covered.dedup();
+    let mut registered: Vec<&str> = stashdir_core::backends().iter().map(|b| b.name).collect();
+    registered.sort_unstable();
+    assert_eq!(covered, registered);
 }
 
 /// One core's trace: reads and writes over a small shared block space,
