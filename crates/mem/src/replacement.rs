@@ -88,19 +88,29 @@ impl ReplState {
     pub(crate) fn new(kind: ReplKind, sets: usize, ways: usize) -> Self {
         assert!(ways > 0, "a set needs at least one way");
         assert!(ways <= 256, "at most 256 ways per set, got {ways}");
-        let set: Vec<u8> = match kind {
-            // Way numbers fit a byte: `ways <= 256` above.
-            ReplKind::Lru | ReplKind::Fifo => (0..ways).map(|w| w as u8).collect(),
-            ReplKind::Random => Vec::new(),
-            ReplKind::Nru => vec![0; ways],
-            ReplKind::Srrip => vec![RRPV_MAX; ways],
-            ReplKind::TreePlru => vec![0; ways.next_power_of_two().max(2) - 1],
+        let stride = match kind {
+            ReplKind::Lru | ReplKind::Fifo | ReplKind::Nru | ReplKind::Srrip => ways,
+            ReplKind::Random => 0,
+            ReplKind::TreePlru => ways.next_power_of_two().max(2) - 1,
+        };
+        let len = sets * stride;
+        let bytes = match kind {
+            ReplKind::Lru | ReplKind::Fifo => {
+                let mut bytes = Vec::with_capacity(len);
+                for _ in 0..sets {
+                    // Way numbers fit a byte: `ways <= 256` above.
+                    bytes.extend((0..ways).map(|w| w as u8));
+                }
+                bytes
+            }
+            ReplKind::Random | ReplKind::Nru | ReplKind::TreePlru => vec![0; len],
+            ReplKind::Srrip => vec![RRPV_MAX; len],
         };
         ReplState {
             kind,
             ways,
-            stride: set.len(),
-            bytes: set.repeat(sets),
+            stride,
+            bytes,
         }
     }
 

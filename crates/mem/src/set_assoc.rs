@@ -5,19 +5,20 @@
 //! replacement policy. It is the storage substrate for the private caches
 //! and the LLC banks.
 //!
-//! Storage is flat: one slot vector of `sets × ways` entries, set-major,
-//! and one [`ReplState`] byte vector with a fixed stride per set. Building
-//! an array allocates a constant number of times whatever its size, and a
-//! lookup indexes straight into its set's slots.
+//! Storage is flat and set-major: one tag vector and one line vector of
+//! `sets × ways` entries each, and one [`ReplState`] byte vector with a
+//! fixed stride per set. Building an array allocates a constant number of
+//! times whatever its size. A lookup scans its set's tags, which for
+//! eight ways fill one host cache line, and reads a payload only on a tag
+//! match.
 
 // lint: allow-file(indexing) — set indices are masked by `set_mask` and
 // way indices come from `way_of`/`free_way`/the policy, all below `ways`;
-// the slot vector holds `sets × ways` entries from construction on.
+// the tag and line vectors hold `sets × ways` entries from construction on.
 
 use crate::replacement::{ReplKind, ReplState};
 use stashdir_common::{BlockAddr, DetRng};
-
-type Slot<L> = Option<(BlockAddr, L)>;
+use std::ops::Range;
 
 /// A set-associative array of `L` payloads keyed by block address.
 ///
@@ -36,8 +37,14 @@ type Slot<L> = Option<(BlockAddr, L)>;
 /// assert_eq!(a.occupancy(), 1);
 /// ```
 pub struct SetAssoc<L> {
-    /// `sets × ways` slots; set `s` owns `slots[s * ways..(s + 1) * ways]`.
-    slots: Vec<Slot<L>>,
+    /// `sets × ways` tags, raw block numbers; set `s` owns
+    /// `tags[s * ways..(s + 1) * ways]`. A way holds a block only while
+    /// its line is `Some`: an emptied way keeps its stale tag, which no
+    /// lookup answers to. Raw numbers let the vector start as zeroed
+    /// memory, so building an array writes no tag.
+    tags: Vec<u64>,
+    /// `sets × ways` payloads, laid out as `tags`.
+    lines: Vec<Option<L>>,
     policy: ReplState,
     ways: usize,
     set_mask: u64,
@@ -60,7 +67,8 @@ impl<L> SetAssoc<L> {
         );
         let policy = ReplState::new(repl, num_sets, ways);
         SetAssoc {
-            slots: std::iter::repeat_with(|| None)
+            tags: vec![0; num_sets * ways],
+            lines: std::iter::repeat_with(|| None)
                 .take(num_sets * ways)
                 .collect(),
             policy,
@@ -70,31 +78,38 @@ impl<L> SetAssoc<L> {
         }
     }
 
-    /// The slots of set `set`.
-    fn set(&self, set: usize) -> &[Slot<L>] {
-        &self.slots[set * self.ways..(set + 1) * self.ways]
+    /// The index range of set `set`'s ways in `tags` and `lines`.
+    fn ways_of(&self, set: usize) -> Range<usize> {
+        set * self.ways..(set + 1) * self.ways
     }
 
-    /// The slots of set `set`, mutably.
-    fn set_mut(&mut self, set: usize) -> &mut [Slot<L>] {
-        &mut self.slots[set * self.ways..(set + 1) * self.ways]
-    }
-
-    /// The way of `set` holding `block`.
+    /// The way of `set` holding `block`: the first way whose tag matches
+    /// and whose line is present.
     fn way_of(&self, set: usize, block: BlockAddr) -> Option<usize> {
-        self.set(set)
+        let ways = self.ways_of(set);
+        let lines = &self.lines[ways.clone()];
+        self.tags[ways]
             .iter()
-            .position(|w| matches!(w, Some((b, _)) if *b == block))
+            .zip(lines)
+            .position(|(&tag, line)| tag == block.get() && line.is_some())
     }
 
     /// The first free way of `set`.
     fn free_way(&self, set: usize) -> Option<usize> {
-        self.set(set).iter().position(Option::is_none)
+        self.lines[self.ways_of(set)]
+            .iter()
+            .position(Option::is_none)
+    }
+
+    /// The index in `tags` and `lines` of `block`'s way.
+    fn slot_of(&self, block: BlockAddr) -> Option<usize> {
+        let set = self.set_index(block);
+        self.way_of(set, block).map(|w| set * self.ways + w)
     }
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.slots.len() / self.ways
+        self.lines.len() / self.ways
     }
 
     /// Associativity.
@@ -104,12 +119,12 @@ impl<L> SetAssoc<L> {
 
     /// Total capacity in blocks.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.lines.len()
     }
 
     /// Number of blocks currently stored.
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|w| w.is_some()).count()
+        self.lines.iter().filter(|l| l.is_some()).count()
     }
 
     /// The replacement policy kind this array was built with.
@@ -124,24 +139,18 @@ impl<L> SetAssoc<L> {
 
     /// Returns the payload for `block` without updating recency.
     pub fn get(&self, block: BlockAddr) -> Option<&L> {
-        self.set(self.set_index(block))
-            .iter()
-            .find_map(|w| w.as_ref().filter(|(b, _)| *b == block))
-            .map(|(_, l)| l)
+        self.lines[self.slot_of(block)?].as_ref()
     }
 
     /// Returns the payload for `block` mutably without updating recency.
     pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let idx = self.set_index(block);
-        self.set_mut(idx)
-            .iter_mut()
-            .find_map(|w| w.as_mut().filter(|(b, _)| *b == block))
-            .map(|(_, l)| l)
+        let slot = self.slot_of(block)?;
+        self.lines[slot].as_mut()
     }
 
     /// Tests whether `block` is present.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.get(block).is_some()
+        self.slot_of(block).is_some()
     }
 
     /// Records a hit on `block`, promoting it in the replacement order.
@@ -162,7 +171,7 @@ impl<L> SetAssoc<L> {
         let idx = self.set_index(block);
         let w = self.way_of(idx, block)?;
         self.policy.on_hit(idx, w);
-        self.set_mut(idx)[w].as_mut().map(|(_, l)| l)
+        self.lines[idx * self.ways + w].as_mut()
     }
 
     /// Inserts `block`, evicting and returning the replacement victim if
@@ -184,9 +193,11 @@ impl<L> SetAssoc<L> {
             Some(w) => w,
             None => self.policy.victim(idx, &mut self.rng),
         };
-        let evicted = self.set_mut(idx)[way].replace((block, payload));
+        let slot = idx * self.ways + way;
+        let old_tag = std::mem::replace(&mut self.tags[slot], block.get());
+        let evicted = self.lines[slot].replace(payload);
         self.policy.on_fill(idx, way);
-        evicted
+        evicted.map(|line| (BlockAddr::new(old_tag), line))
     }
 
     /// The block that would be evicted if `block` were inserted now, or
@@ -198,25 +209,28 @@ impl<L> SetAssoc<L> {
         if self.way_of(idx, block).is_some() || self.free_way(idx).is_some() {
             return None;
         }
+        // The set is full, so the victim way holds a block.
         let w = self.policy.victim(idx, &mut self.rng);
-        self.set(idx)[w].as_ref().map(|(b, _)| *b)
+        Some(BlockAddr::new(self.tags[idx * self.ways + w]))
     }
 
-    /// Removes `block`, returning its payload.
+    /// Removes `block`, returning its payload. The way keeps `block`'s
+    /// tag, stale until the way is filled again.
     pub fn remove(&mut self, block: BlockAddr) -> Option<L> {
-        let idx = self.set_index(block);
-        let w = self.way_of(idx, block)?;
-        self.set_mut(idx)[w].take().map(|(_, l)| l)
+        let slot = self.slot_of(block)?;
+        self.lines[slot].take()
     }
 
     /// Iterates the occupants of the set `block` maps to, as
     /// `(way, block, payload)` triples. Used by callers that pick victims
     /// by payload content (the stash directory's private-first policy).
     pub fn set_occupants(&self, block: BlockAddr) -> impl Iterator<Item = (usize, BlockAddr, &L)> {
-        self.set(self.set_index(block))
+        let ways = self.ways_of(self.set_index(block));
+        self.tags[ways.clone()]
             .iter()
+            .zip(&self.lines[ways])
             .enumerate()
-            .filter_map(|(w, slot)| slot.as_ref().map(|(b, l)| (w, *b, l)))
+            .filter_map(|(w, (&tag, line))| line.as_ref().map(|l| (w, BlockAddr::new(tag), l)))
     }
 
     /// `true` when the set `block` maps to has no free way and does not
@@ -229,12 +243,15 @@ impl<L> SetAssoc<L> {
     /// Iterates every resident `(block, payload)` pair in set order, ways
     /// in order within a set.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &L)> {
-        self.slots.iter().flatten().map(|(b, l)| (*b, l))
+        self.tags
+            .iter()
+            .zip(&self.lines)
+            .filter_map(|(&tag, line)| line.as_ref().map(|l| (BlockAddr::new(tag), l)))
     }
 
     /// Removes every block.
     pub fn clear(&mut self) {
-        self.slots.fill_with(|| None);
+        self.lines.fill_with(|| None);
     }
 }
 
@@ -360,6 +377,48 @@ mod tests {
         let mut seen: Vec<u64> = a.iter().map(|(b, _)| b.get()).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn stale_tags_never_answer() {
+        let mut a = array(1, 2);
+        let (x, y, z) = (BlockAddr::new(0), BlockAddr::new(1), BlockAddr::new(2));
+        a.insert(x, 10);
+        a.insert(y, 11);
+        assert_eq!(a.remove(x), Some(10));
+        // Way 0 keeps x's tag, but nothing sees x.
+        assert_eq!(a.get(x), None);
+        assert!(!a.contains(x));
+        assert!(!a.touch(x));
+        assert_eq!(a.victim_for(z), None, "x's way is free");
+        assert!(a.iter().all(|(b, _)| b != x));
+        // z fills x's way and is found there.
+        assert!(a.insert(z, 12).is_none());
+        let set: Vec<_> = a.set_occupants(z).map(|(w, b, &v)| (w, b, v)).collect();
+        assert_eq!(set, [(0, z, 12), (1, y, 11)]);
+        assert_eq!(a.get(z), Some(&12));
+        assert_eq!(a.get(x), None);
+        // The victim of the now full set is a live block.
+        a.touch(z);
+        assert_eq!(a.victim_for(x), Some(y));
+    }
+
+    #[test]
+    fn a_block_beside_its_own_stale_tag_is_found_once() {
+        let mut a = array(1, 3);
+        let (x, y) = (BlockAddr::new(0), BlockAddr::new(1));
+        a.insert(y, 1);
+        a.insert(x, 2);
+        a.remove(y);
+        a.remove(x);
+        // x goes to way 0; way 1 still carries x's stale tag.
+        a.insert(x, 3);
+        let set: Vec<_> = a.set_occupants(x).map(|(w, b, &v)| (w, b, v)).collect();
+        assert_eq!(set, [(0, x, 3)]);
+        assert_eq!(a.get(x), Some(&3));
+        assert_eq!(a.remove(x), Some(3));
+        assert_eq!(a.get(x), None, "neither of x's tags answers");
+        assert_eq!(a.occupancy(), 0);
     }
 
     #[test]

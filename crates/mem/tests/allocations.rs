@@ -39,8 +39,8 @@ fn allocations<T>(f: impl FnOnce() -> T) -> usize {
     after - before
 }
 
-/// Allocations `SetAssoc::new` may make: the slot vector, the
-/// replacement-state vector and the one-set template it repeats.
+/// Allocations `SetAssoc::new` may make: the tag vector, the line
+/// vector and the replacement-state vector.
 const MAX_ALLOCATIONS: usize = 3;
 
 #[test]

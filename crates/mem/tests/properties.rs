@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use stashdir_common::BlockAddr;
 use stashdir_mem::{ReplKind, SetAssoc};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -26,7 +26,8 @@ proptest! {
     /// * a block disappears only by removal or by an eviction from its
     ///   own set,
     /// * per-set occupancy never exceeds associativity,
-    /// * the array's contents equal the reference model's.
+    /// * the array's contents equal the reference model's, and every
+    ///   resident block's payload is the one inserted with it.
     #[test]
     fn set_assoc_accounts_for_every_block(
         ops in arb_ops(),
@@ -42,35 +43,40 @@ proptest! {
         ways in 1usize..4,
     ) {
         let mut array: SetAssoc<u64> = SetAssoc::new(sets, ways, repl, 5);
-        let mut model: HashSet<u64> = HashSet::new();
-        for op in ops {
+        // Block -> payload; each insert gets a fresh payload, so a payload
+        // left behind by an earlier fill of the same way shows up.
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        for (payload, op) in (0u64..).zip(ops) {
             match op {
                 Op::Access(b) => {
                     let block = BlockAddr::new(b);
                     if array.contains(block) {
                         array.touch(block);
-                    } else if let Some((victim, _)) = array.insert(block, b) {
+                    } else if let Some((victim, _)) = array.insert(block, payload) {
                         prop_assert_eq!(
                             array.set_index(victim), array.set_index(block),
                             "victims come from the target set"
                         );
-                        prop_assert!(model.remove(&victim.get()), "evicted unknown block");
-                        model.insert(b);
+                        prop_assert!(model.remove(&victim.get()).is_some(), "evicted unknown block");
+                        model.insert(b, payload);
                     } else {
-                        model.insert(b);
+                        model.insert(b, payload);
                     }
                 }
                 Op::Remove(b) => {
-                    let got = array.remove(BlockAddr::new(b)).is_some();
+                    let got = array.remove(BlockAddr::new(b));
                     prop_assert_eq!(got, model.remove(&b));
                 }
             }
             prop_assert_eq!(array.occupancy(), model.len());
             // Per-set occupancy bound.
             let mut per_set: HashMap<usize, usize> = HashMap::new();
-            for (block, _) in array.iter() {
+            for (block, payload) in array.iter() {
                 *per_set.entry(array.set_index(block)).or_default() += 1;
-                prop_assert!(model.contains(&block.get()));
+                prop_assert_eq!(model.get(&block.get()), Some(payload));
+            }
+            for (&b, payload) in &model {
+                prop_assert_eq!(array.get(BlockAddr::new(b)), Some(payload));
             }
             for (&set, &count) in &per_set {
                 prop_assert!(count <= ways, "set {set} holds {count} > {ways}");

@@ -109,46 +109,35 @@ impl Network {
             return arrival;
         }
 
-        self.flit_hops.add(flits as u64 * self.mesh.hops(src, dst));
+        let runs = self.mesh.xy_link_runs(src, dst);
+        let hops = runs.iter().map(|run| run.links.len() as u64).sum::<u64>();
+        self.flit_hops.add(flits as u64 * hops);
 
-        let mesh = self.mesh;
-        let config = self.config;
-        let link_free = &mut self.link_free;
-        let mut head = now;
-        mesh.for_each_xy_link(src, dst, |link| {
-            let depart = if config.model_contention {
-                let idx = mesh.link_index(link);
-                let depart = head.max(link_free[idx]);
-                // The packet occupies the link for its full length.
-                link_free[idx] = depart + flits as u64;
-                depart
-            } else {
-                head
+        let hop = self.config.hop_latency;
+        let head = if self.config.model_contention {
+            let mut head = now;
+            // The packet occupies each link for its full length.
+            let mut step = |free: &mut Cycle| {
+                let depart = head.max(*free);
+                *free = depart + flits as u64;
+                head = depart + hop;
             };
-            head = depart + config.hop_latency;
-        });
+            for run in runs {
+                let links = &mut self.link_free[run.links];
+                if run.reversed {
+                    links.iter_mut().rev().for_each(&mut step);
+                } else {
+                    links.iter_mut().for_each(&mut step);
+                }
+            }
+            head
+        } else {
+            now + hop * hops
+        };
         // Tail arrives (flits - 1) cycles after the head.
         let arrival = head + (flits as u64 - 1);
         self.latency_hist.record(arrival - now);
         arrival
-    }
-
-    /// Sends the same packet to many destinations (an invalidation
-    /// multicast or a discovery broadcast), returning each arrival time in
-    /// order. Each destination gets its own packet — the model does not
-    /// assume hardware multicast support, matching the paper's assumption
-    /// that discovery probes are ordinary coherence messages.
-    pub fn multicast(
-        &mut self,
-        src: NodeId,
-        dsts: &[NodeId],
-        flits: u32,
-        class: &'static str,
-        now: Cycle,
-    ) -> Vec<Cycle> {
-        dsts.iter()
-            .map(|&d| self.send(src, d, flits, class, now))
-            .collect()
     }
 
     /// Total flit-hops injected so far (the traffic metric of experiment
@@ -288,17 +277,6 @@ mod tests {
         assert_eq!(n.flits_of("data"), 18);
         assert_eq!(n.messages_of("absent"), 0);
         assert_eq!(n.total_messages(), 3);
-    }
-
-    #[test]
-    fn multicast_reaches_everyone() {
-        let mut n = net(false);
-        let dsts: Vec<NodeId> = (1..4).map(NodeId::new).collect();
-        let arrivals = n.multicast(NodeId::new(0), &dsts, 1, "inv", Cycle::ZERO);
-        assert_eq!(arrivals.len(), 3);
-        assert_eq!(arrivals[0].get(), 3);
-        assert_eq!(arrivals[2].get(), 9);
-        assert_eq!(n.messages_of("inv"), 3);
     }
 
     #[test]

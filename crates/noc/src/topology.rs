@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use stashdir_common::NodeId;
 use std::fmt;
+use std::ops::Range;
 
 /// A `width × height` 2-D mesh. Node `i` sits at `(i % width, i / width)`.
 ///
@@ -100,32 +101,67 @@ impl Mesh {
         (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
     }
 
-    /// Calls `f` on each directed link of the XY (x-first, then y) route
-    /// from `src` to `dst`, in order. Calls nothing when `src == dst`.
-    pub fn for_each_xy_link(self, src: NodeId, dst: NodeId, mut f: impl FnMut(Link)) {
+    /// The XY (x-first, then y) route from `src` to `dst` as a sequence
+    /// of directed links. Empty when `src == dst`.
+    pub fn xy_route(self, src: NodeId, dst: NodeId) -> Vec<Link> {
         let (mut x, mut y) = self.coords(src);
         let (dx, dy) = self.coords(dst);
+        let mut links = Vec::with_capacity(self.hops(src, dst) as usize);
         let mut from = src;
         while x != dx {
             x = if x < dx { x + 1 } else { x - 1 };
             let to = self.node_at(x, y);
-            f(Link { from, to });
+            links.push(Link { from, to });
             from = to;
         }
         while y != dy {
             y = if y < dy { y + 1 } else { y - 1 };
             let to = self.node_at(x, y);
-            f(Link { from, to });
+            links.push(Link { from, to });
             from = to;
         }
+        links
     }
 
-    /// The XY route from `src` to `dst` as a sequence of directed links
-    /// (see [`Mesh::for_each_xy_link`]). Empty when `src == dst`.
-    pub fn xy_route(self, src: NodeId, dst: NodeId) -> Vec<Link> {
-        let mut links = Vec::with_capacity(self.hops(src, dst) as usize);
-        self.for_each_xy_link(src, dst, |link| links.push(link));
-        links
+    /// The XY route from `src` to `dst` as its X leg, then its Y leg,
+    /// each a run of consecutive [`Mesh::link_index`] numbers. Walking
+    /// both runs in order visits exactly the links of
+    /// [`Mesh::xy_route`]. A leg the route does not take is empty.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stashdir_common::NodeId;
+    /// use stashdir_noc::Mesh;
+    ///
+    /// let mesh = Mesh::new(4, 4);
+    /// let [x, y] = mesh.xy_link_runs(NodeId::new(3), NodeId::new(8));
+    /// // Three hops west along row 0, then two hops south down column 0.
+    /// assert_eq!((x.links.len(), x.reversed), (3, true));
+    /// assert_eq!((y.links.len(), y.reversed), (2, false));
+    /// ```
+    pub fn xy_link_runs(self, src: NodeId, dst: NodeId) -> [LinkRun; 2] {
+        let (sx, sy) = self.coords(src);
+        let (dx, dy) = self.coords(dst);
+        let (sx, sy, dx, dy) = (sx as usize, sy as usize, dx as usize, dy as usize);
+        let w = self.width as usize;
+        let h = self.height as usize;
+        // East links, then west links, then south, then north.
+        let horizontal = (w - 1) * h;
+        let row = sy * (w - 1);
+        let x = if sx <= dx {
+            LinkRun::forward(row + sx..row + dx)
+        } else {
+            LinkRun::reversed(horizontal + row + dx..horizontal + row + sx)
+        };
+        let column = 2 * horizontal + dx * (h - 1);
+        let y = if sy <= dy {
+            LinkRun::forward(column + sy..column + dy)
+        } else {
+            let north = column + (h - 1) * w;
+            LinkRun::reversed(north + dy..north + sy)
+        };
+        [x, y]
     }
 
     /// Number of directed links in the mesh (each physical channel is two
@@ -160,6 +196,32 @@ impl Mesh {
 impl fmt::Display for Mesh {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}x{} mesh", self.width, self.height)
+    }
+}
+
+/// One leg of an XY route: consecutive dense link indices, walked from
+/// the low end up or, when `reversed`, from the high end down.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkRun {
+    /// The leg's link indices (see [`Mesh::link_index`]).
+    pub links: Range<usize>,
+    /// The route takes the links in decreasing index order.
+    pub reversed: bool,
+}
+
+impl LinkRun {
+    fn forward(links: Range<usize>) -> Self {
+        LinkRun {
+            links,
+            reversed: false,
+        }
+    }
+
+    fn reversed(links: Range<usize>) -> Self {
+        LinkRun {
+            links,
+            reversed: true,
+        }
     }
 }
 

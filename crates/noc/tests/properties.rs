@@ -1,9 +1,11 @@
 //! Property tests of the mesh network model: latency lower bounds,
-//! contention monotonicity, routing totality.
+//! contention monotonicity, routing totality, and agreement with a
+//! link-by-link reference model.
 
 use proptest::prelude::*;
 use stashdir_common::{Cycle, NodeId};
 use stashdir_noc::{Mesh, Network, NocConfig};
+use std::collections::HashMap;
 
 fn cfg(contention: bool) -> NocConfig {
     NocConfig {
@@ -13,7 +15,134 @@ fn cfg(contention: bool) -> NocConfig {
     }
 }
 
+const CLASSES: [&str; 4] = ["req", "data", "inv", "discovery"];
+
+/// The per-hop reference model of [`Network::send`]: walk
+/// [`Mesh::xy_route`] one link at a time, index each link with
+/// [`Mesh::link_index`], and apply the wormhole occupancy step.
+struct Reference {
+    mesh: Mesh,
+    config: NocConfig,
+    link_free: Vec<Cycle>,
+    flit_hops: u64,
+    /// `(messages, flits)` per class.
+    classes: HashMap<&'static str, (u64, u64)>,
+}
+
+impl Reference {
+    fn new(mesh: Mesh, config: NocConfig) -> Self {
+        Reference {
+            mesh,
+            config,
+            link_free: vec![Cycle::ZERO; mesh.directed_links()],
+            flit_hops: 0,
+            classes: HashMap::new(),
+        }
+    }
+
+    fn send(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        flits: u32,
+        class: &'static str,
+        now: Cycle,
+    ) -> Cycle {
+        let counts = self.classes.entry(class).or_default();
+        counts.0 += 1;
+        counts.1 += flits as u64;
+        if src == dst {
+            return now + self.config.local_latency;
+        }
+        let mut head = now;
+        for link in self.mesh.xy_route(src, dst) {
+            self.flit_hops += flits as u64;
+            let depart = if self.config.model_contention {
+                let idx = self.mesh.link_index(link);
+                let depart = head.max(self.link_free[idx]);
+                self.link_free[idx] = depart + flits as u64;
+                depart
+            } else {
+                head
+            };
+            head = depart + self.config.hop_latency;
+        }
+        head + (flits as u64 - 1)
+    }
+}
+
+/// A route's link runs, concatenated in route order.
+fn run_indices(mesh: Mesh, src: NodeId, dst: NodeId) -> Vec<usize> {
+    let mut indices = Vec::new();
+    for run in mesh.xy_link_runs(src, dst) {
+        let start = indices.len();
+        indices.extend(run.links);
+        if run.reversed {
+            indices[start..].reverse();
+        }
+    }
+    indices
+}
+
+/// On every mesh from 1×1 to 8×8, square or not, the link runs of every
+/// route are that route's links mapped through `link_index`.
+#[test]
+fn link_runs_concatenate_to_the_xy_route() {
+    for w in 1..=8 {
+        for h in 1..=8 {
+            let mesh = Mesh::new(w, h);
+            for a in 0..mesh.nodes() {
+                for b in 0..mesh.nodes() {
+                    let (a, b) = (NodeId::new(a), NodeId::new(b));
+                    let expected: Vec<usize> = mesh
+                        .xy_route(a, b)
+                        .into_iter()
+                        .map(|link| mesh.link_index(link))
+                        .collect();
+                    assert_eq!(run_indices(mesh, a, b), expected, "{mesh}: {a} -> {b}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
+    /// The network agrees with the per-hop reference model on every
+    /// arrival time, flit-hop total and per-class count, for random send
+    /// sequences on meshes from 1×1 to 8×8, contention on and off.
+    #[test]
+    fn send_matches_the_per_hop_reference(
+        w in 1u16..9,
+        h in 1u16..9,
+        sends in prop::collection::vec((any::<u16>(), any::<u16>(), 1u32..10, 0u64..200, 0usize..4), 1..60),
+        contention in any::<bool>(),
+    ) {
+        let mesh = Mesh::new(w, h);
+        let mut net = Network::new(mesh, cfg(contention));
+        let mut reference = Reference::new(mesh, cfg(contention));
+        for (src, dst, flits, t, class) in sends {
+            let src = NodeId::new(src % mesh.nodes());
+            let dst = NodeId::new(dst % mesh.nodes());
+            let class = CLASSES[class];
+            let now = Cycle::new(t);
+            prop_assert_eq!(
+                net.send(src, dst, flits, class, now),
+                reference.send(src, dst, flits, class, now),
+                "{} -> {} on {}", src, dst, mesh
+            );
+        }
+        prop_assert_eq!(net.flit_hops(), reference.flit_hops);
+        for class in CLASSES {
+            let (messages, flits) = reference.classes.get(class).copied().unwrap_or_default();
+            prop_assert_eq!(net.messages_of(class), messages, "{} messages", class);
+            prop_assert_eq!(net.flits_of(class), flits, "{} flits", class);
+        }
+        prop_assert_eq!(
+            net.total_messages(),
+            reference.classes.values().map(|&(m, _)| m).sum::<u64>()
+        );
+    }
+
     /// Arrival time is never earlier than the physical lower bound:
     /// hops × hop latency + serialization, and never earlier than the
     /// send time.
