@@ -3,7 +3,7 @@
 //! settles. Rendered as a table plus terminal sparklines.
 
 use stashdir::{CoverageRatio, DirSpec, Machine, SystemConfig, Workload};
-use stashdir_bench::{n0, Params, Table};
+use stashdir_harness::{n0, Params, Table};
 
 /// Renders a unicode sparkline of `values` scaled to their max.
 fn sparkline(values: &[u64]) -> String {

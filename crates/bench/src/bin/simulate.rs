@@ -2,26 +2,25 @@
 //!
 //! ```sh
 //! cargo run --release -p stashdir-bench --bin simulate -- \
-//!     --workload canneal --dir stash --coverage 1/8 --cores 16 \
-//!     --ops 20000 --seed 7 --format ptr2 --full-stats
+//!     --workload canneal --dir limited-ptr2@1/8 --cores 16 \
+//!     --ops 20000 --seed 7 --full-stats
 //! ```
 //!
 //! Prints the headline numbers (cycles, miss latency, eviction and
 //! discovery counts) and, with `--full-stats`, the entire statistics
 //! sink as CSV.
 
-use stashdir::{CoverageRatio, DirSpec, Machine, SharerFormat, SystemConfig, Workload};
+use stashdir::sim::config::DIR_KIND_HELP;
+use stashdir::{CoverageRatio, DirSpec, Machine, SystemConfig, Workload};
 use std::process::ExitCode;
 
 #[derive(Debug)]
 struct Args {
     workload: Workload,
-    dir: String,
-    coverage: CoverageRatio,
+    dir: DirSpec,
     cores: u16,
     ops: usize,
     seed: u64,
-    format: SharerFormat,
     notify: bool,
     full_stats: bool,
 }
@@ -30,12 +29,10 @@ impl Default for Args {
     fn default() -> Self {
         Args {
             workload: Workload::DataParallel,
-            dir: "stash".into(),
-            coverage: CoverageRatio::new(1, 8),
+            dir: DirSpec::stash(CoverageRatio::new(1, 8)),
             cores: 16,
             ops: 10_000,
             seed: 7,
-            format: SharerFormat::FullMap,
             notify: true,
             full_stats: false,
         }
@@ -47,35 +44,16 @@ fn usage() -> String {
     format!(
         "usage: simulate [options]\n\
          \x20 --workload <name>    one of: {}\n\
-         \x20 --dir <org>          a registry name (fullmap | sparse | stash | cuckoo,\n\
-         \x20                      paired with --coverage) or a full spec such as\n\
-         \x20                      dls, opaque@1/8, limited-ptr2@1/8x8w, stash@1/4x4w\n\
-         \x20                      (default stash)\n\
-         \x20 --coverage <n/d>     directory coverage ratio (default 1/8)\n\
+         \x20 --dir <spec>         directory spec (default stash@1/8), one of:\n\
+         \x20                      {}\n\
          \x20 --cores <n>          power-of-two core count (default 16)\n\
          \x20 --ops <n>            operations per core (default 10000)\n\
          \x20 --seed <n>           workload seed (default 7)\n\
-         \x20 --format <f>         fullmap | ptr<k> sharer encoding (default fullmap)\n\
          \x20 --no-notify          silent clean evictions (ablation)\n\
          \x20 --full-stats         dump every counter as CSV",
-        names.join(" | ")
+        names.join(" | "),
+        DIR_KIND_HELP
     )
-}
-
-fn parse_coverage(s: &str) -> Option<CoverageRatio> {
-    match s.split_once('/') {
-        Some((n, d)) => Some(CoverageRatio::new(n.parse().ok()?, d.parse().ok()?)),
-        None => Some(CoverageRatio::new(s.parse().ok()?, 1)),
-    }
-}
-
-fn parse_format(s: &str) -> Option<SharerFormat> {
-    if s == "fullmap" {
-        Some(SharerFormat::FullMap)
-    } else {
-        let k = s.strip_prefix("ptr")?.parse().ok()?;
-        Some(SharerFormat::LimitedPtr { k })
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -92,15 +70,20 @@ fn parse_args() -> Result<Args, String> {
                 args.workload =
                     Workload::from_name(&v).ok_or_else(|| format!("unknown workload {v}"))?;
             }
-            "--dir" => args.dir = value("--dir")?,
-            "--coverage" => {
-                let v = value("--coverage")?;
-                args.coverage = parse_coverage(&v).ok_or_else(|| format!("bad coverage {v}"))?;
+            "--dir" => {
+                args.dir = value("--dir")?
+                    .parse()
+                    .map_err(|e| format!("bad --dir: {e}\n{}", usage()))?;
             }
             "--cores" => {
-                args.cores = value("--cores")?
+                let v = value("--cores")?;
+                args.cores = v
                     .parse()
-                    .map_err(|e| format!("bad core count: {e}"))?;
+                    .ok()
+                    .filter(|n: &u16| n.is_power_of_two())
+                    .ok_or_else(|| {
+                        format!("bad core count `{v}`: expected a power of two, e.g. 16")
+                    })?;
             }
             "--ops" => {
                 args.ops = value("--ops")?
@@ -111,10 +94,6 @@ fn parse_args() -> Result<Args, String> {
                 args.seed = value("--seed")?
                     .parse()
                     .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--format" => {
-                let v = value("--format")?;
-                args.format = parse_format(&v).ok_or_else(|| format!("bad format {v}"))?;
             }
             "--no-notify" => args.notify = false,
             "--full-stats" => args.full_stats = true,
@@ -133,25 +112,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let dir = match args.dir.as_str() {
-        "fullmap" => DirSpec::FullMap,
-        "sparse" => DirSpec::sparse(args.coverage),
-        "stash" => DirSpec::stash(args.coverage),
-        "cuckoo" => DirSpec::Cuckoo {
-            coverage: args.coverage,
-        },
-        // Anything else is a full `DirSpec` (dls, opaque@1/8,
-        // limited-ptr2@1/8x8w, …), which carries its own coverage.
-        spec => match spec.parse::<DirSpec>() {
-            Ok(d) => d,
-            Err(msg) => {
-                eprintln!("bad --dir: {msg}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let mut config = SystemConfig::default().with_cores(args.cores).with_dir(dir);
-    config.sharer_format = args.format;
+    let mut config = SystemConfig::default()
+        .with_cores(args.cores)
+        .with_dir(args.dir);
     config.notify_clean_evictions = args.notify;
 
     eprintln!(

@@ -17,12 +17,9 @@
 //! 10000), `STASHDIR_SEED` (default 7), `STASHDIR_JOBS` (worker threads,
 //! default all cores).
 //!
-//! This crate keeps the two binaries the registry does not cover:
-//! `exp_timeline` (E16) and `simulate` (one ad-hoc run). It re-exports
-//! the harness's shared helpers so they and any external users of
-//! `stashdir_bench` keep their original API.
+//! This crate keeps the two binaries the registry does not cover,
+//! `exp_timeline` (E16) and `simulate` (one ad-hoc run), and the
+//! Criterion micro and end-to-end benches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub use stashdir_harness::{f2, f3, geomean, machine_with, n0, run_case, Params, Table};

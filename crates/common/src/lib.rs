@@ -38,4 +38,4 @@ pub use ids::{BankId, CoreId, NodeId};
 pub use ops::{MemOp, MemOpKind};
 pub use rng::DetRng;
 pub use sharers::SharerSet;
-pub use stats::{Counter, Histogram, StatId, StatSink};
+pub use stats::{Counter, Histogram, StatSink};

@@ -177,35 +177,12 @@ impl Histogram {
     }
 }
 
-/// An interned statistic identifier: an index into a [`StatSink`]'s
-/// value table, handed out once by [`StatSink::register`] and valid for
-/// the sink that produced it (and for clones of that sink).
-///
-/// Hot paths bump stats through ids — one bounds-checked array access —
-/// instead of hashing/comparing a `String` key per event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StatId(u32);
-
-impl StatId {
-    /// The raw table index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// An ordered name→value table of exported statistics.
 ///
 /// Keys use dotted paths (`"llc.0.discoveries"`). Values are `f64` so
-/// counters and derived ratios live in the same table.
-///
-/// Internally the sink is *interned*: each key is registered once into a
-/// name table and its value lives in a dense `Vec<f64>` indexed by
-/// [`StatId`], so the bump path ([`StatSink::bump`]) touches no strings
-/// and allocates nothing. Names are only resolved at export time
-/// ([`StatSink::iter`], [`StatSink::to_csv`]), which still yields
-/// entries in sorted key order — the string-keyed API (`put`/`get`) is a
-/// thin compatibility shim over registration, so artifact and CSV output
-/// are unchanged from the `BTreeMap<String, f64>` era.
+/// counters and derived ratios live in the same table. Components write
+/// into a sink once, at end of run; iteration and CSV export follow
+/// sorted key order.
 ///
 /// # Examples
 ///
@@ -216,22 +193,10 @@ impl StatId {
 /// sink.put("dir.silent", 9.0);
 /// assert_eq!(sink.get("dir.silent"), Some(9.0));
 /// assert_eq!(sink.to_csv().lines().count(), 3); // header + 2 rows
-///
-/// // The interned hot path: register once, bump by id.
-/// let id = sink.register("bank.events");
-/// for _ in 0..3 {
-///     sink.bump(id, 1.0);
-/// }
-/// assert_eq!(sink.get("bank.events"), Some(3.0));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatSink {
-    /// Interned key table, id-indexed (registration order).
-    names: Vec<String>,
-    /// Dense value table, id-indexed — the hot bump/set path.
-    values: Vec<f64>,
-    /// Sorted name→id index: compat lookups and key-ordered export.
-    index: BTreeMap<String, u32>,
+    values: BTreeMap<String, f64>,
 }
 
 impl StatSink {
@@ -240,76 +205,9 @@ impl StatSink {
         StatSink::default()
     }
 
-    /// Interns `key`, returning its id. Registering an unseen key
-    /// creates its entry at `0.0`; re-registering returns the existing
-    /// id. Call once at setup, then [`bump`]/[`set`] by id in the loop.
-    ///
-    /// [`bump`]: StatSink::bump
-    /// [`set`]: StatSink::set
-    pub fn register(&mut self, key: impl Into<String>) -> StatId {
-        let key = key.into();
-        if let Some(&id) = self.index.get(&key) {
-            return StatId(id);
-        }
-        let id = self.names.len() as u32;
-        self.names.push(key.clone());
-        self.values.push(0.0);
-        self.index.insert(key, id);
-        StatId(id)
-    }
-
-    /// The id of an already-registered key.
-    pub fn id_of(&self, key: &str) -> Option<StatId> {
-        self.index.get(key).copied().map(StatId)
-    }
-
-    /// The name a [`StatId`] was registered under.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` did not come from this sink (or a clone of it).
-    pub fn name_of(&self, id: StatId) -> &str {
-        &self.names[id.index()]
-    }
-
-    /// Adds `delta` to an interned stat: the allocation-free hot path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` did not come from this sink (or a clone of it).
-    #[inline]
-    pub fn bump(&mut self, id: StatId, delta: f64) {
-        self.values[id.index()] += delta;
-    }
-
-    /// Overwrites an interned stat's value.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` did not come from this sink (or a clone of it).
-    #[inline]
-    pub fn set(&mut self, id: StatId, value: f64) {
-        self.values[id.index()] = value;
-    }
-
-    /// Reads an interned stat's value.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` did not come from this sink (or a clone of it).
-    #[inline]
-    pub fn value(&self, id: StatId) -> f64 {
-        self.values[id.index()]
-    }
-
-    /// Stores a value, replacing any previous value under `key` (compat
-    /// shim over [`register`] + [`set`]).
-    ///
-    /// [`register`]: StatSink::register
-    /// [`set`]: StatSink::set
+    /// Stores a value, replacing any previous value under `key`.
     pub fn put(&mut self, key: impl Into<String>, value: f64) {
-        let id = self.register(key);
-        self.set(id, value);
+        self.values.insert(key.into(), value);
     }
 
     /// Stores a counter under `key`.
@@ -319,7 +217,7 @@ impl StatSink {
 
     /// Fetches a value.
     pub fn get(&self, key: &str) -> Option<f64> {
-        self.index.get(key).map(|&id| self.values[id as usize])
+        self.values.get(key).copied()
     }
 
     /// Fetches a value, defaulting to zero when absent.
@@ -329,39 +227,25 @@ impl StatSink {
 
     /// Iterates `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.index
-            .iter()
-            .map(|(k, &id)| (k.as_str(), self.values[id as usize]))
+        self.values.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.values.len()
     }
 
     /// `true` when nothing has been exported yet.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.values.is_empty()
     }
 
     /// Merges another sink into this one, *adding* values key-wise:
-    /// keys present in both sum, keys only in `other` are registered
-    /// here first. This is the shard-combining primitive — per-thread or
-    /// per-component shard sinks fold into one total, and
-    /// shard-then-merge equals accumulating into a single sink.
+    /// keys present in both sum, keys only in `other` are inserted. This
+    /// folds per-component sinks into one total.
     pub fn merge(&mut self, other: &StatSink) {
-        for (name, &oid) in &other.index {
-            let id = match self.index.get(name) {
-                Some(&id) => id,
-                None => {
-                    let id = self.names.len() as u32;
-                    self.names.push(name.clone());
-                    self.values.push(0.0);
-                    self.index.insert(name.clone(), id);
-                    id
-                }
-            };
-            self.values[id as usize] += other.values[oid as usize];
+        for (key, &v) in &other.values {
+            *self.values.entry(key.clone()).or_insert(0.0) += v;
         }
     }
 
@@ -375,14 +259,6 @@ impl StatSink {
             out.push('\n');
         }
         out
-    }
-}
-
-/// Logical equality: same key→value mapping, regardless of the interning
-/// (registration) order the two sinks happened to use.
-impl PartialEq for StatSink {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
     }
 }
 
@@ -525,29 +401,10 @@ mod tests {
     }
 
     #[test]
-    fn interned_ids_are_stable_and_bumpable() {
+    fn export_order_is_key_sorted_not_insertion_order() {
         let mut sink = StatSink::new();
-        let hits = sink.register("hits");
-        let misses = sink.register("misses");
-        assert_ne!(hits, misses);
-        assert_eq!(sink.register("hits"), hits, "re-registering is idempotent");
-        assert_eq!(sink.id_of("hits"), Some(hits));
-        assert_eq!(sink.id_of("zzz"), None);
-        assert_eq!(sink.name_of(misses), "misses");
-        assert_eq!(sink.get("hits"), Some(0.0), "registered starts at zero");
-        for _ in 0..5 {
-            sink.bump(hits, 1.0);
-        }
-        sink.set(misses, 2.0);
-        assert_eq!(sink.value(hits), 5.0);
-        assert_eq!(sink.get("misses"), Some(2.0));
-    }
-
-    #[test]
-    fn export_order_is_key_sorted_not_registration_order() {
-        let mut sink = StatSink::new();
-        sink.register("z.last");
-        sink.register("a.first");
+        sink.put("z.last", 0.0);
+        sink.put("a.first", 0.0);
         sink.put("m.middle", 1.0);
         let keys: Vec<&str> = sink.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, ["a.first", "m.middle", "z.last"]);
@@ -558,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_interning_order() {
+    fn equality_ignores_insertion_order() {
         let mut a = StatSink::new();
         a.put("x", 1.0);
         a.put("y", 2.0);
@@ -572,28 +429,33 @@ mod tests {
 
     #[test]
     fn shard_then_merge_equals_single_sink() {
-        // The sharding contract: splitting bumps across shard sinks and
-        // merging gives the same table as one sink taking every bump.
+        // Splitting additions across shard sinks and merging them, in
+        // either order, gives the same table as one sink taking every
+        // addition.
+        let add = |sink: &mut StatSink, key: &str, delta: f64| {
+            sink.put(key, sink.get_or_zero(key) + delta);
+        };
         let mut single = StatSink::new();
         let mut shard_a = StatSink::new();
         let mut shard_b = StatSink::new();
         for (key, delta) in [("n.a", 1.0), ("n.b", 2.0), ("n.a", 3.0), ("n.c", 4.0)] {
-            let id = single.register(key);
-            single.bump(id, delta);
+            add(&mut single, key, delta);
         }
         for (key, delta) in [("n.a", 1.0), ("n.c", 4.0)] {
-            let id = shard_a.register(key);
-            shard_a.bump(id, delta);
+            add(&mut shard_a, key, delta);
         }
         for (key, delta) in [("n.b", 2.0), ("n.a", 3.0)] {
-            let id = shard_b.register(key);
-            shard_b.bump(id, delta);
+            add(&mut shard_b, key, delta);
         }
         let mut merged = StatSink::new();
         merged.merge(&shard_a);
         merged.merge(&shard_b);
         assert_eq!(merged, single);
-        // Keys in both sinks sum; keys only in `other` are registered.
+        let mut reversed = StatSink::new();
+        reversed.merge(&shard_b);
+        reversed.merge(&shard_a);
+        assert_eq!(reversed, single);
+        // Keys in both sinks sum; keys only in `other` are inserted.
         assert_eq!(merged.get("n.a"), Some(4.0));
         assert_eq!(merged.get("n.b"), Some(2.0));
         assert_eq!(merged.len(), 3);

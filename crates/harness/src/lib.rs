@@ -49,7 +49,6 @@ pub mod plan;
 pub mod pool;
 pub mod progress;
 pub mod runner;
-pub mod shard;
 pub mod table;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignOutcome, COVERAGE_SCHEMA};

@@ -49,11 +49,18 @@ impl CaseSpec {
     /// rendering) plus workload, op count and seed — and the fault
     /// config when one is threaded (fault-free digests are unchanged,
     /// keeping prior manifests resume-compatible).
+    ///
+    /// The rendering still carries `sharer_format: FullMap`, the value
+    /// every plan had when `SystemConfig` held a machine-level sharer
+    /// format (now part of `DirSpec::LimitedPtr`), so case ids and
+    /// manifest digests did not move when the field went.
     pub fn digest(&self) -> u64 {
-        let mut rendered = format!(
-            "{:?}|{:?}|{}|{}",
-            self.config, self.workload, self.ops, self.seed
+        let config = format!("{:?}", self.config).replacen(
+            ", dir_latency: ",
+            ", sharer_format: FullMap, dir_latency: ",
+            1,
         );
+        let mut rendered = format!("{config}|{:?}|{}|{}", self.workload, self.ops, self.seed);
         if let Some(fault) = &self.fault {
             rendered.push_str(&format!("|{fault:?}"));
         }

@@ -1,12 +1,11 @@
-//! Golden-artifact schema pinning for the interned `StatSink`.
+//! Golden-artifact schema pinning for `StatSink`.
 //!
 //! `tests/fixtures/pre_pr_case_artifact.json` is a real case artifact
-//! captured from the sweep *before* the sink was reworked from a
-//! string-keyed `BTreeMap` to the `StatId`-interned table. Loading it
-//! through today's deserializer and re-rendering it must reproduce the
-//! file byte for byte: the interning is an internal representation
-//! change, and any drift in key order, float formatting, or section
-//! layout would silently invalidate every committed results table.
+//! captured from an earlier sweep. Loading it through today's
+//! deserializer and re-rendering it must reproduce the file byte for
+//! byte: the sink's internal layout is free to change, but any drift in
+//! key order, float formatting, or section layout would silently
+//! invalidate every committed results table.
 
 use stashdir::common::json::object_from_map;
 use stashdir::common::json::Value;
@@ -22,28 +21,27 @@ fn pre_pr_artifact_roundtrips_byte_identical() {
     let rendered = report_to_json(&report).render_pretty();
     assert_eq!(
         rendered, GOLDEN,
-        "interned sink must re-render the pre-PR artifact byte-for-byte"
+        "the sink must re-render the captured artifact byte-for-byte"
     );
 }
 
 #[test]
 fn sharded_sink_renders_like_a_single_sink() {
-    // Interleave the same bump stream into one sink and into three
-    // shards merged in a different registration order: the exported
-    // JSON (the only externally visible face of the sink) must match.
+    // Spread the same additions over one sink and over three shards
+    // merged in reverse: the exported JSON (the only externally visible
+    // face of the sink) must match.
     let keys = ["noc.flits", "l1.hits", "dir.lookups", "l1.misses"];
+    let add = |sink: &mut StatSink, key: &str, delta: f64| {
+        sink.put(key, sink.get_or_zero(key) + delta);
+    };
     let mut single = StatSink::new();
     let mut shards = [StatSink::new(), StatSink::new(), StatSink::new()];
     for i in 0..100usize {
         let key = keys[i % keys.len()];
-        let sid = single.register(key);
-        single.bump(sid, i as f64);
-        let shard = &mut shards[i % 3];
-        let id = shard.register(key);
-        shard.bump(id, i as f64);
+        add(&mut single, key, i as f64);
+        add(&mut shards[i % 3], key, i as f64);
     }
     let mut merged = StatSink::new();
-    // Merge in reverse so interning order differs from `single`.
     for shard in shards.iter().rev() {
         merged.merge(shard);
     }

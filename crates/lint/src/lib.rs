@@ -26,9 +26,10 @@
 //!    CSV/JSON export functions and flags unordered-map iteration and
 //!    wall-clock reads that can scramble artifact bytes across runs.
 //! 5. **Stat registration** ([`statreg`]): every stat field of
-//!    `SimReport` / `TimelineSample` / `FaultSummary` / `Histogram` /
-//!    `StatSink` must appear in its merge/serialization path, so
-//!    counters cannot be silently dropped from sweep artifacts.
+//!    `SimReport` / `TimelineSample` / `FaultSummary` / `BackendStats` /
+//!    `Histogram`, and `StatSink`'s key→value map, must appear in its
+//!    merge/serialization path, so counters cannot be silently dropped
+//!    from sweep artifacts.
 //!
 //! `// lint: allow(...)` directives are tracked centrally
 //! ([`directives`]): one that suppresses nothing is itself a finding.

@@ -3,8 +3,9 @@
 //!
 //! Adding a counter to `SimReport` (or a field to `Histogram`) and
 //! forgetting to thread it through the artifact serializer or the merge
-//! function silently drops data from sweeps — exactly the failure mode a
-//! future sharded/mergeable `StatSink` would amplify. The rule is
+//! function silently drops data from sweeps. `Machine::build_report`
+//! folds per-core and per-bank sinks through `StatSink::merge`, so a
+//! field that merge forgets is lost from every report. The rule is
 //! textual on purpose: a field is "registered" when its identifier
 //! occurs in the registry function's body.
 
@@ -108,11 +109,11 @@ pub const RULES: &[RegRule] = &[
     RegRule {
         struct_file: "crates/common/src/stats.rs",
         struct_name: "StatSink",
-        // The interned sink's registration site is `merge`: it is the
-        // one function every shard's counters funnel through before the
-        // artifact writer serializes the merged sink, and its body
-        // touches every field (the intern tables *and* the value
-        // vector), so a field added without merge support fails here.
+        // The sink's registration site is `merge`: every per-core and
+        // per-bank sink funnels through it before the artifact writer
+        // serializes the merged sink. Its body touches the one key→value
+        // map, so a field added beside the map without merge support
+        // fails here.
         registries: &[Registry {
             file: "crates/common/src/stats.rs",
             function: "StatSink::merge",
@@ -126,7 +127,7 @@ pub const RULES: &[RegRule] = &[
 /// `Type::name` restricts the search to inherent `impl Type { .. }`
 /// blocks, so two types in one file can both register through a method
 /// with the same name (e.g. `Histogram::merge` vs `StatSink::merge`
-/// in `stats.rs` after the interned-sink rework).
+/// in `stats.rs`).
 fn find_registry_fn_body<'a>(toks: &'a [Tok], name: &str) -> Option<&'a [Tok]> {
     let Some((type_name, fn_name)) = name.split_once("::") else {
         return find_fn_body(toks, name);

@@ -1,6 +1,8 @@
 //! Fixture stats structs whose fields are all properly registered in
 //! their merge paths — this file stays clean.
 
+use std::collections::BTreeMap;
+
 pub struct Histogram {
     pub counts: Vec<u64>,
 }
@@ -14,17 +16,13 @@ impl Histogram {
 }
 
 pub struct StatSink {
-    pub names: Vec<String>,
-    pub values: Vec<f64>,
-    pub index: Vec<(String, u32)>,
+    pub values: BTreeMap<String, f64>,
 }
 
 impl StatSink {
     pub fn merge(&mut self, other: &StatSink) {
-        for (name, &(_, oid)) in other.names.iter().zip(&other.index) {
-            self.names.push(name.clone());
-            self.index.push((name.clone(), oid));
-            self.values.push(other.values[oid as usize]);
+        for (key, &v) in &other.values {
+            *self.values.entry(key.clone()).or_insert(0.0) += v;
         }
     }
 }

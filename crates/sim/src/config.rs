@@ -404,9 +404,6 @@ pub struct SystemConfig {
     pub llc_bank: CacheConfig,
     /// Directory organization and provisioning.
     pub dir: DirSpec,
-    /// Sharer-set encoding for set-associative directories (full-map
-    /// vector vs limited pointers with broadcast on overflow).
-    pub sharer_format: SharerFormat,
     /// Directory slice access latency (cycles).
     pub dir_latency: u64,
     /// Bank pipeline occupancy per transaction (cycles): the throughput
@@ -443,7 +440,6 @@ impl Default for SystemConfig {
             l2: CacheConfig::new(256 * 1024, 8, 64, 8, ReplKind::Lru),
             llc_bank: CacheConfig::new(1024 * 1024, 16, 64, 24, ReplKind::Lru),
             dir: DirSpec::stash(CoverageRatio::FULL),
-            sharer_format: SharerFormat::FullMap,
             dir_latency: 2,
             bank_occupancy: 4,
             noc: NocConfig::default(),
@@ -525,13 +521,7 @@ impl SystemConfig {
 
     /// The resolved per-slice directory configuration.
     pub fn dir_slice(&self) -> DirConfig {
-        let slice = self.dir.slice_config(self.tracked_blocks_per_slice());
-        match self.dir {
-            // A limited-pointer spec carries its own sharer format; the
-            // machine-level default must not clobber it.
-            DirSpec::LimitedPtr { .. } => slice,
-            _ => slice.with_sharer_format(self.sharer_format),
-        }
+        self.dir.slice_config(self.tracked_blocks_per_slice())
     }
 
     /// LLC lines chip-wide.

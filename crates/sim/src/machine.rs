@@ -1813,9 +1813,7 @@ impl Machine {
         // Every per-component section is built as its own *shard* sink
         // holding only additive counters, then folded into the report
         // with `StatSink::merge`. Derived ratios (miss rates) are
-        // recomputed from the merged totals afterwards, so splitting
-        // these loops across threads (the harness's sharded-run path)
-        // yields byte-identical reports.
+        // recomputed from the merged totals afterwards.
         for p in &self.privs {
             let mut shard = StatSink::new();
             p.l1_stats.export_counters("l1", &mut shard);

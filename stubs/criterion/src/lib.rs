@@ -8,17 +8,14 @@
 //!
 //! Measurement is intentionally simple: a short warm-up and calibration,
 //! then timed batches until a small time budget is spent, reporting mean
-//! and median ns/iter (and element throughput when declared) to stdout.
-//! Results are also recorded on the [`Criterion`] context
-//! ([`Criterion::results`]) so bench harnesses can post-process them —
-//! the repo's `hotpath` bench gate serializes them to
-//! `BENCH_sim_hotpath.json` and diffs against a committed baseline. It
+//! median ns/iter (and element throughput when declared) to stdout. It
 //! is a smoke-run harness, not a statistics engine; swap back to real
 //! criterion for publishable numbers.
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
+use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 /// Measurement budget per benchmark.
@@ -28,32 +25,6 @@ const TIME_BUDGET: Duration = Duration::from_millis(200);
 /// `Instant::now()` overhead for nanosecond-scale bodies, short enough
 /// to leave hundreds of samples in the budget for a stable median.
 const BATCH_TARGET_NS: f64 = 100_000.0;
-
-/// One benchmark's recorded measurement.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Group name (empty for ungrouped benchmarks).
-    pub group: String,
-    /// Benchmark id within the group.
-    pub id: String,
-    /// Mean ns per iteration over the whole run.
-    pub mean_ns: f64,
-    /// Median of the per-batch ns/iter samples.
-    pub median_ns: f64,
-    /// Total iterations timed.
-    pub iters: u64,
-}
-
-impl BenchResult {
-    /// `group/id`, or just `id` when ungrouped.
-    pub fn label(&self) -> String {
-        if self.group.is_empty() {
-            self.id.clone()
-        } else {
-            format!("{}/{}", self.group, self.id)
-        }
-    }
-}
 
 /// Declared throughput of one benchmark iteration.
 #[derive(Debug, Clone, Copy)]
@@ -99,8 +70,8 @@ impl From<String> for BenchmarkId {
 }
 
 /// Timing driver handed to each benchmark closure.
+#[derive(Default)]
 pub struct Bencher {
-    total: Duration,
     iters: u64,
     /// ns/iter of each timed batch (the median source).
     samples: Vec<f64>,
@@ -125,7 +96,6 @@ impl Bencher {
                 std::hint::black_box(f());
             }
             let spent = start.elapsed();
-            self.total += spent;
             self.iters += batch;
             self.samples.push(spent.as_nanos() as f64 / batch as f64);
         }
@@ -148,7 +118,7 @@ fn median(samples: &mut [f64]) -> f64 {
 pub struct BenchmarkGroup<'a> {
     name: String,
     throughput: Option<Throughput>,
-    criterion: &'a mut Criterion,
+    _criterion: PhantomData<&'a mut Criterion>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -168,9 +138,7 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
-        let result = run_one(&self.name, &id.id, self.throughput, |b| f(b));
-        self.criterion.record(result);
+        run_one(&self.name, &id.into().id, self.throughput, |b| f(b));
         self
     }
 
@@ -180,8 +148,7 @@ impl BenchmarkGroup<'_> {
         I: ?Sized,
         F: FnMut(&mut Bencher, &I),
     {
-        let result = run_one(&self.name, &id.id, self.throughput, |b| f(b, input));
-        self.criterion.record(result);
+        run_one(&self.name, &id.id, self.throughput, |b| f(b, input));
         self
     }
 
@@ -191,9 +158,7 @@ impl BenchmarkGroup<'_> {
 
 /// The top-level bench context.
 #[derive(Default)]
-pub struct Criterion {
-    results: Vec<BenchResult>,
-}
+pub struct Criterion;
 
 impl Criterion {
     /// Opens a named benchmark group.
@@ -201,7 +166,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             throughput: None,
-            criterion: self,
+            _criterion: PhantomData,
         }
     }
 
@@ -210,45 +175,23 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        let result = run_one("", name, None, |b| f(b));
-        self.record(result);
+        run_one("", name, None, |b| f(b));
         self
-    }
-
-    /// Every measurement recorded so far, in run order.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
-    fn record(&mut self, result: Option<BenchResult>) {
-        if let Some(r) = result {
-            self.results.push(r);
-        }
     }
 }
 
-fn run_one(
-    group: &str,
-    id: &str,
-    throughput: Option<Throughput>,
-    mut f: impl FnMut(&mut Bencher),
-) -> Option<BenchResult> {
+fn run_one(group: &str, id: &str, throughput: Option<Throughput>, mut f: impl FnMut(&mut Bencher)) {
     let label = if group.is_empty() {
         id.to_string()
     } else {
         format!("{group}/{id}")
     };
-    let mut bencher = Bencher {
-        total: Duration::ZERO,
-        iters: 0,
-        samples: Vec::new(),
-    };
+    let mut bencher = Bencher::default();
     f(&mut bencher);
     if bencher.iters == 0 {
         println!("bench {label:<40} (no iterations recorded)");
-        return None;
+        return;
     }
-    let mean_ns = bencher.total.as_nanos() as f64 / bencher.iters as f64;
     let median_ns = median(&mut bencher.samples);
     match throughput {
         Some(Throughput::Elements(n)) => {
@@ -272,13 +215,6 @@ fn run_one(
             );
         }
     }
-    Some(BenchResult {
-        group: group.to_string(),
-        id: id.to_string(),
-        mean_ns,
-        median_ns,
-        iters: bencher.iters,
-    })
 }
 
 /// Declares a bench group function invoking each target with a fresh
@@ -309,20 +245,11 @@ mod tests {
 
     #[test]
     fn bencher_records_iterations() {
-        let mut c = Criterion::default();
-        let mut group = c.benchmark_group("smoke");
-        group
-            .throughput(Throughput::Elements(4))
-            .bench_function(BenchmarkId::from_parameter("add"), |b| {
-                b.iter(|| std::hint::black_box(2u64 + 2))
-            });
-        group.finish();
-        let results = c.results();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].label(), "smoke/add");
-        assert!(results[0].iters > 0);
-        assert!(results[0].median_ns > 0.0);
-        assert!(results[0].mean_ns > 0.0);
+        let mut b = Bencher::default();
+        b.iter(|| std::hint::black_box(2u64 + 2));
+        assert!(b.iters > 0);
+        assert!(!b.samples.is_empty());
+        assert!(median(&mut b.samples) > 0.0);
     }
 
     #[test]
@@ -330,13 +257,5 @@ mod tests {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&mut [7.0]), 7.0);
-    }
-
-    #[test]
-    fn ungrouped_results_are_recorded() {
-        let mut c = Criterion::default();
-        c.bench_function("solo", |b| b.iter(|| std::hint::black_box(1u64 + 1)));
-        assert_eq!(c.results().len(), 1);
-        assert_eq!(c.results()[0].label(), "solo");
     }
 }

@@ -130,10 +130,17 @@ fn overflowed_upgrade_crossing_an_inv_refills_data() {
 #[test]
 fn limited_pointer_formats_stay_coherent() {
     use stashdir::SharerFormat;
-    for k in [1usize, 2] {
+    for k in [1u8, 2] {
+        // The limited-pointer spec resolves to exactly the stash slice
+        // with a limited-pointer sharer format.
+        let spec = DirSpec::limited_ptr(CoverageRatio::new(1, 8), k);
+        let stash = small_config(DirSpec::stash(CoverageRatio::new(1, 8))).dir_slice();
+        assert_eq!(
+            small_config(spec).dir_slice(),
+            stash.with_sharer_format(SharerFormat::LimitedPtr { k: k.into() })
+        );
         for workload in [Workload::ReadMostly, Workload::Lu, Workload::Uniform] {
-            let mut cfg = small_config(DirSpec::stash(CoverageRatio::new(1, 8)));
-            cfg.sharer_format = SharerFormat::LimitedPtr { k };
+            let cfg = small_config(spec);
             let traces = workload.generate(cfg.cores, 2_000, 16);
             let report = Machine::new(cfg).run(traces);
             assert!(
