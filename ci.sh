@@ -15,6 +15,11 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Intra-doc links must resolve, so a doc that names a moved or private
+# item fails here instead of rendering as plain text.
+echo "== cargo doc --workspace --no-deps (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Protocol-aware static analysis: transition-matrix coverage against the
 # model checker, waits-for liveness, panic hygiene in hot crates,
 # artifact determinism, and stat registration. Prints per-pass timings,

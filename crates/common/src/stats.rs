@@ -240,15 +240,6 @@ impl StatSink {
         self.values.is_empty()
     }
 
-    /// Merges another sink into this one, *adding* values key-wise:
-    /// keys present in both sum, keys only in `other` are inserted. This
-    /// folds per-component sinks into one total.
-    pub fn merge(&mut self, other: &StatSink) {
-        for (key, &v) in &other.values {
-            *self.values.entry(key.clone()).or_insert(0.0) += v;
-        }
-    }
-
     /// Renders `key,value` CSV with a header row.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("stat,value\n");
@@ -396,6 +387,9 @@ mod tests {
         sink.put("a", 1.0);
         assert_eq!(sink.get("a"), Some(1.0));
         assert_eq!(sink.get_or_zero("zzz"), 0.0);
+        assert_eq!(sink.len(), 2);
+        assert!(!sink.is_empty());
+        assert!(StatSink::new().is_empty());
         let csv = sink.to_csv();
         assert_eq!(csv, "stat,value\na,1\nb,2.500000\n");
     }
@@ -425,40 +419,5 @@ mod tests {
         assert_eq!(a, b);
         b.put("x", 9.0);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn shard_then_merge_equals_single_sink() {
-        // Splitting additions across shard sinks and merging them, in
-        // either order, gives the same table as one sink taking every
-        // addition.
-        let add = |sink: &mut StatSink, key: &str, delta: f64| {
-            sink.put(key, sink.get_or_zero(key) + delta);
-        };
-        let mut single = StatSink::new();
-        let mut shard_a = StatSink::new();
-        let mut shard_b = StatSink::new();
-        for (key, delta) in [("n.a", 1.0), ("n.b", 2.0), ("n.a", 3.0), ("n.c", 4.0)] {
-            add(&mut single, key, delta);
-        }
-        for (key, delta) in [("n.a", 1.0), ("n.c", 4.0)] {
-            add(&mut shard_a, key, delta);
-        }
-        for (key, delta) in [("n.b", 2.0), ("n.a", 3.0)] {
-            add(&mut shard_b, key, delta);
-        }
-        let mut merged = StatSink::new();
-        merged.merge(&shard_a);
-        merged.merge(&shard_b);
-        assert_eq!(merged, single);
-        let mut reversed = StatSink::new();
-        reversed.merge(&shard_b);
-        reversed.merge(&shard_a);
-        assert_eq!(reversed, single);
-        // Keys in both sinks sum; keys only in `other` are inserted.
-        assert_eq!(merged.get("n.a"), Some(4.0));
-        assert_eq!(merged.get("n.b"), Some(2.0));
-        assert_eq!(merged.len(), 3);
-        assert!(!merged.is_empty());
     }
 }

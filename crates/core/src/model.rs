@@ -82,6 +82,14 @@ pub trait DirectoryModel: fmt::Debug {
     /// Accumulated event counts.
     fn stats(&self) -> &DirStats;
 
+    /// `true` when entries are keyed by global block addresses. A slice
+    /// that only tracks its own bank's home blocks (the default) is keyed
+    /// by bank-local addresses instead; a shard that holds blocks homed
+    /// at other banks cannot be.
+    fn global_keys(&self) -> bool {
+        false
+    }
+
     /// Storage cost of this organization in bits under `params`.
     fn storage_bits(&self, params: &CostParams) -> u64;
 }

@@ -89,6 +89,10 @@ impl DirectoryModel for OpaqueDirectory {
         self.inner.stats()
     }
 
+    fn global_keys(&self) -> bool {
+        true
+    }
+
     fn storage_bits(&self, params: &CostParams) -> u64 {
         self.inner.storage_bits(params)
     }

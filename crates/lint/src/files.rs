@@ -13,7 +13,7 @@ pub const SCANNED_CRATES: &[&str] = &["common", "core", "harness", "mem", "proto
 /// One loaded source file.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
-    /// Repo-relative path with forward slashes (`crates/sim/src/machine.rs`).
+    /// Repo-relative path with forward slashes (`crates/sim/src/machine/home.rs`).
     pub label: String,
     /// File contents.
     pub src: String,

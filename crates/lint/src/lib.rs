@@ -27,9 +27,8 @@
 //!    wall-clock reads that can scramble artifact bytes across runs.
 //! 5. **Stat registration** ([`statreg`]): every stat field of
 //!    `SimReport` / `TimelineSample` / `FaultSummary` / `BackendStats` /
-//!    `Histogram`, and `StatSink`'s key→value map, must appear in its
-//!    merge/serialization path, so counters cannot be silently dropped
-//!    from sweep artifacts.
+//!    `Histogram` must appear in its merge/serialization path, so
+//!    counters cannot be silently dropped from sweep artifacts.
 //!
 //! `// lint: allow(...)` directives are tracked centrally
 //! ([`directives`]): one that suppresses nothing is itself a finding.

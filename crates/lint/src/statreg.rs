@@ -4,8 +4,8 @@
 //! Adding a counter to `SimReport` (or a field to `Histogram`) and
 //! forgetting to thread it through the artifact serializer or the merge
 //! function silently drops data from sweeps. `Machine::build_report`
-//! folds per-core and per-bank sinks through `StatSink::merge`, so a
-//! field that merge forgets is lost from every report. The rule is
+//! folds per-bank counters through `BackendStats::merge`, so a field
+//! that merge forgets is lost from every report. The rule is
 //! textual on purpose: a field is "registered" when its identifier
 //! occurs in the registry function's body.
 
@@ -83,10 +83,10 @@ pub const RULES: &[RegRule] = &[
         struct_file: "crates/sim/src/bank.rs",
         struct_name: "BackendStats",
         // The backend counters (DLS remote accesses, opaque indirection)
-        // funnel through two sites: `export` writes them into the bank's
-        // shard sink under `backend.*`, and `merge` folds per-bank shards
-        // together. A counter missing from either silently vanishes from
-        // the E18 shoot-out artifacts.
+        // funnel through two sites: `merge` folds the per-bank counters
+        // into one total, and `export` writes that total under
+        // `backend.*`. A counter missing from either silently vanishes
+        // from the E18 shoot-out artifacts.
         registries: &[
             Registry {
                 file: "crates/sim/src/bank.rs",
@@ -106,19 +106,6 @@ pub const RULES: &[RegRule] = &[
             function: "Histogram::merge",
         }],
     },
-    RegRule {
-        struct_file: "crates/common/src/stats.rs",
-        struct_name: "StatSink",
-        // The sink's registration site is `merge`: every per-core and
-        // per-bank sink funnels through it before the artifact writer
-        // serializes the merged sink. Its body touches the one key→value
-        // map, so a field added beside the map without merge support
-        // fails here.
-        registries: &[Registry {
-            file: "crates/common/src/stats.rs",
-            function: "StatSink::merge",
-        }],
-    },
 ];
 
 /// Resolves a registry function name to its body tokens.
@@ -126,8 +113,8 @@ pub const RULES: &[RegRule] = &[
 /// A plain `name` matches the first `fn name` in the file. A qualified
 /// `Type::name` restricts the search to inherent `impl Type { .. }`
 /// blocks, so two types in one file can both register through a method
-/// with the same name (e.g. `Histogram::merge` vs `StatSink::merge`
-/// in `stats.rs`).
+/// with the same name (e.g. `BankStats::merge` vs `BackendStats::merge`
+/// in `bank.rs`).
 fn find_registry_fn_body<'a>(toks: &'a [Tok], name: &str) -> Option<&'a [Tok]> {
     let Some((type_name, fn_name)) = name.split_once("::") else {
         return find_fn_body(toks, name);

@@ -160,24 +160,6 @@ impl CacheStats {
         sink.put(format!("{prefix}.miss_rate"), self.miss_rate());
     }
 
-    /// Exports only the raw counters (no derived ratios) under
-    /// `prefix.` into `sink`.
-    ///
-    /// This is the per-shard flavour of [`CacheStats::export`]: every
-    /// key it emits is additive, so shard sinks can be combined with
-    /// [`StatSink::merge`] and derived ratios such as
-    /// `{prefix}.miss_rate` recomputed from the merged totals.
-    pub fn export_counters(&self, prefix: &str, sink: &mut StatSink) {
-        sink.put_counter(format!("{prefix}.hits"), self.hits);
-        sink.put_counter(format!("{prefix}.misses"), self.misses);
-        sink.put_counter(format!("{prefix}.evictions"), self.evictions);
-        sink.put_counter(format!("{prefix}.writebacks"), self.writebacks);
-        sink.put_counter(
-            format!("{prefix}.coherence_invalidations"),
-            self.coherence_invalidations,
-        );
-    }
-
     /// Adds another stats block into this one (for aggregating per-core
     /// caches into a machine total).
     pub fn merge(&mut self, other: &CacheStats) {

@@ -1,6 +1,6 @@
 //! Replacement policies for set-associative structures.
 //!
-//! [`ReplState`] holds the replacement state of **every** set of one
+//! `ReplState` holds the replacement state of **every** set of one
 //! array in a single flat byte vector, a fixed stride per set, and
 //! dispatches on [`ReplKind`] with a `match`. Policies see three events:
 //! a fill into a way, a hit on a way, and a victim request. The owning

@@ -6,7 +6,7 @@
 //! and the LLC banks.
 //!
 //! Storage is flat and set-major: one tag vector and one line vector of
-//! `sets × ways` entries each, and one [`ReplState`] byte vector with a
+//! `sets × ways` entries each, and one `ReplState` byte vector with a
 //! fixed stride per set. Building an array allocates a constant number of
 //! times whatever its size. A lookup scans its set's tags, which for
 //! eight ways fill one host cache line, and reads a payload only on a tag

@@ -47,8 +47,7 @@ pub struct BankStats {
 }
 
 impl BankStats {
-    /// Exports the per-bank counters under `prefix.`; every key is
-    /// additive, so per-bank shard sinks merge cleanly.
+    /// Exports the counters under `prefix.`.
     pub(crate) fn export(&self, prefix: &str, sink: &mut StatSink) {
         sink.put_counter(format!("{prefix}.discoveries"), self.discoveries);
         sink.put_counter(
@@ -115,8 +114,7 @@ pub struct BackendStats {
 }
 
 impl BackendStats {
-    /// Exports the backend counters under `prefix.`; additive, so
-    /// per-bank shard sinks merge cleanly.
+    /// Exports the backend counters under `prefix.`.
     pub(crate) fn export(&self, prefix: &str, sink: &mut StatSink) {
         sink.put_counter(
             format!("{prefix}.remote_llc_accesses"),
@@ -171,8 +169,7 @@ impl Bank {
         dir: Box<dyn DirectoryModel>,
         seed: u64,
     ) -> Self {
-        // Opaque shards are keyed by global addresses (see field doc).
-        let dir_global_keys = dir.name() == "opaque";
+        let dir_global_keys = dir.global_keys();
         Bank {
             id,
             bank_bits,
@@ -221,6 +218,22 @@ impl Bank {
     pub fn llc_peek_mut(&mut self, block: BlockAddr) -> Option<&mut LlcLine> {
         let local = self.local(block);
         self.llc.get_mut(local)
+    }
+
+    /// Writes data at `version` through to `block`'s resident LLC line,
+    /// marking it dirty (writebacks, dirty probe replies, remote writes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is not resident: the LLC is inclusive, so a
+    /// block with a private copy or a stash bit always is.
+    pub(crate) fn write_through(&mut self, block: BlockAddr, version: u64) {
+        let line = self
+            .llc_peek_mut(block)
+            // lint: allow(expect) — protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state.
+            .expect("LLC inclusion: written-through block resident");
+        line.version = version;
+        line.dirty = true;
     }
 
     /// The block the LLC would evict to make room for `block`, if any.

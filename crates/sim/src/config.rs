@@ -267,7 +267,7 @@ impl fmt::Display for DirSpec {
     }
 }
 
-/// The grammar accepted by [`DirSpec::from_str`], kind by kind.
+/// The grammar [`DirSpec`]'s `FromStr` impl accepts, kind by kind.
 pub const DIR_KIND_HELP: &str = "fullmap, sparse@<cov>[x<ways>w], stash@<cov>[x<ways>w], \
      cuckoo@<cov>, limited-ptr<k>@<cov>[x<ways>w], dls, opaque@<cov>[x<ways>w]";
 

@@ -291,7 +291,7 @@ impl FaultConfig {
 
 impl std::fmt::Display for FaultConfig {
     /// Canonical `key=value` token string, the replayable form the
-    /// minimizer saves next to diag snapshots. [`FaultConfig::from_str`]
+    /// minimizer saves next to diag snapshots. The `FromStr` impl
     /// round-trips it exactly.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut parts: Vec<String> = Vec::new();
@@ -338,7 +338,7 @@ fn parse_num<T: std::str::FromStr>(key: &str, s: &str) -> Result<T, String> {
 impl std::str::FromStr for FaultConfig {
     type Err = String;
 
-    /// Parses the [`Display`](FaultConfig::fmt) token grammar:
+    /// Parses the [`Display`](std::fmt::Display) token grammar:
     /// whitespace-separated `key=value` tokens in any order. Unknown
     /// class labels list every valid label.
     fn from_str(s: &str) -> Result<FaultConfig, String> {
