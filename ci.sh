@@ -131,4 +131,13 @@ cargo test -q --workspace --offline
 echo "== simbench tests"
 cargo test -q --offline --manifest-path simbench/Cargo.toml
 
+# Digest smoke: one warm-up and three rounds of all five simbench
+# workloads (64-1024 cores, ~30 s). Exits 1 on any report digest that
+# differs from simbench/baseline.json, so byte-identity holds at scales
+# the golden fixtures never reach, on both sides of the inline/boxed
+# SharerSet switch at 64 cores.
+echo "== simbench digest smoke"
+cargo run --release -q --offline --manifest-path simbench/Cargo.toml -- \
+  --seconds 0 --trace 0 >/dev/null
+
 echo "CI OK"

@@ -1,12 +1,21 @@
 //! Compact sharer sets: which cores hold a copy of a block.
 //!
-//! Directory entries carry a full-map bit vector of sharers. The set is
-//! backed by inline `u64` words sized at construction, so 16–64-core
-//! configurations use a single word and larger meshes grow as needed.
+//! Directory entries carry a full-map bit vector of sharers. Up to 64
+//! cores the vector is one inline `u64`, so building or cloning a set
+//! never touches the heap; larger meshes keep their words in a boxed
+//! slice sized at construction.
 
 use crate::ids::CoreId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// The bit-vector words of a [`SharerSet`]: one inline word up to 64
+/// cores, a boxed slice beyond.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+enum Words {
+    Inline(u64),
+    Boxed(Box<[u64]>),
+}
 
 /// A set of cores, implemented as a full-map bit vector.
 ///
@@ -23,18 +32,20 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SharerSet {
-    words: Vec<u64>,
+    words: Words,
     capacity: u16,
 }
 
 impl SharerSet {
-    /// Creates an empty set able to hold cores `0..capacity`.
+    /// Creates an empty set able to hold cores `0..capacity`. Allocates
+    /// only when `capacity` exceeds 64.
     pub fn new(capacity: u16) -> Self {
-        let nwords = (capacity as usize).div_ceil(64).max(1);
-        SharerSet {
-            words: vec![0; nwords],
-            capacity,
-        }
+        let words = if capacity <= 64 {
+            Words::Inline(0)
+        } else {
+            Words::Boxed(vec![0; (capacity as usize).div_ceil(64)].into_boxed_slice())
+        };
+        SharerSet { words, capacity }
     }
 
     /// Creates a set holding exactly one core.
@@ -53,6 +64,21 @@ impl SharerSet {
         self.capacity
     }
 
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => std::slice::from_ref(w),
+            Words::Boxed(ws) => ws,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => std::slice::from_mut(w),
+            Words::Boxed(ws) => ws,
+        }
+    }
+
+    /// The word holding `core`'s bit, with the bit's mask.
     fn slot(&self, core: CoreId) -> (usize, u64) {
         assert!(
             core.get() < self.capacity,
@@ -69,8 +95,9 @@ impl SharerSet {
     /// Panics if `core` is outside `0..capacity`.
     pub fn insert(&mut self, core: CoreId) -> bool {
         let (w, bit) = self.slot(core);
-        let fresh = self.words[w] & bit == 0;
-        self.words[w] |= bit;
+        let word = &mut self.words_mut()[w];
+        let fresh = *word & bit == 0;
+        *word |= bit;
         fresh
     }
 
@@ -81,8 +108,9 @@ impl SharerSet {
     /// Panics if `core` is outside `0..capacity`.
     pub fn remove(&mut self, core: CoreId) -> bool {
         let (w, bit) = self.slot(core);
-        let present = self.words[w] & bit != 0;
-        self.words[w] &= !bit;
+        let word = &mut self.words_mut()[w];
+        let present = *word & bit != 0;
+        *word &= !bit;
         present
     }
 
@@ -93,17 +121,17 @@ impl SharerSet {
     /// Panics if `core` is outside `0..capacity`.
     pub fn contains(&self, core: CoreId) -> bool {
         let (w, bit) = self.slot(core);
-        self.words[w] & bit != 0
+        self.words()[w] & bit != 0
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.words().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `true` when no core is a member.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// If exactly one core is a member, returns it. This is the *private
@@ -118,12 +146,15 @@ impl SharerSet {
 
     /// Removes every member.
     pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+        self.words_mut().iter_mut().for_each(|w| *w = 0);
     }
 
     /// Iterates members in ascending core order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter { set: self, next: 0 }
+        Iter {
+            words: self.words(),
+            next: 0,
+        }
     }
 
     /// Storage cost of the full-map vector in bits (one bit per trackable
@@ -166,7 +197,7 @@ impl Extend<CoreId> for SharerSet {
 /// Iterator over the members of a [`SharerSet`] in ascending order.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    set: &'a SharerSet,
+    words: &'a [u64],
     next: u32,
 }
 
@@ -174,11 +205,10 @@ impl Iterator for Iter<'_> {
     type Item = CoreId;
 
     fn next(&mut self) -> Option<CoreId> {
-        while (self.next as usize) < self.set.words.len() * 64 {
-            let w = self.next as usize / 64;
-            let rest = self.set.words[w] >> (self.next % 64);
+        while let Some(&word) = self.words.get(self.next as usize / 64) {
+            let rest = word >> (self.next % 64);
             if rest == 0 {
-                self.next = (w as u32 + 1) * 64;
+                self.next = (self.next / 64 + 1) * 64;
                 continue;
             }
             let found = self.next + rest.trailing_zeros();
@@ -247,6 +277,18 @@ mod tests {
         s.insert(CoreId::new(4));
         assert_eq!(s.to_string(), "{1,4}");
         assert_eq!(SharerSet::new(8).to_string(), "{}");
+    }
+
+    #[test]
+    fn inline_and_boxed_sets_agree() {
+        for capacity in [64u16, 65, 1024] {
+            let mut s = SharerSet::new(capacity);
+            s.extend([CoreId::new(0), CoreId::new(63)]);
+            let copy = s.clone();
+            assert_eq!(copy, s);
+            assert_eq!(copy.iter().map(CoreId::get).collect::<Vec<_>>(), [0, 63]);
+            assert_eq!(copy.contains(CoreId::new(capacity - 1)), capacity == 64);
+        }
     }
 
     #[test]

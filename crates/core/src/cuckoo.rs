@@ -159,10 +159,10 @@ impl DirectoryModel for CuckooDirectory {
             .sum()
     }
 
-    fn lookup(&self, block: BlockAddr) -> Option<DirView> {
+    fn lookup(&self, block: BlockAddr) -> Option<&DirView> {
         self.position_of(block)
             .and_then(|(t, s)| self.tables[t][s].as_ref())
-            .map(|(_, v)| v.clone())
+            .map(|(_, v)| v)
     }
 
     fn install(&mut self, block: BlockAddr, view: DirView) -> EvictionAction {
@@ -183,7 +183,7 @@ impl DirectoryModel for CuckooDirectory {
                 self.stats.invalidating_evictions.incr();
                 self.stats
                     .copies_invalidated
-                    .add(victim_view.holders().len() as u64);
+                    .add(victim_view.holder_count() as u64);
                 if victim_view.is_private() {
                     self.stats.private_victims_invalidated.incr();
                 }
@@ -235,7 +235,7 @@ mod tests {
     fn install_lookup_remove() {
         let mut d = dir(64);
         assert!(d.install(BlockAddr::new(10), excl(1)).is_none());
-        assert_eq!(d.lookup(BlockAddr::new(10)), Some(excl(1)));
+        assert_eq!(d.lookup(BlockAddr::new(10)), Some(&excl(1)));
         d.remove(BlockAddr::new(10));
         assert_eq!(d.lookup(BlockAddr::new(10)), None);
         assert_eq!(d.occupancy(), 0);
@@ -246,7 +246,7 @@ mod tests {
         let mut d = dir(64);
         d.install(BlockAddr::new(5), excl(1));
         assert!(d.install(BlockAddr::new(5), excl(2)).is_none());
-        assert_eq!(d.lookup(BlockAddr::new(5)), Some(excl(2)));
+        assert_eq!(d.lookup(BlockAddr::new(5)), Some(&excl(2)));
         assert_eq!(d.occupancy(), 1);
     }
 
@@ -332,7 +332,7 @@ mod tests {
         let entries = d.entries();
         assert_eq!(entries.len(), d.occupancy());
         for (b, v) in entries {
-            assert_eq!(d.lookup(b), Some(v));
+            assert_eq!(d.lookup(b), Some(&v));
         }
     }
 

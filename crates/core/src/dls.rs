@@ -66,8 +66,8 @@ impl DirectoryModel for DlsDirectory {
         self.owners.len()
     }
 
-    fn lookup(&self, block: BlockAddr) -> Option<DirView> {
-        self.owners.get(&block).cloned()
+    fn lookup(&self, block: BlockAddr) -> Option<&DirView> {
+        self.owners.get(&block)
     }
 
     fn install(&mut self, block: BlockAddr, view: DirView) -> EvictionAction {
@@ -121,7 +121,7 @@ mod tests {
             assert!(d.install(BlockAddr::new(i), excl((i % 8) as u16)).is_none());
         }
         assert_eq!(d.occupancy(), 200);
-        assert_eq!(d.lookup(BlockAddr::new(5)), Some(excl(5)));
+        assert_eq!(d.lookup(BlockAddr::new(5)), Some(&excl(5)));
     }
 
     #[test]

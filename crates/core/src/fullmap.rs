@@ -53,8 +53,8 @@ impl DirectoryModel for FullMapDirectory {
         self.map.len()
     }
 
-    fn lookup(&self, block: BlockAddr) -> Option<DirView> {
-        self.map.get(&block).cloned()
+    fn lookup(&self, block: BlockAddr) -> Option<&DirView> {
+        self.map.get(&block)
     }
 
     fn install(&mut self, block: BlockAddr, view: DirView) -> EvictionAction {
@@ -111,7 +111,7 @@ mod tests {
         }
         assert_eq!(d.occupancy(), 100);
         assert_eq!(d.entries().len(), 100);
-        assert_eq!(d.lookup(BlockAddr::new(42)), Some(excl(10)));
+        assert_eq!(d.lookup(BlockAddr::new(42)), Some(&excl(10)));
     }
 
     #[test]
@@ -119,7 +119,7 @@ mod tests {
         let mut d = FullMapDirectory::new();
         d.install(BlockAddr::new(0), excl(1));
         d.install(BlockAddr::new(0), excl(2));
-        assert_eq!(d.lookup(BlockAddr::new(0)), Some(excl(2)));
+        assert_eq!(d.lookup(BlockAddr::new(0)), Some(&excl(2)));
         assert_eq!(d.occupancy(), 1);
         assert_eq!(d.stats().hits.get(), 1);
         assert_eq!(d.stats().allocations.get(), 1);

@@ -56,8 +56,9 @@ pub trait DirectoryModel: fmt::Debug {
     /// Number of blocks currently tracked.
     fn occupancy(&self) -> usize;
 
-    /// The directory's knowledge of `block`; `None` when untracked.
-    fn lookup(&self, block: BlockAddr) -> Option<DirView>;
+    /// The directory's knowledge of `block`, borrowed from the entry;
+    /// `None` when untracked.
+    fn lookup(&self, block: BlockAddr) -> Option<&DirView>;
 
     /// Records `view` for `block`, allocating an entry (and possibly
     /// displacing another) when the block is not yet tracked. Updating an
@@ -97,9 +98,10 @@ pub trait DirectoryModel: fmt::Debug {
 /// Event counts every organization maintains.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DirStats {
-    /// `lookup` calls.
+    /// `install` calls: each looks its block up before storing the view.
+    /// (The read-only [`DirectoryModel::lookup`] is not counted.)
     pub lookups: Counter,
-    /// `lookup` calls that found an entry.
+    /// `install` calls that found an entry to update.
     pub hits: Counter,
     /// Entries allocated for previously untracked blocks.
     pub allocations: Counter,

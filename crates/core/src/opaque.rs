@@ -69,7 +69,7 @@ impl DirectoryModel for OpaqueDirectory {
         self.inner.occupancy()
     }
 
-    fn lookup(&self, block: BlockAddr) -> Option<DirView> {
+    fn lookup(&self, block: BlockAddr) -> Option<&DirView> {
         self.inner.lookup(block)
     }
 
@@ -127,7 +127,7 @@ mod tests {
             d.install(BlockAddr::new(b), excl(0));
         }
         assert_eq!(d.occupancy(), 4);
-        assert_eq!(d.lookup(BlockAddr::new(1027)), Some(excl(0)));
+        assert_eq!(d.lookup(BlockAddr::new(1027)), Some(&excl(0)));
     }
 
     #[test]

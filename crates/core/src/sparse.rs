@@ -81,11 +81,8 @@ impl DirectoryModel for SparseDirectory {
         self.storage.occupancy()
     }
 
-    fn lookup(&self, block: BlockAddr) -> Option<DirView> {
-        // Interior mutability would be needed to count through &self; the
-        // counters are bumped by the &mut paths instead, so expose the raw
-        // lookup here and account in install/remove callers.
-        self.storage.lookup(block).cloned()
+    fn lookup(&self, block: BlockAddr) -> Option<&DirView> {
+        self.storage.lookup(block)
     }
 
     fn install(&mut self, block: BlockAddr, view: DirView) -> EvictionAction {
@@ -95,18 +92,18 @@ impl DirectoryModel for SparseDirectory {
         );
         self.stats.lookups.incr();
         let view = self.format.degrade(view);
-        if self.storage.update(block, view.clone()) {
+        if let Some(entry) = self.storage.access_mut(block) {
+            *entry = view;
             self.stats.hits.incr();
             return EvictionAction::None;
         }
         self.stats.allocations.incr();
         let action = if self.storage.needs_victim(block) {
-            let (victim, victim_view) = self.storage.choose_victim(block, self.repl);
-            self.storage.remove(victim);
+            let (victim, victim_view) = self.storage.take_victim(block, self.repl);
             self.stats.invalidating_evictions.incr();
             self.stats
                 .copies_invalidated
-                .add(victim_view.holders().len() as u64);
+                .add(victim_view.holder_count() as u64);
             if victim_view.is_private() {
                 self.stats.private_victims_invalidated.incr();
             }
@@ -161,7 +158,7 @@ mod tests {
     fn install_then_lookup() {
         let mut d = dir(4, 2);
         assert!(d.install(BlockAddr::new(1), excl(2)).is_none());
-        assert_eq!(d.lookup(BlockAddr::new(1)), Some(excl(2)));
+        assert_eq!(d.lookup(BlockAddr::new(1)), Some(&excl(2)));
         assert_eq!(d.lookup(BlockAddr::new(9)), None);
     }
 
@@ -172,7 +169,7 @@ mod tests {
         d.install(BlockAddr::new(1), excl(1));
         assert!(d.install(BlockAddr::new(0), shared(&[0, 3])).is_none());
         assert_eq!(d.occupancy(), 2);
-        assert_eq!(d.lookup(BlockAddr::new(0)), Some(shared(&[0, 3])));
+        assert_eq!(d.lookup(BlockAddr::new(0)), Some(&shared(&[0, 3])));
     }
 
     #[test]

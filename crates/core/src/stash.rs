@@ -112,8 +112,8 @@ impl DirectoryModel for StashDirectory {
         self.storage.occupancy()
     }
 
-    fn lookup(&self, block: BlockAddr) -> Option<DirView> {
-        self.storage.lookup(block).cloned()
+    fn lookup(&self, block: BlockAddr) -> Option<&DirView> {
+        self.storage.lookup(block)
     }
 
     fn install(&mut self, block: BlockAddr, view: DirView) -> EvictionAction {
@@ -123,20 +123,15 @@ impl DirectoryModel for StashDirectory {
         );
         self.stats.lookups.incr();
         let view = self.format.degrade(view);
-        if self.storage.update(block, view.clone()) {
+        if let Some(entry) = self.storage.access_mut(block) {
+            *entry = view;
             self.stats.hits.incr();
             return EvictionAction::None;
         }
         self.stats.allocations.incr();
         let action = if self.storage.needs_victim(block) {
-            let (victim, victim_view) = self.storage.choose_victim(block, self.repl);
-            self.storage.remove(victim);
-            if let Some(owner) = victim_view
-                .holders()
-                .first()
-                .copied()
-                .filter(|_| victim_view.is_private())
-            {
+            let (victim, victim_view) = self.storage.take_victim(block, self.repl);
+            if let Some(owner) = victim_view.sole_holder() {
                 // The stash mechanism: drop the entry, keep the copy.
                 self.stats.silent_evictions.incr();
                 EvictionAction::Silent {
@@ -147,7 +142,7 @@ impl DirectoryModel for StashDirectory {
                 self.stats.invalidating_evictions.incr();
                 self.stats
                     .copies_invalidated
-                    .add(victim_view.holders().len() as u64);
+                    .add(victim_view.holder_count() as u64);
                 EvictionAction::Invalidate {
                     block: victim,
                     view: victim_view,

@@ -35,19 +35,34 @@ impl DirView {
     /// `true` when exactly one core is known to hold the block — the
     /// *private block* predicate that decides stash-eviction safety.
     pub fn is_private(&self) -> bool {
+        self.sole_holder().is_some()
+    }
+
+    /// Every core the view names, in ascending core order.
+    pub fn holders(&self) -> impl Iterator<Item = CoreId> + '_ {
+        let (owner, sharers) = match self {
+            DirView::Untracked => (None, None),
+            DirView::Exclusive(owner) => (Some(*owner), None),
+            DirView::Shared(set) => (None, Some(set.iter())),
+        };
+        owner.into_iter().chain(sharers.into_iter().flatten())
+    }
+
+    /// How many cores the view names.
+    pub fn holder_count(&self) -> usize {
         match self {
-            DirView::Exclusive(_) => true,
-            DirView::Shared(set) => set.len() == 1,
-            DirView::Untracked => false,
+            DirView::Untracked => 0,
+            DirView::Exclusive(_) => 1,
+            DirView::Shared(set) => set.len(),
         }
     }
 
-    /// Every core the view names.
-    pub fn holders(&self) -> Vec<CoreId> {
+    /// The one core the view names, if it names exactly one.
+    pub fn sole_holder(&self) -> Option<CoreId> {
         match self {
-            DirView::Untracked => Vec::new(),
-            DirView::Exclusive(owner) => vec![*owner],
-            DirView::Shared(set) => set.iter().collect(),
+            DirView::Untracked => None,
+            DirView::Exclusive(owner) => Some(*owner),
+            DirView::Shared(set) => set.sole_member(),
         }
     }
 }
@@ -283,11 +298,10 @@ pub fn needs_discovery(view: &DirView, stash_bit: bool) -> bool {
 
 /// The probe set for a discovery round: every core except `exclude` (the
 /// requester cannot be the hidden owner — it just missed).
-pub fn discovery_targets(num_cores: u16, exclude: Option<CoreId>) -> Vec<CoreId> {
+pub fn discovery_targets(num_cores: u16, exclude: Option<CoreId>) -> impl Iterator<Item = CoreId> {
     (0..num_cores)
         .map(CoreId::new)
-        .filter(|&c| Some(c) != exclude)
-        .collect()
+        .filter(move |&c| Some(c) != exclude)
 }
 
 /// The discovery intent implied by the triggering request.
@@ -463,10 +477,11 @@ mod tests {
 
     #[test]
     fn discovery_targets_exclude_requester() {
-        let targets = discovery_targets(4, Some(core(2)));
-        let raw: Vec<u16> = targets.iter().map(|c| c.get()).collect();
+        let raw: Vec<u16> = discovery_targets(4, Some(core(2)))
+            .map(CoreId::get)
+            .collect();
         assert_eq!(raw, vec![0, 1, 3]);
-        assert_eq!(discovery_targets(3, None).len(), 3);
+        assert_eq!(discovery_targets(3, None).count(), 3);
     }
 
     #[test]
@@ -489,9 +504,21 @@ mod tests {
 
     #[test]
     fn holders_lists_view_members() {
-        assert!(DirView::Untracked.holders().is_empty());
-        assert_eq!(DirView::Exclusive(core(3)).holders(), vec![core(3)]);
-        assert_eq!(shared(&[1, 4]).holders(), vec![core(1), core(4)]);
+        let holders = |v: &DirView| v.holders().collect::<Vec<_>>();
+        assert!(holders(&DirView::Untracked).is_empty());
+        assert_eq!(holders(&DirView::Exclusive(core(3))), vec![core(3)]);
+        assert_eq!(holders(&shared(&[1, 4])), vec![core(1), core(4)]);
+    }
+
+    #[test]
+    fn holder_count_and_sole_holder() {
+        assert_eq!(DirView::Untracked.holder_count(), 0);
+        assert_eq!(DirView::Untracked.sole_holder(), None);
+        assert_eq!(DirView::Exclusive(core(3)).holder_count(), 1);
+        assert_eq!(DirView::Exclusive(core(3)).sole_holder(), Some(core(3)));
+        assert_eq!(shared(&[5]).sole_holder(), Some(core(5)));
+        assert_eq!(shared(&[1, 4]).holder_count(), 2);
+        assert_eq!(shared(&[1, 4]).sole_holder(), None);
     }
 
     #[test]

@@ -307,6 +307,7 @@ impl Bank {
     pub fn dir_view(&self, block: BlockAddr) -> DirView {
         self.dir
             .lookup(self.dir_key(block))
+            .cloned()
             .unwrap_or(DirView::Untracked)
     }
 

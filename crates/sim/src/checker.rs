@@ -24,7 +24,10 @@
 use crate::machine::Machine;
 use stashdir_common::{BlockAddr, CoreId};
 use stashdir_protocol::{DirView, PrivState};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+
+/// One valid private copy: `(block, core, state, version)`.
+type PrivCopy = (BlockAddr, CoreId, PrivState, u64);
 
 /// Runs every invariant over `machine`, returning human-readable
 /// violation descriptions (empty = clean). `final_check` additionally
@@ -33,30 +36,33 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
     let mut problems = Vec::new();
     let uses_stash = machine.config().dir.uses_stash();
 
-    // Gather every valid private copy: block -> [(core, state, version)].
-    let mut copies: HashMap<BlockAddr, Vec<(CoreId, PrivState, u64)>> = HashMap::new();
+    // Gather every valid private copy into one flat vector, core by core.
+    let total: usize = machine.privs.iter().map(|h| h.l2_entries().count()).sum();
+    let mut copies: Vec<PrivCopy> = Vec::with_capacity(total);
     for hier in &machine.privs {
         let core = hier.core();
-        // I7: L1 ⊆ L2.
-        let l2_blocks: HashSet<BlockAddr> = hier.l2_entries().iter().map(|(b, _)| *b).collect();
+        // I7: L1 ⊆ L2. L2 stores no Invalid line, so Invalid means absent.
         for l1_block in hier.l1_blocks() {
-            if !l2_blocks.contains(&l1_block) {
+            if hier.state_of(l1_block) == PrivState::Invalid {
                 problems.push(format!("I7: {core} holds {l1_block} in L1 but not L2"));
             }
         }
-        for (block, line) in hier.l2_entries() {
-            copies
-                .entry(block)
-                .or_default()
-                .push((core, line.state, line.version));
-        }
+        copies.extend(
+            hier.l2_entries()
+                .map(|(block, line)| (block, core, line.state, line.version)),
+        );
     }
+    // Block order, so violation messages do not depend on cache layout —
+    // checker output feeds failure reports. A core holds a block once,
+    // so `(block, core)` is unique: the unstable sort keeps each block's
+    // copies in core order, as a stable sort by block would, without
+    // the stable sort's scratch buffer.
+    copies.sort_unstable_by_key(|&(block, core, _, _)| (block, core));
 
-    // Sorted so violation messages come out in block order, not hash
-    // order — checker output feeds failure reports.
-    let mut copies_by_block: Vec<_> = copies.iter().collect();
-    copies_by_block.sort_by_key(|(b, _)| **b);
-    for (&block, holders) in copies_by_block {
+    for holders in copies.chunk_by(|a, b| a.0 == b.0) {
+        let Some(&(block, ..)) = holders.first() else {
+            continue;
+        };
         let home = machine.home(block);
         // lint: allow(indexing) — `home()`/`dir_bank_of()` return in-range BankIds.
         let bank = &machine.banks[home.index()];
@@ -67,17 +73,19 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
         let llc_resident = bank.llc_peek(block).is_some();
 
         // I3: single writer.
-        let exclusive_holders: Vec<CoreId> = holders
-            .iter()
-            .filter(|(_, s, _)| s.is_exclusive())
-            .map(|(c, _, _)| *c)
-            .collect();
-        if exclusive_holders.len() > 1 {
+        let exclusive = || {
+            holders
+                .iter()
+                .filter(|(_, _, s, _)| s.is_exclusive())
+                .map(|&(_, c, _, _)| c)
+        };
+        if exclusive().nth(1).is_some() {
+            let exclusive_holders: Vec<CoreId> = exclusive().collect();
             problems.push(format!(
                 "I3: {block} has multiple exclusive holders: {exclusive_holders:?}"
             ));
         }
-        if let Some(first) = exclusive_holders.first() {
+        if let Some(first) = exclusive().next() {
             if holders.len() > 1 {
                 problems.push(format!(
                     "I3: {block} has an exclusive copy at {first} alongside {} other copies",
@@ -94,11 +102,11 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
         }
 
         // I1/I2: directory coverage per holder, plus state agreement.
-        for (core, state, _) in holders {
+        for &(_, core, state, _) in holders {
             let covered = match &view {
                 DirView::Untracked => false,
-                DirView::Exclusive(owner) => owner == core,
-                DirView::Shared(set) => set.contains(*core),
+                DirView::Exclusive(owner) => *owner == core,
+                DirView::Shared(set) => set.contains(core),
             };
             let hidden = uses_stash && stash;
             if !covered && !hidden {
@@ -115,8 +123,8 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
 
         // I5: every valid copy holds the latest version.
         let latest = machine.values.latest(block);
-        for (core, state, version) in holders {
-            if *version != latest {
+        for &(_, core, state, version) in holders {
+            if version != latest {
                 problems.push(format!(
                     "I5: {core} holds {block} ({state}) at version {version}, latest is {latest}"
                 ));
@@ -171,9 +179,10 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
     }
     for (block, latest) in machine.values.written_blocks() {
         let in_copies = copies
-            .get(&block)
-            .map(|hs| hs.iter().any(|(_, _, v)| *v == latest))
-            .unwrap_or(false);
+            .iter()
+            .skip(copies.partition_point(|c| c.0 < block))
+            .take_while(|c| c.0 == block)
+            .any(|c| c.3 == latest);
         let in_wb = wb_versions.get(&block).copied().unwrap_or(0) == latest;
         // lint: allow(indexing) — `home()` returns an in-range BankId.
         let in_llc = machine.banks[machine.home(block).index()]
@@ -384,6 +393,53 @@ mod tests {
             problems.iter().any(|p| p.contains("without an LLC line")),
             "{problems:?}"
         );
+    }
+
+    /// One sparse machine corrupted across four cores and four banks so
+    /// that every check fires at once. The exact messages and their order
+    /// are pinned: failure reports and stall snapshots quote them.
+    #[test]
+    fn every_check_reports_in_a_fixed_order() {
+        let mut m = machine(DirSpec::sparse(CoverageRatio::new(1, 8)));
+        let blk = BlockAddr::new;
+        // Block 0: two exclusive copies, core1's untracked (I3 twice, I1/I2).
+        install_consistent(&mut m, blk(0), 0);
+        m.privs[1].fill(blk(0), Grant::Modified, 0);
+        // Block 1: a tracked copy whose LLC line is gone (I4 twice).
+        install_consistent(&mut m, blk(1), 1);
+        m.banks[1].llc_remove(blk(1));
+        // Block 2: a stale copy and a lost write (I5 twice).
+        install_consistent(&mut m, blk(2), 2);
+        m.values.on_write(CoreId::new(3), blk(2));
+        // Block 3: a tracked block with a stash bit under sparse (stash twice).
+        install_consistent(&mut m, blk(3), 3);
+        m.banks[3].set_stash_bit(blk(3), true);
+        // Block 5: an exclusive copy tracked as shared (I1).
+        install_consistent(&mut m, blk(5), 1);
+        let mut sharers = stashdir_common::SharerSet::new(4);
+        sharers.extend([CoreId::new(1), CoreId::new(2)]);
+        m.banks[1].dir_install(blk(5), DirView::Shared(sharers));
+        // Block 6: core2 keeps an L1 copy without its L2 line (I7).
+        install_consistent(&mut m, blk(6), 2);
+        m.privs[2].drop_l2_line(blk(6));
+        // Block 7: a write whose version no location holds (I5 lost write).
+        m.values.on_write(CoreId::new(0), blk(7));
+
+        let expected = [
+            "I7: core2 holds B0x6 in L1 but not L2",
+            "I3: B0x0 has multiple exclusive holders: [CoreId(0), CoreId(1)]",
+            "I3: B0x0 has an exclusive copy at core0 alongside 1 other copies",
+            "I1/I2: core1 holds B0x0 (M) but bank0 tracks Excl(core0) with stash=false",
+            "I4: B0x1 cached privately but not resident in bank1's LLC",
+            "I5: core2 holds B0x2 (E) at version 0, latest is 1",
+            "I1: core1 holds B0x5 in E but bank1 tracks it as Shared{1,2}",
+            "I4: bank1 tracks B0x1 without an LLC line",
+            "stash: B0x3 has a stash bit under a non-stash directory",
+            "stash: B0x3 is tracked yet keeps its stash bit set",
+            "I5: latest version 1 of B0x2 is unreachable (lost write)",
+            "I5: latest version 2 of B0x7 is unreachable (lost write)",
+        ];
+        assert_eq!(check(&m, true), expected);
     }
 
     #[test]

@@ -254,7 +254,6 @@ impl Machine {
                 let hier = &self.privs[i];
                 let l2 = hier
                     .l2_entries()
-                    .into_iter()
                     .map(|(block, line)| {
                         Value::object(vec![
                             ("block".into(), block.get().into()),
@@ -263,11 +262,7 @@ impl Machine {
                         ])
                     })
                     .collect();
-                let l1 = hier
-                    .l1_blocks()
-                    .into_iter()
-                    .map(|b| b.get().into())
-                    .collect();
+                let l1 = hier.l1_blocks().map(|b| b.get().into()).collect();
                 let wbs = hier
                     .wb_entries()
                     .into_iter()

@@ -59,17 +59,16 @@ impl Machine {
             DirView::Exclusive(_) => Probe::Recall,
             _ => Probe::Inv,
         };
-        let holders = view.holders();
         let home = self.home(block);
         let mut done = t;
-        for &holder in &holders {
+        for holder in view.holders() {
             let (ans, _, rep_arr) = self.exchange(bank, holder, block, probe, t);
             done = done.max(rep_arr);
             if ans.reply == ProbeReply::AckDirtyData {
                 self.banks[home.index()].write_through(block, ans.version);
             }
         }
-        (done, holders.len() as u64)
+        (done, view.holder_count() as u64)
     }
 
     /// Charges the home↔directory-bank indirection when `block`'s entry
