@@ -22,9 +22,8 @@
 //!   at its home.
 
 use crate::machine::Machine;
-use stashdir_common::{BlockAddr, CoreId};
+use stashdir_common::{BlockAddr, CoreId, FxHashMap};
 use stashdir_protocol::{DirView, PrivState};
-use std::collections::HashMap;
 
 /// One valid private copy: `(block, core, state, version)`.
 type PrivCopy = (BlockAddr, CoreId, PrivState, u64);
@@ -170,7 +169,7 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
 
     // I5 reachability: the latest version of every written block exists
     // somewhere.
-    let mut wb_versions: HashMap<BlockAddr, u64> = HashMap::new();
+    let mut wb_versions: FxHashMap<BlockAddr, u64> = FxHashMap::default();
     for hier in &machine.privs {
         for (block, entry) in hier.wb_entries() {
             let best = wb_versions.entry(block).or_insert(0);
@@ -217,7 +216,7 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
             }
         }
         for hier in &machine.privs {
-            if !hier.wb_entries().is_empty() {
+            if hier.has_parked_writebacks() {
                 problems.push(format!(
                     "I6: {} still has parked writebacks at end of run",
                     hier.core()
@@ -235,7 +234,8 @@ mod tests {
     use crate::bank::LlcLine;
     use crate::config::{CoverageRatio, DirSpec, SystemConfig};
     use crate::machine::Machine;
-    use stashdir_common::BlockAddr;
+    use crate::values::ValueTracker;
+    use stashdir_common::{BlockAddr, MemOp};
     use stashdir_protocol::Grant;
 
     /// A fresh, empty machine whose state the tests corrupt by hand.
@@ -254,6 +254,17 @@ mod tests {
 
     fn stash_machine() -> Machine {
         machine(DirSpec::stash(CoverageRatio::new(1, 8)))
+    }
+
+    /// Gives `m` a value tracker over traces that make each listed
+    /// `(core, block)` write the next op of its core, so the tests can
+    /// record those writes by op index.
+    fn track_writes(m: &mut Machine, writes: &[(u16, BlockAddr)]) {
+        let mut traces = vec![Vec::new(); m.config().cores as usize];
+        for &(core, block) in writes {
+            traces[core as usize].push(MemOp::write(block));
+        }
+        m.values = ValueTracker::new(&traces);
     }
 
     /// Installs a fully consistent single-owner block: LLC line, directory
@@ -343,7 +354,8 @@ mod tests {
         let mut m = stash_machine();
         install_consistent(&mut m, BlockAddr::new(0), 0);
         // The tracker believes a newer write exists somewhere.
-        let v = m.values.on_write(CoreId::new(1), BlockAddr::new(0));
+        track_writes(&mut m, &[(1, BlockAddr::new(0))]);
+        let v = m.values.on_write(CoreId::new(1), 0, BlockAddr::new(0));
         assert!(v > 0);
         let problems = check(&m, false);
         assert!(problems.iter().any(|p| p.starts_with("I5")), "{problems:?}");
@@ -353,7 +365,8 @@ mod tests {
     fn detects_lost_latest_write() {
         let mut m = stash_machine();
         // A write happened but no location holds its version.
-        m.values.on_write(CoreId::new(0), BlockAddr::new(7));
+        track_writes(&mut m, &[(0, BlockAddr::new(7))]);
+        m.values.on_write(CoreId::new(0), 0, BlockAddr::new(7));
         let problems = check(&m, false);
         assert!(
             problems.iter().any(|p| p.contains("lost write")),
@@ -364,7 +377,8 @@ mod tests {
     #[test]
     fn latest_in_dram_is_reachable() {
         let mut m = stash_machine();
-        let v = m.values.on_write(CoreId::new(0), BlockAddr::new(7));
+        track_writes(&mut m, &[(0, BlockAddr::new(7))]);
+        let v = m.values.on_write(CoreId::new(0), 0, BlockAddr::new(7));
         m.dram_store.insert(BlockAddr::new(7), v);
         assert!(check(&m, false).is_empty());
     }
@@ -402,6 +416,7 @@ mod tests {
     fn every_check_reports_in_a_fixed_order() {
         let mut m = machine(DirSpec::sparse(CoverageRatio::new(1, 8)));
         let blk = BlockAddr::new;
+        track_writes(&mut m, &[(3, blk(2)), (0, blk(7))]);
         // Block 0: two exclusive copies, core1's untracked (I3 twice, I1/I2).
         install_consistent(&mut m, blk(0), 0);
         m.privs[1].fill(blk(0), Grant::Modified, 0);
@@ -410,7 +425,7 @@ mod tests {
         m.banks[1].llc_remove(blk(1));
         // Block 2: a stale copy and a lost write (I5 twice).
         install_consistent(&mut m, blk(2), 2);
-        m.values.on_write(CoreId::new(3), blk(2));
+        m.values.on_write(CoreId::new(3), 0, blk(2));
         // Block 3: a tracked block with a stash bit under sparse (stash twice).
         install_consistent(&mut m, blk(3), 3);
         m.banks[3].set_stash_bit(blk(3), true);
@@ -423,7 +438,7 @@ mod tests {
         install_consistent(&mut m, blk(6), 2);
         m.privs[2].drop_l2_line(blk(6));
         // Block 7: a write whose version no location holds (I5 lost write).
-        m.values.on_write(CoreId::new(0), blk(7));
+        m.values.on_write(CoreId::new(0), 0, blk(7));
 
         let expected = [
             "I7: core2 holds B0x6 in L1 but not L2",

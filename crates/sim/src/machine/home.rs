@@ -413,13 +413,14 @@ impl Machine {
                 // lint: allow(expect) — protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state.
                 .expect("demand completion matches a pending op");
             debug_assert_eq!(op.block, block);
+            let op_index = self.cores.current_op(requester);
             let done = match op.kind {
                 MemOpKind::Read => {
-                    self.values.on_read(requester, block, version);
+                    self.values.on_read(requester, op_index, block, version);
                     self.deliver(bank_id.node(), requester.node(), DATA_FLITS, "data", ready)
                 }
                 MemOpKind::Write => {
-                    let v = self.values.on_write(requester, block);
+                    let v = self.values.on_write(requester, op_index, block);
                     self.banks[bank_id.index()].write_through(block, v);
                     self.deliver(
                         bank_id.node(),

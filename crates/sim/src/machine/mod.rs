@@ -74,6 +74,13 @@ impl CoreTable {
     pub(crate) fn len(&self) -> usize {
         self.pc.len()
     }
+
+    /// Index in `core`'s trace of its current op: the one in flight, or
+    /// the hit just issued. A core has one op in flight, so this is the
+    /// same index at issue and at completion.
+    pub(crate) fn current_op(&self, core: CoreId) -> usize {
+        self.pc[core.index()] - 1
+    }
 }
 
 /// A queued event: what handlers consume, what the diagnostic ring
@@ -112,8 +119,11 @@ pub struct Machine {
     /// Per-bank controller pipeline availability, dense by `BankId`.
     bank_free: Vec<Cycle>,
     /// Per-block transaction serialization windows (all banks; a block
-    /// is only ever held at its home, so one map cannot collide).
+    /// is only ever held at its home, so one map cannot collide). Holds
+    /// only windows that may still be live; see [`Machine::sweep_busy`].
     block_busy: FxHashMap<BlockAddr, Cycle>,
+    /// `block_busy` size at which the next sweep of expired windows runs.
+    busy_sweep_at: usize,
     pub(crate) dram: DramModel,
     pub(crate) dram_store: FxHashMap<BlockAddr, u64>,
     pub(crate) values: ValueTracker,
@@ -182,9 +192,10 @@ impl Machine {
             banks,
             bank_free: vec![Cycle::ZERO; nodes],
             block_busy: FxHashMap::default(),
+            busy_sweep_at: nodes,
             dram: DramModel::new(config.dram),
             dram_store: FxHashMap::default(),
-            values: ValueTracker::new(),
+            values: ValueTracker::new(&[]),
             dls_shared: FxHashSet::default(),
             queue: EventQueue::new(),
             bank_bits,
@@ -261,29 +272,12 @@ impl Machine {
             self.cfg.cores as usize,
             "need exactly one trace per core"
         );
-        self.cores = CoreTable::new(traces);
-        for c in 0..self.cfg.cores {
-            self.queue.push(Cycle::ZERO, Event::Issue(CoreId::new(c)));
-        }
+        self.start(traces);
         let mut last = Cycle::ZERO;
         while let Some((now, event)) = self.queue.pop() {
             debug_assert!(now >= last, "time went backwards");
             last = now;
-            if self.faults.is_some() {
-                self.recent_events.push(now, event);
-                if self.watchdog_tripped(now) {
-                    break;
-                }
-            }
-            if now >= self.next_sample {
-                self.record_sample(now);
-                self.next_sample = now + self.cfg.timeline_interval;
-            }
-            match event {
-                Event::Issue(core) => self.handle_issue(core, now),
-                Event::BankMsg(msg) => self.handle_bank_msg(msg, now),
-            }
-            if self.quiesced {
+            if !self.step(now, event) {
                 break;
             }
         }
@@ -302,6 +296,36 @@ impl Machine {
             }
         }
         self.build_report(violations)
+    }
+
+    /// Installs the traces, builds the value tracker over them and
+    /// schedules every core's first issue.
+    fn start(&mut self, traces: Vec<Vec<MemOp>>) {
+        self.values = ValueTracker::new(&traces);
+        self.cores = CoreTable::new(traces);
+        for c in 0..self.cfg.cores {
+            self.queue.push(Cycle::ZERO, Event::Issue(CoreId::new(c)));
+        }
+    }
+
+    /// Handles one popped event. Returns false when the run must stop:
+    /// the watchdog tripped or a detection quiesced the machine.
+    fn step(&mut self, now: Cycle, event: Event) -> bool {
+        if self.faults.is_some() {
+            self.recent_events.push(now, event);
+            if self.watchdog_tripped(now) {
+                return false;
+            }
+        }
+        if now >= self.next_sample {
+            self.record_sample(now);
+            self.next_sample = now + self.cfg.timeline_interval;
+        }
+        match event {
+            Event::Issue(core) => self.handle_issue(core, now),
+            Event::BankMsg(msg) => self.handle_bank_msg(msg, now),
+        }
+        !self.quiesced
     }
 
     // ---- plumbing ----
@@ -379,6 +403,20 @@ impl Machine {
         *slot = (*slot).max(until);
     }
 
+    /// Drops the busy windows that ended by `now` once the map has
+    /// doubled since the last sweep (never below one window per core).
+    /// Events pop in time order and every read of a window goes through
+    /// `now.max(..)`, so an expired window and an absent one read alike;
+    /// sweeping keeps the map near the number of in-flight transactions
+    /// instead of every block ever touched, at amortised O(1) per hold.
+    fn sweep_busy(&mut self, now: Cycle) {
+        if self.block_busy.len() < self.busy_sweep_at {
+            return;
+        }
+        self.block_busy.retain(|_, until| *until > now);
+        self.busy_sweep_at = (2 * self.block_busy.len()).max(self.nodes);
+    }
+
     // ---- core side ----
 
     fn handle_issue(&mut self, core: CoreId, now: Cycle) {
@@ -396,6 +434,7 @@ impl Machine {
             self.cores.finish[i] = Some(now);
             return;
         };
+        let op_index = self.cores.pc[i];
         self.cores.pc[i] += 1;
         let t = now + op.think as u64;
         self.witness_local(core, op);
@@ -404,9 +443,9 @@ impl Machine {
                 latency, version, ..
             } => {
                 match op.kind {
-                    MemOpKind::Read => self.values.on_read(core, op.block, version),
+                    MemOpKind::Read => self.values.on_read(core, op_index, op.block, version),
                     MemOpKind::Write => {
-                        let v = self.values.on_write(core, op.block);
+                        let v = self.values.on_write(core, op_index, op.block);
                         self.privs[i].record_write(op.block, v);
                     }
                 }
@@ -449,6 +488,7 @@ impl Machine {
         if self.quiesced {
             return;
         }
+        self.sweep_busy(now);
         self.transactions += 1;
         // State-corruption faults land between transactions — the same
         // quiesced boundary the checker runs on — and force an immediate
@@ -515,13 +555,15 @@ impl Machine {
             data_version
         };
 
+        let op_index = self.cores.current_op(requester);
         if matches!(grant, Grant::Exclusive | Grant::Modified) {
-            self.values.on_exclusive_grant(requester, op.block, version);
+            self.values
+                .on_exclusive_grant(requester, op_index, op.block, version);
         }
         match op.kind {
-            MemOpKind::Read => self.values.on_read(requester, op.block, version),
+            MemOpKind::Read => self.values.on_read(requester, op_index, op.block, version),
             MemOpKind::Write => {
-                let v = self.values.on_write(requester, op.block);
+                let v = self.values.on_write(requester, op_index, op.block);
                 self.privs[requester.index()].record_write(op.block, v);
             }
         }
@@ -765,6 +807,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Four cores stream 1 024 distinct blocks, 256 times the core count,
+    /// with writes so that writebacks hold windows too. Expired busy
+    /// windows are swept, so the map never holds more than a few windows
+    /// per core.
+    #[test]
+    fn busy_windows_stay_near_the_in_flight_count() {
+        let cores = 4;
+        let mut traces = no_ops(cores);
+        for (c, trace) in traces.iter_mut().enumerate() {
+            for i in 0..256u64 {
+                let block = BlockAddr::new(i * cores as u64 + c as u64);
+                let op = if i % 3 == 0 {
+                    MemOp::write(block)
+                } else {
+                    MemOp::read(block)
+                };
+                trace.push(op.with_think((i % 5) as u32));
+            }
+        }
+        let mut m = Machine::new(tiny(DirSpec::stash(CoverageRatio::new(1, 8))));
+        m.start(traces);
+        let mut peak = 0;
+        while let Some((now, event)) = m.queue.pop() {
+            assert!(m.step(now, event));
+            peak = peak.max(m.block_busy.len());
+        }
+        assert_eq!(m.cores.ops_done.iter().sum::<u64>(), 1024);
+        assert!(
+            peak <= 4 * cores as usize,
+            "{peak} busy windows on a {cores}-core machine"
+        );
     }
 
     #[test]

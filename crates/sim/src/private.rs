@@ -398,6 +398,11 @@ impl PrivateHier {
         self.l2.remove(block);
     }
 
+    /// Whether any eviction is still parked awaiting its `Put`.
+    pub fn has_parked_writebacks(&self) -> bool {
+        !self.wb.is_empty()
+    }
+
     /// Snapshot of parked writebacks.
     pub fn wb_entries(&self) -> Vec<(BlockAddr, WbEntry)> {
         let mut v: Vec<_> = self.wb.iter().map(|(b, e)| (*b, *e)).collect();
