@@ -81,6 +81,19 @@ e20_rows=$(tail -n +2 "$e20_dir/results/e20_scaling_xl.csv" | cut -d, -f2 | sort
   || { echo "E20 smoke FAILED: core counts in CSV:"; echo "$e20_rows"; exit 1; }
 rm -rf "$e20_dir"
 
+# E16 timeline: the one-case time-series experiment at the default ops
+# and seed (pinned, so STASHDIR_OPS/STASHDIR_SEED cannot move them),
+# from a scratch cwd so the committed CSV is not clobbered; its CSV must
+# match the committed results/e16_timeline.csv byte for byte.
+echo "== E16 timeline"
+e16_dir=$(mktemp -d)
+(cd "$e16_dir" && cargo run -q --manifest-path "$repo_root/Cargo.toml" \
+  -p stashdir-harness --offline --bin sweep -- \
+  --plan timeline --run ci_timeline --ops 10000 --seed 7 --no-progress >/dev/null)
+cmp "$e16_dir/results/e16_timeline.csv" results/e16_timeline.csv \
+  || { echo "E16 FAILED: e16_timeline.csv differs from the committed file"; exit 1; }
+rm -rf "$e16_dir"
+
 # Chaos campaign smoke (E19): a short budgeted coverage-guided campaign
 # from a scratch cwd against the freshly written protocol model. Passes
 # when composing fault classes pairwise still catches all 7 (the E17
@@ -108,7 +121,7 @@ rm -rf "$e19_dir"
 # end, and a bad directory spec or core count exits 1 with a named
 # error instead of panicking.
 echo "== simulate smoke"
-simulate() { cargo run -q --offline -p stashdir-bench --bin simulate -- "$@"; }
+simulate() { cargo run -q --offline -p stashdir-harness --bin simulate -- "$@"; }
 simulate --dir limited-ptr2@1/8 --cores 4 --ops 200 >/dev/null 2>&1 \
   || { echo "simulate smoke FAILED: limited-ptr2@1/8 run"; exit 1; }
 check_rejects() {

@@ -212,50 +212,15 @@ pub fn case_path(run_dir: &Path, case_id: &str) -> PathBuf {
     run_dir.join("cases").join(format!("{case_id}.json"))
 }
 
-/// How per-case artifacts are rendered on disk. Both styles parse back
-/// identically; the choice only trades readability for size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArtifactStyle {
-    /// Two-space-indented JSON — diff-friendly, the default.
-    #[default]
-    Pretty,
-    /// Single-line JSON — substantially smaller for big sweeps,
-    /// especially with timelines on (`--compact-artifacts`).
-    Compact,
-}
-
-/// Writes a case's report artifact (creating `cases/` as needed) in the
-/// default pretty style.
+/// Writes a case's report artifact (creating `cases/` as needed) as
+/// pretty-printed JSON.
 ///
 /// # Errors
 ///
 /// Returns any underlying I/O error.
 pub fn save_report(run_dir: &Path, case_id: &str, report: &SimReport) -> io::Result<PathBuf> {
-    save_report_styled(run_dir, case_id, report, ArtifactStyle::Pretty)
-}
-
-/// Writes a case's report artifact in the given style.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn save_report_styled(
-    run_dir: &Path,
-    case_id: &str,
-    report: &SimReport,
-    style: ArtifactStyle,
-) -> io::Result<PathBuf> {
     let path = case_path(run_dir, case_id);
-    let value = report_to_json(report);
-    let text = match style {
-        ArtifactStyle::Pretty => value.render_pretty(),
-        ArtifactStyle::Compact => {
-            let mut t = value.render();
-            t.push('\n');
-            t
-        }
-    };
-    crate::fsio::write_atomic(&path, &text)?;
+    crate::fsio::write_atomic(&path, &report_to_json(report).render_pretty())?;
     Ok(path)
 }
 
@@ -402,22 +367,5 @@ mod tests {
         assert!(text.contains("\"coverage\""));
         let back = report_from_json(&Value::parse(&text).unwrap()).unwrap();
         assert_eq!(back.coverage, r.coverage);
-    }
-
-    #[test]
-    fn compact_artifacts_round_trip_and_shrink() {
-        let dir = std::env::temp_dir().join(format!("stashdir_artifact_c_{}", std::process::id()));
-        let r = sample_report();
-        let pretty = save_report_styled(&dir, "case-p", &r, ArtifactStyle::Pretty).unwrap();
-        let compact = save_report_styled(&dir, "case-c", &r, ArtifactStyle::Compact).unwrap();
-        let back = load_report(&dir, "case-c").unwrap();
-        assert_eq!(back.cycles, r.cycles);
-        assert_eq!(back.sink, r.sink);
-        assert_eq!(back.timeline, r.timeline);
-        let pretty_len = std::fs::metadata(&pretty).unwrap().len();
-        let compact_text = std::fs::read_to_string(&compact).unwrap();
-        assert!((compact_text.len() as u64) < pretty_len);
-        assert_eq!(compact_text.trim_end().lines().count(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -91,11 +91,6 @@ fn main() -> ExitCode {
     cfg.plateau = plateau;
     cfg.model_path = model_path;
     cfg.options = sweep.options.clone();
-    cfg.persist.style = if sweep.compact_artifacts {
-        stashdir_harness::artifact::ArtifactStyle::Compact
-    } else {
-        stashdir_harness::artifact::ArtifactStyle::Pretty
-    };
 
     let outcome = match run_campaign(&cfg) {
         Ok(o) => o,

@@ -1,4 +1,4 @@
-//! The parallel experiment sweep: runs any subset of the E1–E14 suite —
+//! The parallel experiment sweep: runs any subset of the E1–E20 suite —
 //! or all of it — in one invocation, deduplicating shared cases across
 //! experiments and spreading them over every host core.
 //!
@@ -26,7 +26,7 @@ fn usage() -> String {
     format!(
         "usage: sweep [--plan <k1,k2,...> | --all] [options]\n\
          \x20 --plan <keys>        comma-separated experiment keys (see --list)\n\
-         \x20 --all                the full E1-E14 suite (default)\n\
+         \x20 --all                the full E1-E20 suite (default)\n\
          \x20 --list               list experiment keys and exit\n{}",
         common_usage()
     )

@@ -28,7 +28,7 @@ use crate::fsio::write_atomic;
 use crate::params::Params;
 use crate::plan::{derive_seed, CaseSpec};
 use crate::pool::RunOptions;
-use crate::runner::{execute_cases, PersistOptions};
+use crate::runner::execute_cases;
 use stashdir::common::json::Value;
 use stashdir::protocol::model::ReachableModel;
 use stashdir::{
@@ -66,9 +66,6 @@ pub struct CampaignConfig {
     pub model_path: Option<PathBuf>,
     /// Pool options (jobs, progress, timeouts).
     pub options: RunOptions,
-    /// Artifact persistence (campaigns force `resume` internally so
-    /// later rounds reuse earlier rounds' artifacts).
-    pub persist: PersistOptions,
 }
 
 impl CampaignConfig {
@@ -82,7 +79,6 @@ impl CampaignConfig {
             plateau: 2,
             model_path: None,
             options: RunOptions::default(),
-            persist: PersistOptions::default(),
         }
     }
 }
@@ -866,10 +862,6 @@ fn minimized_artifact(m: &MinimizedFailure) -> Value {
 /// coverage artifact, and `InvalidData` for an unparseable model.
 pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignOutcome> {
     let (model, origin) = load_model(cfg.model_path.as_deref())?;
-    let persist = PersistOptions {
-        resume: true,
-        style: cfg.persist.style,
-    };
     let mut all_cases: Vec<CaseSpec> = Vec::new();
     let mut acc: CoverageMap = CoverageMap::new();
     let mut results: ResultSet = ResultSet::new();
@@ -901,7 +893,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignOutcome> {
             vec!["campaign".to_string()],
             cfg.params,
             &cfg.options,
-            persist,
+            // Later rounds reuse earlier rounds' artifacts.
+            true,
         )?;
         *failed = exec.failed + exec.timed_out;
         acc.clear();

@@ -1,20 +1,20 @@
 //! The experiment registry: every table and figure of the reproduction
-//! (E1–E15 plus the E17 chaos smoke and the E18 equal-area shoot-out)
-//! expressed as *data* — a function contributing simulation
-//! cases to a run, and a function assembling the table back out of the
-//! shared result set.
+//! (E1–E20, from the configuration table to the E16 timeline, the E17
+//! chaos smoke and the E18 equal-area shoot-out) expressed as *data* — a
+//! function contributing simulation cases to a run, and a function
+//! assembling the table back out of the shared result set.
 //!
-//! This is what replaces the per-binary serial grid loops: the sweep
-//! collects cases from every selected experiment, deduplicates them by
-//! [`CaseSpec::id`] (E3's full-map ideals are E7's and E13's too), runs
-//! the union once on the pool, and then each experiment assembles its
-//! table from the same results a serial run would have produced — the
-//! tables and CSVs are identical, column for column.
+//! The sweep collects cases from every selected experiment, deduplicates
+//! them by [`CaseSpec::id`] (E3's full-map ideals are E7's and E13's
+//! too), runs the union once on the pool, and then each experiment
+//! assembles its table from the same results a serial run would have
+//! produced — the tables and CSVs are identical, column for column.
 
 use crate::campaign;
 use crate::params::{geomean, machine_with, Params};
 use crate::plan::CaseSpec;
 use crate::table::{f2, f3, n0, Table};
+use stashdir::sim::report::TimelineSample;
 use stashdir::{
     expected_detector, Characterization, CostParams, CoverageRatio, DirReplPolicy, DirSpec,
     EnergyCounts, EnergyModel, FaultClass, FaultConfig, SharerFormat, SimReport, SystemConfig,
@@ -76,9 +76,7 @@ impl Experiment {
     }
 }
 
-/// All experiments, in suite order (E1..E15, then the E17 chaos smoke,
-/// the E18 equal-area shoot-out and the E19 chaos-campaign static
-/// rounds; E16 remains a standalone bench binary).
+/// All experiments, in suite order (E1..E20).
 pub fn registry() -> Vec<Experiment> {
     vec![
         Experiment {
@@ -200,6 +198,14 @@ pub fn registry() -> Vec<Experiment> {
             summary: "limited-pointer sharer formats on the stash directory",
             cases_fn: e15_cases,
             assemble_fn: e15_assemble,
+        },
+        Experiment {
+            key: "timeline",
+            code: "E16",
+            csv: "e16_timeline",
+            summary: "stash@1/8 occupancy, hide and discovery time series",
+            cases_fn: |p| vec![e16_case(p)],
+            assemble_fn: e16_assemble,
         },
         Experiment {
             key: "chaos_smoke",
@@ -1068,6 +1074,79 @@ fn e15_assemble(p: Params, results: &ResultSet) -> Assembled {
     Assembled { table, note: None }
 }
 
+// ---------------------------------------------------------------- E16
+
+/// Cycles between E16 timeline samples.
+const E16_INTERVAL: u64 = 50_000;
+
+/// The one E16 run: stash@1/8 on canneal with the timeline sampler on.
+fn e16_case(p: Params) -> CaseSpec {
+    let cfg = machine_with(DirSpec::stash(eighth())).with_timeline(E16_INTERVAL);
+    CaseSpec::new(cfg, Workload::Canneal, p.ops, p.seed)
+}
+
+/// A unicode sparkline of `values` scaled to their max.
+fn sparkline(values: impl Iterator<Item = u64>) -> String {
+    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    let values: Vec<u64> = values.collect();
+    let max = values.iter().copied().max().unwrap_or(0).max(1);
+    values
+        .iter()
+        .map(|&v| BARS[(v * 7 / max) as usize])
+        .collect()
+}
+
+fn e16_assemble(p: Params, results: &ResultSet) -> Assembled {
+    let spec = e16_case(p);
+    let r = report(results, &spec);
+    let capacity = spec.config.dir_slice().entries() * spec.config.cores as usize;
+    let mut table = Table::new(
+        format!(
+            "E16 / Fig M — stash@1/8 time series on {} (sampled every {}k cycles)",
+            spec.workload,
+            E16_INTERVAL / 1000
+        ),
+        &[
+            "cycle",
+            "dir_occ",
+            "occ_%",
+            "ops",
+            "silent_cum",
+            "inval_cum",
+            "disc_cum",
+        ],
+    );
+    for s in &r.timeline {
+        table.row(vec![
+            s.cycle.to_string(),
+            s.dir_occupancy.to_string(),
+            format!("{:.0}%", 100.0 * s.dir_occupancy as f64 / capacity as f64),
+            s.ops.to_string(),
+            n0(s.silent_evictions as f64),
+            n0(s.invalidating_evictions as f64),
+            n0(s.discoveries as f64),
+        ]);
+    }
+    // Per-interval rates of the cumulative counters.
+    let deltas = |f: fn(&TimelineSample) -> u64| {
+        r.timeline
+            .windows(2)
+            .map(move |w| f(&w[1]).saturating_sub(f(&w[0])))
+    };
+    Assembled {
+        table,
+        note: Some(format!(
+            "occupancy  {}\nhides/int  {}\ndisc/int   {}\n\n\
+             {} samples over {} cycles; directory capacity {capacity} entries.",
+            sparkline(r.timeline.iter().map(|s| s.dir_occupancy)),
+            sparkline(deltas(|s| s.silent_evictions)),
+            sparkline(deltas(|s| s.discoveries)),
+            r.timeline.len(),
+            r.cycles,
+        )),
+    }
+}
+
 // ---------------------------------------------------------------- E17
 
 /// Chaos-smoke params: a capped op count keeps the gate fast even when
@@ -1469,19 +1548,40 @@ mod tests {
     #[test]
     fn registry_keys_and_csvs_are_unique() {
         let reg = registry();
-        assert_eq!(reg.len(), 19);
+        assert_eq!(reg.len(), 20);
         let mut keys: Vec<_> = reg.iter().map(|e| e.key).collect();
         keys.sort_unstable();
         keys.dedup();
-        assert_eq!(keys.len(), 19, "duplicate experiment key");
+        assert_eq!(keys.len(), 20, "duplicate experiment key");
         let mut csvs: Vec<_> = reg.iter().map(|e| e.csv).collect();
         csvs.sort_unstable();
         csvs.dedup();
-        assert_eq!(csvs.len(), 19, "duplicate csv stem");
+        assert_eq!(csvs.len(), 20, "duplicate csv stem");
         let mut codes: Vec<_> = reg.iter().map(|e| e.code).collect();
         codes.sort_unstable();
         codes.dedup();
-        assert_eq!(codes.len(), 19, "duplicate experiment code");
+        assert_eq!(codes.len(), 20, "duplicate experiment code");
+    }
+
+    /// `sweep --all` regenerates every committed `results/e*.csv`: each
+    /// CSV stem there belongs to a registered experiment.
+    #[test]
+    fn registry_covers_every_committed_csv() {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let csvs: Vec<&str> = registry().iter().map(|e| e.csv).collect();
+        let mut committed = 0;
+        for entry in std::fs::read_dir(&results).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            let Some(stem) = name.strip_suffix(".csv") else {
+                continue;
+            };
+            if !stem.starts_with('e') {
+                continue;
+            }
+            committed += 1;
+            assert!(csvs.contains(&stem), "{name} has no registry entry");
+        }
+        assert_eq!(committed, csvs.len(), "a registered csv is not committed");
     }
 
     /// Every registered backend fields an E18 contender, and every
@@ -1575,6 +1675,29 @@ mod tests {
             "{note}\n{}",
             a.table.render()
         );
+    }
+
+    /// E16 is one timeline case: a CSV row per sample, and the
+    /// sparklines and sample count in the note.
+    #[test]
+    fn timeline_assembles_a_row_per_sample() {
+        let p = Params {
+            ops: 3_000,
+            seed: 7,
+        };
+        let exp = find("timeline").unwrap();
+        let cases = exp.cases(p);
+        assert_eq!(cases.len(), 1);
+        let outcomes = crate::pool::run_cases(&cases, &crate::pool::RunOptions::default());
+        let report = outcomes[0].report.clone().expect("timeline case completes");
+        let samples = report.timeline.len();
+        assert!(samples > 2, "expected several samples, got {samples}");
+        let results: ResultSet = [(cases[0].id(), report)].into_iter().collect();
+        let a = exp.assemble(p, &results);
+        assert_eq!(a.table.to_csv().lines().count(), samples + 1);
+        let note = a.note.expect("timeline note");
+        assert_eq!(note.lines().count(), 5, "{note}");
+        assert!(note.contains(&format!("{samples} samples over")), "{note}");
     }
 
     #[test]

@@ -27,9 +27,6 @@ pub struct CaseRecord {
     pub status: CaseStatus,
     /// Simulation wall time in milliseconds.
     pub duration_ms: u64,
-    /// Attempts made this invocation (`0` = skipped or resumed; more
-    /// than 1 means the retry loop re-ran a flaky failure).
-    pub attempts: u32,
     /// Captured error for failed cases.
     pub error: Option<String>,
 }
@@ -92,7 +89,6 @@ impl RunManifest {
                     digest: digest::hex(o.spec.digest()),
                     status: o.status,
                     duration_ms: o.duration.as_millis() as u64,
-                    attempts: o.attempts,
                     error: o.error.clone(),
                 })
                 .collect(),
@@ -110,7 +106,6 @@ impl RunManifest {
                     ("digest".to_string(), Value::from(c.digest.as_str())),
                     ("status".to_string(), Value::from(c.status.as_str())),
                     ("duration_ms".to_string(), Value::from(c.duration_ms)),
-                    ("attempts".to_string(), Value::from(c.attempts as u64)),
                 ];
                 if let Some(e) = &c.error {
                     fields.push(("error".to_string(), Value::from(e.as_str())));
@@ -143,7 +138,9 @@ impl RunManifest {
         ])
     }
 
-    /// Rebuilds a manifest from its JSON tree.
+    /// Rebuilds a manifest from its JSON tree. Unknown keys are ignored,
+    /// so manifests from older harnesses (which recorded a per-case
+    /// `attempts` count) still resume.
     pub fn from_json(value: &Value) -> Option<Self> {
         let cases = value
             .get("cases")?
@@ -155,9 +152,6 @@ impl RunManifest {
                     digest: c.get("digest")?.as_str()?.to_string(),
                     status: CaseStatus::parse(c.get("status")?.as_str()?)?,
                     duration_ms: c.get("duration_ms")?.as_u64()?,
-                    // Absent in manifests written before attempts were
-                    // recorded; one attempt is the only possibility there.
-                    attempts: c.get("attempts").and_then(Value::as_u64).unwrap_or(1) as u32,
                     error: c.get("error").and_then(Value::as_str).map(str::to_string),
                 })
             })
@@ -237,7 +231,6 @@ mod tests {
             spec: CaseSpec::new(SystemConfig::default(), Workload::Uniform, 10, seed),
             status,
             duration: Duration::from_millis(40),
-            attempts: 1,
             report: None,
             error: (status == CaseStatus::Failed).then(|| "boom".to_string()),
         }
@@ -265,6 +258,26 @@ mod tests {
         assert_eq!(back.cases[1].status, CaseStatus::Failed);
         assert_eq!(back.cases[1].error.as_deref(), Some("boom"));
         assert_eq!(back.experiments, vec!["perf_vs_coverage".to_string()]);
+    }
+
+    #[test]
+    fn manifest_with_an_attempts_count_still_parses() {
+        let m = RunManifest::from_outcomes(
+            "t",
+            vec![],
+            10,
+            7,
+            1,
+            Duration::from_millis(10),
+            &[outcome(1, CaseStatus::Completed)],
+        );
+        let text = m.to_json().render_pretty().replace(
+            "\"duration_ms\": 40",
+            "\"duration_ms\": 40,\n      \"attempts\": 1",
+        );
+        assert!(text.contains("\"attempts\""));
+        let back = RunManifest::from_json(&Value::parse(&text).unwrap()).expect("old manifest");
+        assert_eq!(back.cases[0].status, CaseStatus::Completed);
     }
 
     #[test]

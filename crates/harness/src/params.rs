@@ -1,6 +1,6 @@
-//! Shared run parameters and the single-case entry point.
+//! Shared run parameters and small helpers the experiments share.
 
-use stashdir::{DirSpec, Machine, SimReport, SystemConfig, Workload};
+use stashdir::{DirSpec, SystemConfig};
 
 /// Shared run parameters, overridable from the environment
 /// (`STASHDIR_OPS`, `STASHDIR_SEED`).
@@ -29,15 +29,6 @@ fn env_parse<T: std::str::FromStr>(key: &str, default: T) -> T {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Runs one configuration over one workload and asserts the run was
-/// coherent.
-pub fn run_case(config: SystemConfig, workload: Workload, params: Params) -> SimReport {
-    let traces = workload.generate(config.cores, params.ops, params.seed);
-    let report = Machine::new(config).run(traces);
-    report.assert_clean();
-    report
 }
 
 /// Convenience: the default 16-core machine with `dir`.

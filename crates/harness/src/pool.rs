@@ -1,24 +1,22 @@
-//! The parallel case executor: a work-stealing worker pool on
-//! `std::thread` with per-case panic isolation and fail-fast
-//! cancellation.
+//! The parallel case executor: a worker pool on `std::thread` with
+//! per-case panic isolation and fail-fast cancellation.
 //!
-//! Each worker owns a deque seeded round-robin with case indices; when a
-//! worker drains its own deque it steals from the back of its siblings',
-//! so long-running cases (big core counts, slow workloads) don't strand
-//! idle workers behind a static partition. A case that panics — a
-//! coherence violation tripping `assert_clean`, a bug in a directory
-//! model — is caught on the worker, recorded as a [`CaseStatus::Failed`]
-//! outcome, and the rest of the sweep continues (or is cancelled, with
-//! `fail_fast`).
+//! Workers claim the next case index from one shared atomic cursor, so
+//! long-running cases (big core counts, slow workloads) don't strand
+//! idle workers behind a static partition. Each case runs once: the
+//! simulator is deterministic, so a second attempt would only repeat the
+//! first. A case that panics — a coherence violation tripping
+//! `assert_clean`, a bug in a directory model — is caught on the worker,
+//! recorded as a [`CaseStatus::Failed`] outcome, and the rest of the
+//! sweep continues (or is cancelled, with `fail_fast`).
 
 use crate::plan::CaseSpec;
 use crate::progress::Progress;
 use stashdir::{Machine, SimReport};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Mutex, Once};
+use std::sync::Once;
 use std::time::{Duration, Instant};
 
 /// Thread-name prefix for pool workers; the installed panic hook mutes
@@ -37,18 +35,9 @@ pub struct RunOptions {
     /// thread; a case that outlives the budget is recorded
     /// [`CaseStatus::TimedOut`] and abandoned (the worker moves on).
     pub timeout: Option<Duration>,
-    /// Extra attempts for a failed or timed-out case (flaky-failure
-    /// discipline; `0` = single attempt).
-    pub retries: u32,
-    /// Base backoff between attempts; attempt `n` sleeps `backoff * n`
-    /// before re-running.
-    pub backoff: Duration,
     /// Test hook: panic inside any case whose id contains this substring
     /// (exercises the panic-isolation path end to end).
     pub inject_panic: Option<String>,
-    /// Test hook: panic on the *first* attempt only of any case whose id
-    /// contains this substring (exercises the retry path end to end).
-    pub inject_flaky: Option<String>,
     /// Test hook: hang forever inside any case whose id contains this
     /// substring (exercises the timeout watchdog end to end; only
     /// meaningful with `timeout` set).
@@ -104,14 +93,9 @@ impl CaseStatus {
             _ => None,
         }
     }
-
-    /// `true` for the statuses the retry loop re-runs.
-    pub fn retryable(self) -> bool {
-        matches!(self, CaseStatus::Failed | CaseStatus::TimedOut)
-    }
 }
 
-/// The result of attempting one case.
+/// The result of running one case.
 #[derive(Debug)]
 pub struct CaseOutcome {
     /// The case that ran.
@@ -120,9 +104,6 @@ pub struct CaseOutcome {
     pub status: CaseStatus,
     /// Wall-clock time spent simulating (zero for skipped cases).
     pub duration: Duration,
-    /// Attempts actually made (`0` for skipped cases, `1` normally,
-    /// more when the retry loop re-ran a flaky failure).
-    pub attempts: u32,
     /// The report, when completed.
     pub report: Option<SimReport>,
     /// The captured panic message, when failed.
@@ -158,11 +139,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fault hooks threaded into each attempt (test-only behaviors).
+/// Fault hooks threaded into each case (test-only behaviors).
 #[derive(Debug, Clone, Default)]
 struct Hooks {
     panic: Option<String>,
-    flaky: Option<String>,
     hang: Option<String>,
 }
 
@@ -170,7 +150,6 @@ impl Hooks {
     fn from_options(opts: &RunOptions) -> Hooks {
         Hooks {
             panic: opts.inject_panic.clone(),
-            flaky: opts.inject_flaky.clone(),
             hang: opts.inject_hang.clone(),
         }
     }
@@ -180,19 +159,12 @@ impl Hooks {
     }
 }
 
-/// Runs one case, catching panics. `attempt_no` is 1-based.
-fn attempt(
-    spec: &CaseSpec,
-    hooks: &Hooks,
-    attempt_no: u32,
-) -> (CaseStatus, Option<SimReport>, Option<String>) {
+/// Runs one case, catching panics.
+fn simulate(spec: &CaseSpec, hooks: &Hooks) -> (CaseStatus, Option<SimReport>, Option<String>) {
     let result = catch_unwind(AssertUnwindSafe(|| {
         let id = spec.id();
         if Hooks::matches(&hooks.panic, &id) {
             panic!("injected fault for case {id}");
-        }
-        if attempt_no == 1 && Hooks::matches(&hooks.flaky, &id) {
-            panic!("injected flaky fault for case {id} (attempt 1)");
         }
         if Hooks::matches(&hooks.hang, &id) {
             // Never returns; the timeout watchdog abandons this thread.
@@ -219,34 +191,33 @@ fn attempt(
     }
 }
 
-/// One attempt's resolution at the worker, including the two ways an
-/// attempt ends without a verdict from the simulator itself.
-enum AttemptEnd {
+/// One case's resolution at the worker, including the two ways a case
+/// ends without a verdict from the simulator itself.
+enum CaseEnd {
     Done(CaseStatus, Option<Box<SimReport>>, Option<String>),
-    /// Fail-fast fired while the case was still running; the case thread
-    /// is abandoned and the case recorded as skipped.
+    /// Fail-fast fired before or while the case ran; a running case
+    /// thread is abandoned and the case recorded as skipped.
     Cancelled,
 }
 
-/// Runs one attempt, optionally under the wall-clock watchdog.
+/// Runs one case, optionally under the wall-clock watchdog.
 ///
-/// Without a timeout the attempt runs inline on the worker. With one,
+/// Without a timeout the case runs inline on the worker. With one,
 /// the case runs on a dedicated (detached) thread while the worker polls
 /// for the result in short slices, so it can both enforce the deadline
 /// and notice a fail-fast cancellation promptly; on either, the case
 /// thread is abandoned — it holds only clones and its late result goes
 /// to a closed channel.
-fn run_attempt(
+fn run_one(
     spec: &CaseSpec,
     hooks: &Hooks,
-    attempt_no: u32,
     timeout: Option<Duration>,
     cancel: &AtomicBool,
     fail_fast: bool,
-) -> AttemptEnd {
+) -> CaseEnd {
     let Some(budget) = timeout else {
-        let (s, r, e) = attempt(spec, hooks, attempt_no);
-        return AttemptEnd::Done(s, r.map(Box::new), e);
+        let (s, r, e) = simulate(spec, hooks);
+        return CaseEnd::Done(s, r.map(Box::new), e);
     };
     let (tx, rx) = mpsc::channel();
     let spec_owned = spec.clone();
@@ -254,7 +225,7 @@ fn run_attempt(
     std::thread::Builder::new()
         .name(format!("{WORKER_NAME_PREFIX}case"))
         .spawn(move || {
-            let _ = tx.send(attempt(&spec_owned, &hooks_owned, attempt_no));
+            let _ = tx.send(simulate(&spec_owned, &hooks_owned));
         })
         .expect("spawn case thread");
     let deadline = Instant::now() + budget;
@@ -262,13 +233,13 @@ fn run_attempt(
         let remaining = deadline.saturating_duration_since(Instant::now());
         let slice = remaining.min(Duration::from_millis(25));
         match rx.recv_timeout(slice.max(Duration::from_millis(1))) {
-            Ok((s, r, e)) => return AttemptEnd::Done(s, r.map(Box::new), e),
+            Ok((s, r, e)) => return CaseEnd::Done(s, r.map(Box::new), e),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 if fail_fast && cancel.load(Ordering::Relaxed) {
-                    return AttemptEnd::Cancelled;
+                    return CaseEnd::Cancelled;
                 }
                 if Instant::now() >= deadline {
-                    return AttemptEnd::Done(
+                    return CaseEnd::Done(
                         CaseStatus::TimedOut,
                         None,
                         Some(format!("timed out after {budget:?}")),
@@ -277,8 +248,8 @@ fn run_attempt(
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 // The case thread died without sending (should be
-                // impossible: attempt() catches panics). Treat as failed.
-                return AttemptEnd::Done(
+                // impossible: simulate() catches panics). Treat as failed.
+                return CaseEnd::Done(
                     CaseStatus::Failed,
                     None,
                     Some("case thread died without a result".into()),
@@ -288,46 +259,8 @@ fn run_attempt(
     }
 }
 
-/// Runs one case under the retry loop: attempts until a non-retryable
-/// status, the attempt budget is exhausted, or fail-fast cancels.
-/// Returns the final `(status, report, error, attempts)`.
-fn run_with_retries(
-    spec: &CaseSpec,
-    hooks: &Hooks,
-    opts_timeout: Option<Duration>,
-    retries: u32,
-    backoff: Duration,
-    cancel: &AtomicBool,
-    fail_fast: bool,
-) -> (CaseStatus, Option<SimReport>, Option<String>, u32) {
-    let max_attempts = retries.saturating_add(1);
-    let mut attempt_no = 0u32;
-    loop {
-        attempt_no += 1;
-        match run_attempt(spec, hooks, attempt_no, opts_timeout, cancel, fail_fast) {
-            AttemptEnd::Cancelled => {
-                return (
-                    CaseStatus::Skipped,
-                    None,
-                    Some("cancelled by fail-fast".into()),
-                    attempt_no,
-                );
-            }
-            AttemptEnd::Done(status, report, error) => {
-                let may_retry = status.retryable()
-                    && attempt_no < max_attempts
-                    && !cancel.load(Ordering::Relaxed);
-                if !may_retry {
-                    return (status, report.map(|r| *r), error, attempt_no);
-                }
-                std::thread::sleep(backoff.saturating_mul(attempt_no));
-            }
-        }
-    }
-}
-
-/// Runs `specs` on a work-stealing pool, returning one outcome per spec
-/// in input order.
+/// Runs `specs` on the pool, returning one outcome per spec in input
+/// order.
 ///
 /// Guarantees:
 ///
@@ -341,103 +274,68 @@ pub fn run_cases(specs: &[CaseSpec], opts: &RunOptions) -> Vec<CaseOutcome> {
     install_quiet_hook();
     let jobs = opts.resolved_jobs().min(specs.len()).max(1);
     let cancel = AtomicBool::new(false);
-    // One deque per worker, seeded round-robin.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
-        .map(|w| Mutex::new((w..specs.len()).step_by(jobs).collect()))
-        .collect();
-    let (tx, rx) = mpsc::channel::<(
-        usize,
-        CaseStatus,
-        Option<SimReport>,
-        Option<String>,
-        Duration,
-        u32,
-    )>();
+    let cursor = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, CaseOutcome)>();
 
     let mut progress = opts.progress.then(|| Progress::new(specs.len(), jobs));
-
-    let mut slots: Vec<Option<CaseOutcome>> =
-        std::iter::repeat_with(|| None).take(specs.len()).collect();
+    let mut outcomes: Vec<(usize, CaseOutcome)> = Vec::with_capacity(specs.len());
 
     std::thread::scope(|scope| {
         for worker in 0..jobs {
             let tx = tx.clone();
-            let queues = &queues;
-            let cancel = &cancel;
+            let (cancel, cursor) = (&cancel, &cursor);
             let hooks = Hooks::from_options(opts);
             let fail_fast = opts.fail_fast;
             let timeout = opts.timeout;
-            let retries = opts.retries;
-            let backoff = opts.backoff;
             std::thread::Builder::new()
                 .name(format!("{WORKER_NAME_PREFIX}{worker}"))
-                .spawn_scoped(scope, move || {
-                    loop {
-                        // Own queue first (front), then steal (back).
-                        let mut next = queues[worker].lock().expect("queue poisoned").pop_front();
-                        if next.is_none() {
-                            for victim in 1..queues.len() {
-                                let v = (worker + victim) % queues.len();
-                                next = queues[v].lock().expect("queue poisoned").pop_back();
-                                if next.is_some() {
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(index) = next else { break };
-                        if cancel.load(Ordering::Relaxed) {
-                            let _ = tx.send((
-                                index,
-                                CaseStatus::Skipped,
-                                None,
-                                Some("cancelled by fail-fast".into()),
-                                Duration::ZERO,
-                                0,
-                            ));
-                            continue;
-                        }
-                        let start = Instant::now();
-                        let (status, report, error, attempts) = run_with_retries(
-                            &specs[index],
-                            &hooks,
-                            timeout,
-                            retries,
-                            backoff,
-                            cancel,
-                            fail_fast,
-                        );
-                        if status.retryable() && fail_fast {
-                            cancel.store(true, Ordering::Relaxed);
-                        }
-                        let _ = tx.send((index, status, report, error, start.elapsed(), attempts));
+                .spawn_scoped(scope, move || loop {
+                    // Relaxed suffices: the cursor publishes no data
+                    // (`specs` is shared read-only), and `fetch_add` hands
+                    // each index to exactly one worker.
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(spec) = specs.get(index) else { break };
+                    let start = Instant::now();
+                    let end = if cancel.load(Ordering::Relaxed) {
+                        CaseEnd::Cancelled
+                    } else {
+                        run_one(spec, &hooks, timeout, cancel, fail_fast)
+                    };
+                    let (status, report, error) = match end {
+                        CaseEnd::Cancelled => (
+                            CaseStatus::Skipped,
+                            None,
+                            Some("cancelled by fail-fast".into()),
+                        ),
+                        CaseEnd::Done(status, report, error) => (status, report.map(|r| *r), error),
+                    };
+                    if fail_fast && matches!(status, CaseStatus::Failed | CaseStatus::TimedOut) {
+                        cancel.store(true, Ordering::Relaxed);
                     }
+                    let outcome = CaseOutcome {
+                        spec: spec.clone(),
+                        status,
+                        duration: start.elapsed(),
+                        report,
+                        error,
+                    };
+                    let _ = tx.send((index, outcome));
                 })
                 .expect("spawn worker");
         }
         drop(tx);
-
-        for (index, status, report, error, duration, attempts) in rx {
+        for (index, outcome) in rx {
             if let Some(p) = progress.as_mut() {
-                p.case_done(&specs[index].id(), status, duration);
+                p.case_done(&outcome.spec.id(), outcome.status, outcome.duration);
             }
-            slots[index] = Some(CaseOutcome {
-                spec: specs[index].clone(),
-                status,
-                duration,
-                attempts,
-                report,
-                error,
-            });
+            outcomes.push((index, outcome));
         }
     });
     if let Some(p) = progress.as_mut() {
         p.finish();
     }
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("every case produces exactly one outcome"))
-        .collect()
+    outcomes.sort_unstable_by_key(|&(index, _)| index);
+    outcomes.into_iter().map(|(_, o)| o).collect()
 }
 
 #[cfg(test)]
@@ -559,48 +457,6 @@ mod tests {
                 assert_eq!(o.status, CaseStatus::Completed, "case {i} must still run");
             }
         }
-    }
-
-    #[test]
-    fn flaky_case_is_retried_deterministically() {
-        let specs = small_specs(3);
-        let needle = specs[0].id();
-        let outcomes = run_cases(
-            &specs,
-            &RunOptions {
-                jobs: 2,
-                retries: 2,
-                backoff: Duration::from_millis(1),
-                inject_flaky: Some(needle),
-                ..Default::default()
-            },
-        );
-        // The flaky hook fails attempt 1 only; the retry must complete.
-        assert_eq!(outcomes[0].status, CaseStatus::Completed);
-        assert_eq!(outcomes[0].attempts, 2);
-        assert!(outcomes[0].report.is_some());
-        for o in &outcomes[1..] {
-            assert_eq!(o.status, CaseStatus::Completed);
-            assert_eq!(o.attempts, 1);
-        }
-    }
-
-    #[test]
-    fn persistent_failure_exhausts_the_retry_budget() {
-        let specs = small_specs(1);
-        let needle = specs[0].id();
-        let outcomes = run_cases(
-            &specs,
-            &RunOptions {
-                jobs: 1,
-                retries: 2,
-                backoff: Duration::from_millis(1),
-                inject_panic: Some(needle),
-                ..Default::default()
-            },
-        );
-        assert_eq!(outcomes[0].status, CaseStatus::Failed);
-        assert_eq!(outcomes[0].attempts, 3, "1 attempt + 2 retries");
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl Progress {
     }
 
     /// Fraction of worker capacity spent simulating so far (1.0 = all
-    /// workers busy the whole time; low values mean stealing couldn't
+    /// workers busy the whole time; low values mean the queue couldn't
     /// fill the tail or cases are skipping).
     pub fn utilization(&self) -> f64 {
         let wall = self.started.elapsed().as_secs_f64();

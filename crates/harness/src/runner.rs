@@ -11,7 +11,7 @@ use crate::manifest::RunManifest;
 use crate::params::Params;
 use crate::plan::CaseSpec;
 use crate::pool::{run_cases, CaseOutcome, CaseStatus, RunOptions};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io;
 use std::io::IsTerminal as _;
 use std::path::{Path, PathBuf};
@@ -36,9 +36,6 @@ pub struct SweepConfig {
     pub out_root: PathBuf,
     /// Print assembled tables and save lines to stdout (off in tests).
     pub print_tables: bool,
-    /// Write per-case artifacts as single-line JSON instead of pretty
-    /// (`--compact-artifacts`).
-    pub compact_artifacts: bool,
 }
 
 impl SweepConfig {
@@ -58,7 +55,6 @@ impl SweepConfig {
             resume: false,
             out_root: PathBuf::from("results"),
             print_tables: true,
-            compact_artifacts: false,
         }
     }
 }
@@ -92,28 +88,17 @@ pub struct ExecReport {
     pub run_dir: PathBuf,
 }
 
-/// How [`execute_cases`] persists per-case artifacts and whether it may
-/// reuse them from a prior run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PersistOptions {
-    /// Satisfy cases completed by a prior manifest from their artifacts
-    /// instead of re-running them (`--resume`).
-    pub resume: bool,
-    /// On-disk rendering for per-case artifacts
-    /// (`--compact-artifacts` selects [`ArtifactStyle::Compact`]).
-    ///
-    /// [`ArtifactStyle::Compact`]: artifact::ArtifactStyle::Compact
-    pub style: artifact::ArtifactStyle,
-}
-
-/// Executes `cases` (deduplicated by the caller) under `run`, resuming
-/// from an existing manifest when asked, writing per-case artifacts and
-/// the run manifest.
+/// Executes `cases` (deduplicated by the caller) under `run`, writing
+/// per-case artifacts and the run manifest. With `resume`, cases
+/// completed by the run's existing manifest are loaded from their
+/// artifacts instead of re-run.
 ///
 /// # Errors
 ///
-/// Returns any I/O error writing artifacts or the manifest; simulation
-/// panics are *not* errors (they become `failed` case records).
+/// Returns any I/O error writing artifacts or the manifest, and an
+/// `Other` error if the pool does not return one outcome per case
+/// submitted; simulation panics are *not* errors (they become `failed`
+/// case records).
 pub fn execute_cases(
     cases: &[CaseSpec],
     run: &str,
@@ -121,69 +106,42 @@ pub fn execute_cases(
     experiment_keys: Vec<String>,
     params: Params,
     options: &RunOptions,
-    persist: PersistOptions,
+    resume: bool,
 ) -> io::Result<ExecReport> {
     let run_dir = out_root.join(run);
-    let prior = if persist.resume {
+    let prior = if resume {
         RunManifest::load(&run_dir)
     } else {
         None
     };
 
-    // Satisfy what we can from the prior manifest + artifacts.
-    let mut resumed: HashMap<usize, CaseOutcome> = HashMap::new();
-    if let Some(prior) = &prior {
-        for (i, spec) in cases.iter().enumerate() {
-            let id = spec.id();
-            let digest_hex = digest::hex(spec.digest());
-            if !prior.completed(&id, &digest_hex) {
-                continue;
-            }
-            if let Ok(report) = artifact::load_report(&run_dir, &id) {
-                let duration = prior
-                    .record(&id)
-                    .map(|r| Duration::from_millis(r.duration_ms))
-                    .unwrap_or(Duration::ZERO);
-                resumed.insert(
-                    i,
-                    CaseOutcome {
-                        spec: spec.clone(),
-                        status: CaseStatus::Completed,
-                        duration,
-                        attempts: 0,
-                        report: Some(report),
-                        error: None,
-                    },
-                );
-            }
-        }
-    }
-
+    // Satisfy what we can from the prior manifest + artifacts; the rest
+    // are the cases to run.
+    let slots: Vec<Option<CaseOutcome>> = cases
+        .iter()
+        .map(|spec| {
+            prior
+                .as_ref()
+                .and_then(|m| resumed_outcome(m, &run_dir, spec))
+        })
+        .collect();
     let to_run: Vec<CaseSpec> = cases
         .iter()
-        .enumerate()
-        .filter(|(i, _)| !resumed.contains_key(i))
-        .map(|(_, c)| c.clone())
+        .zip(&slots)
+        .filter(|(_, slot)| slot.is_none())
+        .map(|(c, _)| c.clone())
         .collect();
 
     let start = Instant::now();
-    let mut fresh = run_cases(&to_run, options).into_iter();
+    let fresh = run_cases(&to_run, options);
     let wall = start.elapsed();
-
-    // Merge back into plan order.
-    let resumed_idx: HashSet<usize> = resumed.keys().copied().collect();
-    let mut outcomes: Vec<CaseOutcome> = Vec::with_capacity(cases.len());
-    for i in 0..cases.len() {
-        match resumed.remove(&i) {
-            Some(o) => outcomes.push(o),
-            None => outcomes.push(fresh.next().expect("one outcome per submitted case")),
-        }
-    }
+    let fresh_ms: u64 = fresh.iter().map(|o| o.duration.as_millis() as u64).sum();
+    let outcomes = merge_outcomes(slots, fresh)?;
 
     // Persist artifacts for freshly completed cases, then the manifest.
     for outcome in &outcomes {
         if let (CaseStatus::Completed, Some(report)) = (outcome.status, outcome.report.as_ref()) {
-            artifact::save_report_styled(&run_dir, &outcome.spec.id(), report, persist.style)?;
+            artifact::save_report(&run_dir, &outcome.spec.id(), report)?;
         }
     }
     let mut manifest = RunManifest::from_outcomes(
@@ -197,13 +155,7 @@ pub fn execute_cases(
     );
     // Resumed cases carry their *prior* durations (useful in the record)
     // but did no work this invocation; speedup must not count them.
-    if !resumed_idx.is_empty() {
-        let fresh_ms: u64 = outcomes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !resumed_idx.contains(i))
-            .map(|(_, o)| o.duration.as_millis() as u64)
-            .sum();
+    if to_run.len() < cases.len() {
         manifest.speedup = fresh_ms as f64 / manifest.wall_ms.max(1) as f64;
     }
     manifest.save(&run_dir)?;
@@ -231,6 +183,52 @@ pub fn execute_cases(
         run_dir,
         outcomes,
     })
+}
+
+/// The outcome for `spec` satisfied from a prior manifest: `Some` when
+/// the manifest records it completed with the same digest and its
+/// artifact loads.
+fn resumed_outcome(prior: &RunManifest, run_dir: &Path, spec: &CaseSpec) -> Option<CaseOutcome> {
+    let id = spec.id();
+    if !prior.completed(&id, &digest::hex(spec.digest())) {
+        return None;
+    }
+    let report = artifact::load_report(run_dir, &id).ok()?;
+    let duration = prior
+        .record(&id)
+        .map_or(Duration::ZERO, |r| Duration::from_millis(r.duration_ms));
+    Some(CaseOutcome {
+        spec: spec.clone(),
+        status: CaseStatus::Completed,
+        duration,
+        report: Some(report),
+        error: None,
+    })
+}
+
+/// Fills the empty `slots` (plan order) with `fresh` outcomes, in order.
+///
+/// # Errors
+///
+/// Returns an `Other` error naming both counts when `fresh` does not hold
+/// exactly one outcome per empty slot.
+fn merge_outcomes(
+    slots: Vec<Option<CaseOutcome>>,
+    fresh: Vec<CaseOutcome>,
+) -> io::Result<Vec<CaseOutcome>> {
+    let submitted = slots.iter().filter(|s| s.is_none()).count();
+    let returned = fresh.len();
+    let mut fresh = fresh.into_iter();
+    let merged: Option<Vec<CaseOutcome>> = slots
+        .into_iter()
+        .map(|slot| slot.or_else(|| fresh.next()))
+        .collect();
+    match merged {
+        Some(outcomes) if fresh.next().is_none() => Ok(outcomes),
+        _ => Err(io::Error::other(format!(
+            "the pool returned {returned} outcomes for {submitted} submitted cases"
+        ))),
+    }
 }
 
 /// A finished sweep: execution plus table assembly.
@@ -288,14 +286,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> io::Result<SweepSummary> {
         experiments.iter().map(|e| e.key.to_string()).collect(),
         cfg.params,
         &cfg.options,
-        PersistOptions {
-            resume: cfg.resume,
-            style: if cfg.compact_artifacts {
-                artifact::ArtifactStyle::Compact
-            } else {
-                artifact::ArtifactStyle::Pretty
-            },
-        },
+        cfg.resume,
     )?;
 
     let mut incomplete = Vec::new();
@@ -390,12 +381,9 @@ pub fn common_usage() -> &'static str {
      \x20 --run <name>         run directory name under results/\n\
      \x20 --out <dir>          output root (default results/)\n\
      \x20 --resume             skip cases completed in the run's manifest\n\
-     \x20 --compact-artifacts  single-line per-case JSON (smaller runs)\n\
      \x20 --fail-fast          cancel remaining cases after the first failure\n\
      \x20 --timeout-secs <n>   per-case wall-clock budget; over-budget cases\n\
      \x20                      are recorded timed_out and abandoned\n\
-     \x20 --retries <n>        extra attempts for failed/timed-out cases\n\
-     \x20 --backoff-ms <n>     base backoff between attempts (default 0)\n\
      \x20 --no-progress        suppress the live progress line\n\
      \x20 --inject-panic <s>   test hook: panic in cases whose id contains <s>\n\
      \x20 --help               this text"
@@ -455,24 +443,12 @@ pub fn parse_one_common_flag(
         "--run" => cfg.run = value("--run")?,
         "--out" => cfg.out_root = PathBuf::from(value("--out")?),
         "--resume" => cfg.resume = true,
-        "--compact-artifacts" => cfg.compact_artifacts = true,
         "--fail-fast" => cfg.options.fail_fast = true,
         "--timeout-secs" => {
             let secs: u64 = value("--timeout-secs")?
                 .parse()
                 .map_err(|e| format!("bad --timeout-secs: {e}"))?;
             cfg.options.timeout = Some(Duration::from_secs(secs));
-        }
-        "--retries" => {
-            cfg.options.retries = value("--retries")?
-                .parse()
-                .map_err(|e| format!("bad --retries: {e}"))?;
-        }
-        "--backoff-ms" => {
-            let ms: u64 = value("--backoff-ms")?
-                .parse()
-                .map_err(|e| format!("bad --backoff-ms: {e}"))?;
-            cfg.options.backoff = Duration::from_millis(ms);
         }
         "--no-progress" => cfg.options.progress = false,
         "--inject-panic" => cfg.options.inject_panic = Some(value("--inject-panic")?),
@@ -523,10 +499,7 @@ mod tests {
                 jobs: 2,
                 ..Default::default()
             },
-            PersistOptions {
-                resume: false,
-                style: artifact::ArtifactStyle::Compact,
-            },
+            false,
         )
         .unwrap();
         assert_eq!(rep.ran, 3);
@@ -545,10 +518,7 @@ mod tests {
             vec!["x".into()],
             Params { ops: 40, seed: 0 },
             &RunOptions::default(),
-            PersistOptions {
-                resume: true,
-                style: artifact::ArtifactStyle::Pretty,
-            },
+            true,
         )
         .unwrap();
         assert_eq!(rep2.resumed, 3);
@@ -575,10 +545,6 @@ mod tests {
             "zzz",
             "--timeout-secs",
             "30",
-            "--retries",
-            "2",
-            "--backoff-ms",
-            "250",
         ]
         .iter()
         .map(|s| s.to_string());
@@ -595,14 +561,49 @@ mod tests {
         assert_eq!(cfg.run, "other");
         assert_eq!(cfg.options.inject_panic.as_deref(), Some("zzz"));
         assert_eq!(cfg.options.timeout, Some(Duration::from_secs(30)));
-        assert_eq!(cfg.options.retries, 2);
-        assert_eq!(cfg.options.backoff, Duration::from_millis(250));
     }
 
     #[test]
     fn unknown_flag_is_an_error() {
         let mut cfg = SweepConfig::new(vec![], "t");
         assert!(apply_common_flags(&mut cfg, ["--bogus".to_string()].into_iter()).is_err());
+    }
+
+    /// The retry and compact-artifact flags are gone: each is now an
+    /// unknown flag rather than a silently accepted no-op.
+    #[test]
+    fn retired_flags_are_unknown() {
+        for args in [&["--retries", "2"][..], &["--compact-artifacts"][..]] {
+            let mut cfg = SweepConfig::new(vec![], "t");
+            let err = apply_common_flags(&mut cfg, args.iter().map(|s| s.to_string()))
+                .err()
+                .expect("retired flag must be rejected");
+            assert!(
+                err.starts_with(&format!("unknown flag {}", args[0])),
+                "{err}"
+            );
+        }
+    }
+
+    /// A pool that returns the wrong number of outcomes is a named error,
+    /// not a panic.
+    #[test]
+    fn outcome_count_mismatch_is_an_error() {
+        let outcome = |seed: u64| CaseOutcome {
+            spec: small_cases(seed + 1).pop().unwrap(),
+            status: CaseStatus::Completed,
+            duration: Duration::ZERO,
+            report: None,
+            error: None,
+        };
+        let slots = || vec![Some(outcome(0)), None, None];
+        let merged = merge_outcomes(slots(), vec![outcome(1), outcome(2)]).unwrap();
+        let seeds: Vec<u64> = merged.iter().map(|o| o.spec.seed).collect();
+        assert_eq!(seeds, [0, 1, 2]);
+        for fresh in [vec![outcome(1)], vec![outcome(1), outcome(2), outcome(3)]] {
+            let err = merge_outcomes(slots(), fresh).unwrap_err();
+            assert!(err.to_string().contains("for 2 submitted cases"), "{err}");
+        }
     }
 
     #[test]

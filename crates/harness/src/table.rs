@@ -1,11 +1,9 @@
-//! Printable/saveable result tables (moved here from `stashdir-bench` so
-//! both the serial binaries and the parallel sweep share one formatter).
+//! Printable result tables with an RFC-4180 CSV rendering; the sweep
+//! prints them and writes the CSV under `results/`.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::PathBuf;
 
-/// A printable/saveable result table.
+/// A printable result table.
 #[derive(Debug, Clone)]
 pub struct Table {
     title: String,
@@ -78,21 +76,6 @@ impl Table {
             csv.push('\n');
         }
         csv
-    }
-
-    /// Writes the table as CSV under `results/<name>.csv`, returning the
-    /// path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the `results/` directory cannot be created or written.
-    pub fn save_csv(&self, name: &str) -> PathBuf {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir).expect("create results/");
-        let path = dir.join(format!("{name}.csv"));
-        fs::write(&path, self.to_csv()).expect("write csv");
-        println!("[saved {}]", path.display());
-        path
     }
 }
 

@@ -16,8 +16,8 @@ use stashdir::{
     expected_detector, CoverageRatio, DirReplPolicy, DirSpec, FaultClass, FaultConfig,
     SystemConfig, Workload,
 };
-use stashdir_harness::artifact::{load_report, report_to_json, ArtifactStyle};
-use stashdir_harness::runner::{execute_cases, PersistOptions};
+use stashdir_harness::artifact::{load_report, report_to_json};
+use stashdir_harness::runner::execute_cases;
 use stashdir_harness::{run_cases, CaseSpec, CaseStatus, ExperimentPlan, Params, RunOptions};
 use std::path::PathBuf;
 
@@ -95,10 +95,7 @@ fn faulty_artifact_persists_counters_and_snapshot() {
         vec!["chaos".into()],
         Params { ops: 400, seed: 7 },
         &RunOptions::default(),
-        PersistOptions {
-            resume: false,
-            style: ArtifactStyle::Pretty,
-        },
+        false,
     )
     .unwrap();
     assert_eq!(exec.failed, 0, "a faulty run must quiesce, not panic");

@@ -1,15 +1,15 @@
 //! Integration tests for the tentpole guarantees of the harness:
 //!
 //! 1. **Parallel = serial, byte for byte.** A plan run through the
-//!    work-stealing pool yields `SimReport` JSON identical to the same
+//!    parallel pool yields `SimReport` JSON identical to the same
 //!    cases run one at a time on one thread.
 //! 2. **Panic isolation + resume.** An injected per-case panic is
 //!    recorded as `failed` in the manifest while every other case
 //!    completes; re-invoking with resume re-runs *only* the failed case.
 
 use stashdir::{CoverageRatio, DirSpec, SystemConfig, Workload};
-use stashdir_harness::artifact::{report_to_json, ArtifactStyle};
-use stashdir_harness::runner::{execute_cases, PersistOptions};
+use stashdir_harness::artifact::report_to_json;
+use stashdir_harness::runner::execute_cases;
 use stashdir_harness::{run_cases, CaseStatus, ExperimentPlan, Params, RunManifest, RunOptions};
 use std::path::PathBuf;
 
@@ -83,10 +83,7 @@ fn injected_panic_is_failed_in_manifest_and_resume_reruns_only_it() {
             inject_panic: Some(victim.clone()),
             ..Default::default()
         },
-        PersistOptions {
-            resume: false,
-            style: ArtifactStyle::Pretty,
-        },
+        false,
     )
     .unwrap();
     assert_eq!(first.failed, 1);
@@ -117,10 +114,7 @@ fn injected_panic_is_failed_in_manifest_and_resume_reruns_only_it() {
             jobs: 2,
             ..Default::default()
         },
-        PersistOptions {
-            resume: true,
-            style: ArtifactStyle::Pretty,
-        },
+        true,
     )
     .unwrap();
     assert_eq!(second.resumed, cases.len() - 1, "completed cases skipped");
@@ -156,10 +150,7 @@ fn resume_reruns_cases_whose_digest_changed() {
         vec![],
         params,
         &RunOptions::default(),
-        PersistOptions {
-            resume: false,
-            style: ArtifactStyle::Pretty,
-        },
+        false,
     )
     .unwrap();
 
@@ -180,10 +171,7 @@ fn resume_reruns_cases_whose_digest_changed() {
         vec![],
         params,
         &RunOptions::default(),
-        PersistOptions {
-            resume: true,
-            style: ArtifactStyle::Pretty,
-        },
+        true,
     )
     .unwrap();
     assert_eq!(rep.resumed, 0, "changed configs must not resume");

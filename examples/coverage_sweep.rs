@@ -1,6 +1,6 @@
 //! Coverage sweep: how far can the directory shrink before performance
 //! collapses? Reproduces the shape of the paper's headline figure on one
-//! workload (run the full harness in `stashdir-bench` for all of them).
+//! workload (`sweep --plan perf_vs_coverage` runs all of them).
 //!
 //! ```sh
 //! cargo run --release --example coverage_sweep [workload]

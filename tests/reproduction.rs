@@ -1,5 +1,6 @@
 //! The paper's qualitative claims as executable assertions: these are the
-//! relationships the full experiment harness (crates/bench) quantifies.
+//! relationships the experiment registry (`crates/harness`, `sweep --all`)
+//! quantifies.
 
 use stashdir::{CostParams, CoverageRatio, DirConfig, DirSpec, Machine, SystemConfig, Workload};
 
