@@ -54,16 +54,18 @@ rm -rf "$chaos_dir"
 # Shoot-out smoke (E18): the equal-area backend comparison end to end at
 # a reduced op count, from a scratch cwd so the committed full-scale
 # results/e18_shootout.csv is not clobbered. Passes when the sweep
-# completes and the CSV carries every registered backend.
+# completes and the CSV carries exactly the backends of the committed
+# CSV, which carries every registered backend.
 echo "== shoot-out smoke (E18)"
 e18_dir=$(mktemp -d)
 (cd "$e18_dir" && cargo run -q --manifest-path "$repo_root/Cargo.toml" \
   -p stashdir-harness --offline --bin sweep -- \
   --plan shootout --run ci_shootout --ops 300 --no-progress >/dev/null)
 e18_backends=$(tail -n +2 "$e18_dir/results/e18_shootout.csv" | cut -d, -f2 | sort -u)
-e18_count=$(echo "$e18_backends" | wc -l)
-[[ "$e18_count" -ge 6 ]] \
-  || { echo "E18 smoke FAILED: only $e18_count backends in CSV:"; echo "$e18_backends"; exit 1; }
+e18_expected=$(tail -n +2 results/e18_shootout.csv | cut -d, -f2 | sort -u)
+[[ "$e18_backends" == "$e18_expected" ]] \
+  || { echo "E18 smoke FAILED: backends in CSV:"; echo "$e18_backends";
+       echo "expected (results/e18_shootout.csv):"; echo "$e18_expected"; exit 1; }
 rm -rf "$e18_dir"
 
 # XL-scaling smoke (E20): one budgeted 256-core point through the

@@ -201,11 +201,13 @@ impl DirectoryModel for CuckooDirectory {
         }
     }
 
-    fn entries(&self) -> Vec<(BlockAddr, DirView)> {
-        self.tables
-            .iter()
-            .flat_map(|t| t.iter().filter_map(|s| s.clone()))
-            .collect()
+    fn tracked(&self) -> Box<dyn Iterator<Item = (BlockAddr, &DirView)> + '_> {
+        Box::new(
+            self.tables
+                .iter()
+                .flatten()
+                .filter_map(|s| s.as_ref().map(|(b, v)| (*b, v))),
+        )
     }
 
     fn stats(&self) -> &DirStats {

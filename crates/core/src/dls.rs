@@ -88,10 +88,10 @@ impl DirectoryModel for DlsDirectory {
         self.owners.remove(&block);
     }
 
-    fn entries(&self) -> Vec<(BlockAddr, DirView)> {
-        let mut v: Vec<_> = self.owners.iter().map(|(b, v)| (*b, v.clone())).collect();
+    fn tracked(&self) -> Box<dyn Iterator<Item = (BlockAddr, &DirView)> + '_> {
+        let mut v: Vec<_> = self.owners.iter().map(|(b, v)| (*b, v)).collect();
         v.sort_by_key(|(b, _)| *b);
-        v
+        Box::new(v.into_iter())
     }
 
     fn stats(&self) -> &DirStats {

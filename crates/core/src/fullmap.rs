@@ -75,10 +75,10 @@ impl DirectoryModel for FullMapDirectory {
         self.map.remove(&block);
     }
 
-    fn entries(&self) -> Vec<(BlockAddr, DirView)> {
-        let mut v: Vec<_> = self.map.iter().map(|(b, v)| (*b, v.clone())).collect();
+    fn tracked(&self) -> Box<dyn Iterator<Item = (BlockAddr, &DirView)> + '_> {
+        let mut v: Vec<_> = self.map.iter().map(|(b, v)| (*b, v)).collect();
         v.sort_by_key(|(b, _)| *b);
-        v
+        Box::new(v.into_iter())
     }
 
     fn stats(&self) -> &DirStats {

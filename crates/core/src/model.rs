@@ -76,9 +76,16 @@ pub trait DirectoryModel: fmt::Debug {
     /// Stops tracking `block` (no-op when untracked).
     fn remove(&mut self, block: BlockAddr);
 
-    /// Snapshot of every tracked `(block, view)` pair, for invariant
-    /// checking and introspection.
-    fn entries(&self) -> Vec<(BlockAddr, DirView)>;
+    /// Every tracked `(block, view)` pair with its view borrowed, in a
+    /// fixed order: storage order for the set-associative and hashed
+    /// organizations, address order for the map-backed ones.
+    fn tracked(&self) -> Box<dyn Iterator<Item = (BlockAddr, &DirView)> + '_>;
+
+    /// Snapshot of every tracked `(block, view)` pair in
+    /// [`tracked`](DirectoryModel::tracked) order, for introspection.
+    fn entries(&self) -> Vec<(BlockAddr, DirView)> {
+        self.tracked().map(|(b, v)| (b, v.clone())).collect()
+    }
 
     /// Accumulated event counts.
     fn stats(&self) -> &DirStats;

@@ -81,8 +81,8 @@ impl DirectoryModel for OpaqueDirectory {
         self.inner.remove(block);
     }
 
-    fn entries(&self) -> Vec<(BlockAddr, DirView)> {
-        self.inner.entries()
+    fn tracked(&self) -> Box<dyn Iterator<Item = (BlockAddr, &DirView)> + '_> {
+        self.inner.tracked()
     }
 
     fn stats(&self) -> &DirStats {

@@ -122,8 +122,8 @@ impl DirectoryModel for SparseDirectory {
         self.storage.remove(block);
     }
 
-    fn entries(&self) -> Vec<(BlockAddr, DirView)> {
-        self.storage.entries()
+    fn tracked(&self) -> Box<dyn Iterator<Item = (BlockAddr, &DirView)> + '_> {
+        Box::new(self.storage.tracked())
     }
 
     fn stats(&self) -> &DirStats {

@@ -2,11 +2,12 @@
 //! directories: explicit per-set recency so victim selection can be
 //! content-aware (the stash directory's private-first policy).
 //!
-//! Storage is flat and set-major, like `stashdir_mem::SetAssoc`: one tag
-//! vector and one view vector of `sets × ways` entries each, and one
-//! recency stack of `ways` bytes per set. Building a directory allocates
-//! three times whatever its set count, and no lookup, install or
-//! eviction allocates.
+//! Storage is flat and set-major: one tag vector and one view vector of
+//! `sets × ways` entries each, and one recency stack of `ways` bytes per
+//! set, all allocated at construction. (`stashdir_mem::SetAssoc` keeps
+//! the same set-major layout but allocates it per chunk of sets on first
+//! insert.) Building a directory allocates three times whatever its set
+//! count, and no lookup, install or eviction allocates.
 
 // lint: allow-file(indexing) — set indices are masked by `set_mask`; way
 // indices come from `slot_of`/`free_way`/the recency stack, all below
@@ -192,13 +193,18 @@ impl DirStorage {
     }
 
     /// Every tracked entry in set order, ways in order within a set.
-    pub(crate) fn entries(&self) -> Vec<(BlockAddr, DirView)> {
+    pub(crate) fn tracked(&self) -> impl Iterator<Item = (BlockAddr, &DirView)> {
         self.tags
             .iter()
             .zip(&self.views)
             .filter(|(&tag, _)| tag != EMPTY)
-            .map(|(&tag, view)| (BlockAddr::new(tag), view.clone()))
-            .collect()
+            .map(|(&tag, view)| (BlockAddr::new(tag), view))
+    }
+
+    /// [`tracked`](DirStorage::tracked), cloned.
+    #[cfg(test)]
+    fn entries(&self) -> Vec<(BlockAddr, DirView)> {
+        self.tracked().map(|(b, v)| (b, v.clone())).collect()
     }
 }
 

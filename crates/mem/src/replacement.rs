@@ -1,8 +1,8 @@
 //! Replacement policies for set-associative structures.
 //!
-//! `ReplState` holds the replacement state of **every** set of one
-//! array in a single flat byte vector, a fixed stride per set, and
-//! dispatches on [`ReplKind`] with a `match`. Policies see three events:
+//! `Policy` describes one array's policy and dispatches on [`ReplKind`]
+//! with a `match`; the state is a byte slice of a fixed stride per set,
+//! which the array keeps beside its tags. Policies see three events:
 //! a fill into a way, a hit on a way, and a victim request. The owning
 //! [`SetAssoc`] fills invalid ways before it asks for a victim, so a
 //! victim request always comes from a full set.
@@ -11,11 +11,12 @@
 
 // lint: allow-file(indexing) — every index is a way number below `ways` or
 // a tree node below `stride`, inside a set slice of `stride` bytes cut
-// from a vector sized `sets × stride` at construction.
+// from state sized `sets × stride` by `Policy::fresh`.
 
 use serde::{Deserialize, Serialize};
 use stashdir_common::DetRng;
 use std::fmt;
+use std::ops::Range;
 
 /// Selects the replacement policy a structure uses.
 ///
@@ -60,8 +61,9 @@ impl fmt::Display for ReplKind {
 const RRPV_MAX: u8 = 3; // 2-bit counters
 const RRPV_INSERT: u8 = 2; // "long" re-reference prediction on insert
 
-/// The replacement state of every set of one array, `stride` bytes per
-/// set. Per policy, a set's bytes are:
+/// One array's replacement policy: its kind and geometry. The state
+/// itself is bytes its owner keeps, `stride` per set; per policy, a
+/// set's bytes are:
 ///
 /// * LRU / FIFO — a stack of way numbers, least recent (oldest fill) first;
 /// * NRU — one reference bit per way;
@@ -71,21 +73,20 @@ const RRPV_INSERT: u8 = 2; // "long" re-reference prediction on insert
 /// * random — nothing.
 ///
 /// Deterministic given the same event sequence and the same RNG stream.
-#[derive(Debug)]
-pub(crate) struct ReplState {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Policy {
     kind: ReplKind,
     ways: usize,
     stride: usize,
-    bytes: Vec<u8>,
 }
 
-impl ReplState {
-    /// Fresh state for `sets` sets of `ways` ways.
+impl Policy {
+    /// The policy `kind` over sets of `ways` ways.
     ///
     /// # Panics
     ///
     /// Panics if `ways` is zero or above 256 (way numbers are bytes).
-    pub(crate) fn new(kind: ReplKind, sets: usize, ways: usize) -> Self {
+    pub(crate) fn new(kind: ReplKind, ways: usize) -> Self {
         assert!(ways > 0, "a set needs at least one way");
         assert!(ways <= 256, "at most 256 ways per set, got {ways}");
         let stride = match kind {
@@ -93,71 +94,67 @@ impl ReplState {
             ReplKind::Random => 0,
             ReplKind::TreePlru => ways.next_power_of_two().max(2) - 1,
         };
-        let len = sets * stride;
-        let bytes = match kind {
-            ReplKind::Lru | ReplKind::Fifo => {
-                let mut bytes = Vec::with_capacity(len);
-                for _ in 0..sets {
-                    // Way numbers fit a byte: `ways <= 256` above.
-                    bytes.extend((0..ways).map(|w| w as u8));
-                }
-                bytes
-            }
-            ReplKind::Random | ReplKind::Nru | ReplKind::TreePlru => vec![0; len],
-            ReplKind::Srrip => vec![RRPV_MAX; len],
-        };
-        ReplState {
-            kind,
-            ways,
-            stride,
-            bytes,
-        }
+        Policy { kind, ways, stride }
     }
 
-    /// The policy this state belongs to.
+    /// The policy kind.
     pub(crate) fn kind(&self) -> ReplKind {
         self.kind
     }
 
-    fn set_mut(&mut self, set: usize) -> &mut [u8] {
-        &mut self.bytes[set * self.stride..(set + 1) * self.stride]
+    /// The index range of set `set`'s bytes in state from [`fresh`].
+    ///
+    /// [`fresh`]: Policy::fresh
+    pub(crate) fn bytes_of(&self, set: usize) -> Range<usize> {
+        set * self.stride..(set + 1) * self.stride
     }
 
-    /// `way` of `set` was filled with a new block.
-    pub(crate) fn on_fill(&mut self, set: usize, way: usize) {
-        let kind = self.kind;
-        let ways = self.ways;
-        let s = self.set_mut(set);
-        match kind {
+    /// Fresh state for `sets` sets.
+    pub(crate) fn fresh(&self, sets: usize) -> Box<[u8]> {
+        let len = sets * self.stride;
+        match self.kind {
+            ReplKind::Lru | ReplKind::Fifo => {
+                let mut bytes = Vec::with_capacity(len);
+                for _ in 0..sets {
+                    // Way numbers fit a byte: `ways <= 256` in `new`.
+                    bytes.extend((0..self.ways).map(|w| w as u8));
+                }
+                bytes.into_boxed_slice()
+            }
+            ReplKind::Random | ReplKind::Nru | ReplKind::TreePlru => {
+                vec![0; len].into_boxed_slice()
+            }
+            ReplKind::Srrip => vec![RRPV_MAX; len].into_boxed_slice(),
+        }
+    }
+
+    /// `way` of the set whose state is `s` was filled with a new block.
+    pub(crate) fn on_fill(&self, s: &mut [u8], way: usize) {
+        match self.kind {
             ReplKind::Lru | ReplKind::Fifo => promote(s, way),
             ReplKind::Random => {}
             ReplKind::Nru => s[way] = 1,
             ReplKind::Srrip => s[way] = RRPV_INSERT,
-            ReplKind::TreePlru => plru_touch(s, ways, way),
+            ReplKind::TreePlru => plru_touch(s, self.ways, way),
         }
     }
 
-    /// `way` of `set` hit.
-    pub(crate) fn on_hit(&mut self, set: usize, way: usize) {
-        let kind = self.kind;
-        let ways = self.ways;
-        let s = self.set_mut(set);
-        match kind {
+    /// `way` of the set whose state is `s` hit.
+    pub(crate) fn on_hit(&self, s: &mut [u8], way: usize) {
+        match self.kind {
             ReplKind::Lru => promote(s, way),
             ReplKind::Fifo | ReplKind::Random => {}
             ReplKind::Nru => s[way] = 1,
             ReplKind::Srrip => s[way] = 0,
-            ReplKind::TreePlru => plru_touch(s, ways, way),
+            ReplKind::TreePlru => plru_touch(s, self.ways, way),
         }
     }
 
-    /// Chooses the way of the full set `set` to evict. NRU's bulk clear,
-    /// SRRIP's aging and random's draw advance state.
-    pub(crate) fn victim(&mut self, set: usize, rng: &mut DetRng) -> usize {
-        let kind = self.kind;
+    /// Chooses the way to evict from the full set whose state is `s`.
+    /// NRU's bulk clear, SRRIP's aging and random's draw advance state.
+    pub(crate) fn victim(&self, s: &mut [u8], rng: &mut DetRng) -> usize {
         let ways = self.ways;
-        let s = self.set_mut(set);
-        match kind {
+        match self.kind {
             ReplKind::Lru | ReplKind::Fifo => s[0] as usize,
             ReplKind::Random => rng.index(ways),
             ReplKind::Nru => match s.iter().position(|&r| r == 0) {
@@ -187,6 +184,53 @@ impl ReplState {
                 }
             }
         }
+    }
+}
+
+/// The replacement state of every set of one array in a single flat
+/// byte vector, as arrays kept it before they allocated per chunk. The
+/// policy tests drive it, and `set_assoc`'s reference array is built on
+/// it.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct ReplState {
+    policy: Policy,
+    bytes: Vec<u8>,
+}
+
+#[cfg(test)]
+impl ReplState {
+    /// Fresh state for `sets` sets of `ways` ways.
+    pub(crate) fn new(kind: ReplKind, sets: usize, ways: usize) -> Self {
+        let policy = Policy::new(kind, ways);
+        ReplState {
+            bytes: policy.fresh(sets).into_vec(),
+            policy,
+        }
+    }
+
+    pub(crate) fn kind(&self) -> ReplKind {
+        self.policy.kind
+    }
+
+    fn set_mut(&mut self, set: usize) -> &mut [u8] {
+        let range = self.policy.bytes_of(set);
+        &mut self.bytes[range]
+    }
+
+    pub(crate) fn on_fill(&mut self, set: usize, way: usize) {
+        let policy = self.policy;
+        policy.on_fill(self.set_mut(set), way);
+    }
+
+    pub(crate) fn on_hit(&mut self, set: usize, way: usize) {
+        let policy = self.policy;
+        policy.on_hit(self.set_mut(set), way);
+    }
+
+    pub(crate) fn victim(&mut self, set: usize, rng: &mut DetRng) -> usize {
+        let policy = self.policy;
+        policy.victim(self.set_mut(set), rng)
     }
 }
 

@@ -5,20 +5,68 @@
 //! replacement policy. It is the storage substrate for the private caches
 //! and the LLC banks.
 //!
-//! Storage is flat and set-major: one tag vector and one line vector of
-//! `sets × ways` entries each, and one `ReplState` byte vector with a
-//! fixed stride per set. Building an array allocates a constant number of
-//! times whatever its size. A lookup scans its set's tags, which for
-//! eight ways fill one host cache line, and reads a payload only on a tag
+//! Storage is set-major and allocated on first touch. The sets are cut
+//! into chunks of a power-of-two number of consecutive sets, about 256
+//! ways each. A chunk holds its sets' tags, payloads and replacement
+//! bytes, and is allocated by the first insert into any of its sets;
+//! until then its sets read as empty. Building an array allocates only
+//! the chunk index, so an array pays memory for the sets a run touches,
+//! not for its capacity. A lookup scans its set's tags, which for eight
+//! ways fill one host cache line, and reads a payload only on a tag
 //! match.
 
-// lint: allow-file(indexing) — set indices are masked by `set_mask` and
-// way indices come from `way_of`/`free_way`/the policy, all below `ways`;
-// the tag and line vectors hold `sets × ways` entries from construction on.
+// lint: allow-file(indexing) — set indices are masked by `set_mask`, so
+// chunk indices are below `chunks.len()` and chunk-local sets below
+// `chunk_sets`; way indices come from `way_of`/`free_way`/the policy, all
+// below `ways`; a chunk's tag and line slices hold `chunk_sets × ways`
+// entries from its allocation on.
 
-use crate::replacement::{ReplKind, ReplState};
+use crate::replacement::{Policy, ReplKind};
 use stashdir_common::{BlockAddr, DetRng};
 use std::ops::Range;
+
+/// The number of ways a chunk aims at: tags, payloads and replacement
+/// bytes of this many ways are allocated together.
+const CHUNK_WAYS: usize = 256;
+
+/// The storage of `chunk_sets` consecutive sets, set-major: set `s` of
+/// the chunk owns `tags[s * ways..(s + 1) * ways]`, the same range of
+/// `lines`, and `repl[s * stride..(s + 1) * stride]`.
+struct Chunk<L> {
+    /// Raw block numbers. A way holds a block only while its line is
+    /// `Some`: an emptied way keeps its stale tag, which no lookup
+    /// answers to.
+    tags: Box<[u64]>,
+    lines: Box<[Option<L>]>,
+    repl: Box<[u8]>,
+}
+
+impl<L> Chunk<L> {
+    /// A chunk of `sets` empty sets with fresh replacement state: the
+    /// state a flat array starts every set in.
+    fn new(sets: usize, ways: usize, policy: &Policy) -> Self {
+        Chunk {
+            tags: vec![0; sets * ways].into_boxed_slice(),
+            lines: std::iter::repeat_with(|| None).take(sets * ways).collect(),
+            repl: policy.fresh(sets),
+        }
+    }
+
+    /// The way within `ways` holding `block`: the first way whose tag
+    /// matches and whose line is present.
+    fn way_of(&self, ways: Range<usize>, block: BlockAddr) -> Option<usize> {
+        let lines = &self.lines[ways.clone()];
+        self.tags[ways]
+            .iter()
+            .zip(lines)
+            .position(|(&tag, line)| tag == block.get() && line.is_some())
+    }
+
+    /// The first free way within `ways`.
+    fn free_way(&self, ways: Range<usize>) -> Option<usize> {
+        self.lines[ways].iter().position(Option::is_none)
+    }
+}
 
 /// A set-associative array of `L` payloads keyed by block address.
 ///
@@ -37,16 +85,15 @@ use std::ops::Range;
 /// assert_eq!(a.occupancy(), 1);
 /// ```
 pub struct SetAssoc<L> {
-    /// `sets × ways` tags, raw block numbers; set `s` owns
-    /// `tags[s * ways..(s + 1) * ways]`. A way holds a block only while
-    /// its line is `Some`: an emptied way keeps its stale tag, which no
-    /// lookup answers to. Raw numbers let the vector start as zeroed
-    /// memory, so building an array writes no tag.
-    tags: Vec<u64>,
-    /// `sets × ways` payloads, laid out as `tags`.
-    lines: Vec<Option<L>>,
-    policy: ReplState,
+    /// One slot per chunk of `chunk_sets` consecutive sets, `None` until
+    /// the first insert into one of its sets.
+    chunks: Vec<Option<Chunk<L>>>,
+    /// Blocks stored.
+    len: usize,
+    policy: Policy,
     ways: usize,
+    /// log2 of the sets per chunk.
+    chunk_bits: u32,
     set_mask: u64,
     rng: DetRng,
 }
@@ -65,51 +112,57 @@ impl<L> SetAssoc<L> {
             num_sets.is_power_of_two(),
             "num_sets must be a power of two, got {num_sets}"
         );
-        let policy = ReplState::new(repl, num_sets, ways);
+        let policy = Policy::new(repl, ways);
+        // The largest power of two of sets whose ways fit CHUNK_WAYS
+        // (one set at least), but no more sets than the array has.
+        let fit = (CHUNK_WAYS / ways).max(1);
+        let chunk_bits = fit.ilog2().min(num_sets.trailing_zeros());
         SetAssoc {
-            tags: vec![0; num_sets * ways],
-            lines: std::iter::repeat_with(|| None)
-                .take(num_sets * ways)
+            chunks: std::iter::repeat_with(|| None)
+                .take(num_sets >> chunk_bits)
                 .collect(),
+            len: 0,
             policy,
             ways,
+            chunk_bits,
             set_mask: num_sets as u64 - 1,
             rng: DetRng::seed_from(seed),
         }
     }
 
-    /// The index range of set `set`'s ways in `tags` and `lines`.
+    /// The chunk holding `block`'s set and the set's index within it.
+    fn place(&self, block: BlockAddr) -> (usize, usize) {
+        let set = self.set_index(block);
+        (set >> self.chunk_bits, set & ((1 << self.chunk_bits) - 1))
+    }
+
+    /// The index range of chunk-local set `set`'s ways in its chunk's
+    /// `tags` and `lines`.
     fn ways_of(&self, set: usize) -> Range<usize> {
         set * self.ways..(set + 1) * self.ways
     }
 
-    /// The way of `set` holding `block`: the first way whose tag matches
-    /// and whose line is present.
-    fn way_of(&self, set: usize, block: BlockAddr) -> Option<usize> {
+    /// `block`'s chunk and its index there in `tags` and `lines`.
+    fn find(&self, block: BlockAddr) -> Option<(&Chunk<L>, usize)> {
+        let (c, set) = self.place(block);
+        let chunk = self.chunks[c].as_ref()?;
         let ways = self.ways_of(set);
-        let lines = &self.lines[ways.clone()];
-        self.tags[ways]
-            .iter()
-            .zip(lines)
-            .position(|(&tag, line)| tag == block.get() && line.is_some())
+        let base = ways.start;
+        chunk.way_of(ways, block).map(|w| (chunk, base + w))
     }
 
-    /// The first free way of `set`.
-    fn free_way(&self, set: usize) -> Option<usize> {
-        self.lines[self.ways_of(set)]
-            .iter()
-            .position(Option::is_none)
-    }
-
-    /// The index in `tags` and `lines` of `block`'s way.
-    fn slot_of(&self, block: BlockAddr) -> Option<usize> {
-        let set = self.set_index(block);
-        self.way_of(set, block).map(|w| set * self.ways + w)
+    /// `block`'s chunk-local set and way, with its chunk, mutably.
+    fn find_mut(&mut self, block: BlockAddr) -> Option<(&mut Chunk<L>, usize, usize)> {
+        let (c, set) = self.place(block);
+        let ways = self.ways_of(set);
+        let chunk = self.chunks[c].as_mut()?;
+        let w = chunk.way_of(ways, block)?;
+        Some((chunk, set, w))
     }
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.lines.len() / self.ways
+        self.chunks.len() << self.chunk_bits
     }
 
     /// Associativity.
@@ -119,12 +172,12 @@ impl<L> SetAssoc<L> {
 
     /// Total capacity in blocks.
     pub fn capacity(&self) -> usize {
-        self.lines.len()
+        self.num_sets() * self.ways
     }
 
     /// Number of blocks currently stored.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.is_some()).count()
+        self.len
     }
 
     /// The replacement policy kind this array was built with.
@@ -139,39 +192,34 @@ impl<L> SetAssoc<L> {
 
     /// Returns the payload for `block` without updating recency.
     pub fn get(&self, block: BlockAddr) -> Option<&L> {
-        self.lines[self.slot_of(block)?].as_ref()
+        let (chunk, slot) = self.find(block)?;
+        chunk.lines[slot].as_ref()
     }
 
     /// Returns the payload for `block` mutably without updating recency.
     pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let slot = self.slot_of(block)?;
-        self.lines[slot].as_mut()
+        let ways = self.ways;
+        let (chunk, set, w) = self.find_mut(block)?;
+        chunk.lines[set * ways + w].as_mut()
     }
 
     /// Tests whether `block` is present.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.slot_of(block).is_some()
+        self.find(block).is_some()
     }
 
     /// Records a hit on `block`, promoting it in the replacement order.
     /// Returns `false` if the block is absent.
     pub fn touch(&mut self, block: BlockAddr) -> bool {
-        let idx = self.set_index(block);
-        match self.way_of(idx, block) {
-            Some(w) => {
-                self.policy.on_hit(idx, w);
-                true
-            }
-            None => false,
-        }
+        self.access_mut(block).is_some()
     }
 
     /// Returns the payload mutably and promotes the block (hit semantics).
     pub fn access_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let idx = self.set_index(block);
-        let w = self.way_of(idx, block)?;
-        self.policy.on_hit(idx, w);
-        self.lines[idx * self.ways + w].as_mut()
+        let (policy, ways) = (self.policy, self.ways);
+        let (chunk, set, w) = self.find_mut(block)?;
+        policy.on_hit(&mut chunk.repl[policy.bytes_of(set)], w);
+        chunk.lines[set * ways + w].as_mut()
     }
 
     /// Inserts `block`, evicting and returning the replacement victim if
@@ -184,19 +232,25 @@ impl<L> SetAssoc<L> {
     ///
     /// [`get_mut`]: SetAssoc::get_mut
     pub fn insert(&mut self, block: BlockAddr, payload: L) -> Option<(BlockAddr, L)> {
-        let idx = self.set_index(block);
+        let (c, set) = self.place(block);
+        let (ways, repl) = (self.ways_of(set), self.policy.bytes_of(set));
+        let (policy, chunk_sets, set_ways) = (self.policy, 1 << self.chunk_bits, self.ways);
+        let chunk = self.chunks[c].get_or_insert_with(|| Chunk::new(chunk_sets, set_ways, &policy));
         assert!(
-            self.way_of(idx, block).is_none(),
+            chunk.way_of(ways.clone(), block).is_none(),
             "block {block} already present; update it instead of re-inserting"
         );
-        let way = match self.free_way(idx) {
+        let way = match chunk.free_way(ways.clone()) {
             Some(w) => w,
-            None => self.policy.victim(idx, &mut self.rng),
+            None => policy.victim(&mut chunk.repl[repl.clone()], &mut self.rng),
         };
-        let slot = idx * self.ways + way;
-        let old_tag = std::mem::replace(&mut self.tags[slot], block.get());
-        let evicted = self.lines[slot].replace(payload);
-        self.policy.on_fill(idx, way);
+        let slot = ways.start + way;
+        let old_tag = std::mem::replace(&mut chunk.tags[slot], block.get());
+        let evicted = chunk.lines[slot].replace(payload);
+        policy.on_fill(&mut chunk.repl[repl], way);
+        if evicted.is_none() {
+            self.len += 1;
+        }
         evicted.map(|line| (BlockAddr::new(old_tag), line))
     }
 
@@ -205,53 +259,71 @@ impl<L> SetAssoc<L> {
     /// `block`). May advance policy state (SRRIP aging, RNG draws), which
     /// mirrors hardware where the victim choice is made once per miss.
     pub fn victim_for(&mut self, block: BlockAddr) -> Option<BlockAddr> {
-        let idx = self.set_index(block);
-        if self.way_of(idx, block).is_some() || self.free_way(idx).is_some() {
+        let (c, set) = self.place(block);
+        let (ways, repl) = (self.ways_of(set), self.policy.bytes_of(set));
+        let chunk = self.chunks[c].as_mut()?;
+        if chunk.way_of(ways.clone(), block).is_some() || chunk.free_way(ways.clone()).is_some() {
             return None;
         }
         // The set is full, so the victim way holds a block.
-        let w = self.policy.victim(idx, &mut self.rng);
-        Some(BlockAddr::new(self.tags[idx * self.ways + w]))
+        let w = self.policy.victim(&mut chunk.repl[repl], &mut self.rng);
+        Some(BlockAddr::new(chunk.tags[ways.start + w]))
     }
 
     /// Removes `block`, returning its payload. The way keeps `block`'s
     /// tag, stale until the way is filled again.
     pub fn remove(&mut self, block: BlockAddr) -> Option<L> {
-        let slot = self.slot_of(block)?;
-        self.lines[slot].take()
+        let ways = self.ways;
+        let (chunk, set, w) = self.find_mut(block)?;
+        let line = chunk.lines[set * ways + w].take();
+        self.len -= 1;
+        line
     }
 
     /// Iterates the occupants of the set `block` maps to, as
     /// `(way, block, payload)` triples. Used by callers that pick victims
     /// by payload content (the stash directory's private-first policy).
     pub fn set_occupants(&self, block: BlockAddr) -> impl Iterator<Item = (usize, BlockAddr, &L)> {
-        let ways = self.ways_of(self.set_index(block));
-        self.tags[ways.clone()]
-            .iter()
-            .zip(&self.lines[ways])
-            .enumerate()
-            .filter_map(|(w, (&tag, line))| line.as_ref().map(|l| (w, BlockAddr::new(tag), l)))
+        let (c, set) = self.place(block);
+        let ways = self.ways_of(set);
+        self.chunks[c].iter().flat_map(move |chunk| {
+            chunk.tags[ways.clone()]
+                .iter()
+                .zip(&chunk.lines[ways.clone()])
+                .enumerate()
+                .filter_map(|(w, (&tag, line))| line.as_ref().map(|l| (w, BlockAddr::new(tag), l)))
+        })
     }
 
     /// `true` when the set `block` maps to has no free way and does not
     /// already contain `block` (i.e. inserting `block` would evict).
     pub fn would_evict(&self, block: BlockAddr) -> bool {
-        let idx = self.set_index(block);
-        self.way_of(idx, block).is_none() && self.free_way(idx).is_none()
+        let (c, set) = self.place(block);
+        let ways = self.ways_of(set);
+        self.chunks[c].as_ref().is_some_and(|chunk| {
+            chunk.way_of(ways.clone(), block).is_none() && chunk.free_way(ways).is_none()
+        })
     }
 
     /// Iterates every resident `(block, payload)` pair in set order, ways
-    /// in order within a set.
+    /// in order within a set. Sets that were never filled cost nothing.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &L)> {
-        self.tags
-            .iter()
-            .zip(&self.lines)
-            .filter_map(|(&tag, line)| line.as_ref().map(|l| (BlockAddr::new(tag), l)))
+        self.chunks.iter().flatten().flat_map(|chunk| {
+            chunk
+                .tags
+                .iter()
+                .zip(&chunk.lines)
+                .filter_map(|(&tag, line)| line.as_ref().map(|l| (BlockAddr::new(tag), l)))
+        })
     }
 
-    /// Removes every block.
+    /// Removes every block. Replacement state and storage stay as they
+    /// are.
     pub fn clear(&mut self) {
-        self.lines.fill_with(|| None);
+        for chunk in self.chunks.iter_mut().flatten() {
+            chunk.lines.fill_with(|| None);
+        }
+        self.len = 0;
     }
 }
 
@@ -269,6 +341,7 @@ impl<L: std::fmt::Debug> std::fmt::Debug for SetAssoc<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn array(sets: usize, ways: usize) -> SetAssoc<u32> {
         SetAssoc::new(sets, ways, ReplKind::Lru, 1)
@@ -442,5 +515,432 @@ mod tests {
             assert!(a.insert(BlockAddr::new(i), i as u32).is_none());
         }
         assert_eq!(a.occupancy(), 8);
+    }
+
+    /// The flat array as it was before storage went per chunk: every
+    /// set's tags, lines and replacement bytes allocated up front. Kept
+    /// verbatim as the reference model for the differential property
+    /// below.
+    mod reference {
+        #![allow(dead_code)]
+
+        use crate::replacement::{ReplKind, ReplState};
+        use stashdir_common::{BlockAddr, DetRng};
+        use std::ops::Range;
+
+        pub struct SetAssoc<L> {
+            /// `sets × ways` tags, raw block numbers; set `s` owns
+            /// `tags[s * ways..(s + 1) * ways]`. A way holds a block only while
+            /// its line is `Some`: an emptied way keeps its stale tag, which no
+            /// lookup answers to. Raw numbers let the vector start as zeroed
+            /// memory, so building an array writes no tag.
+            tags: Vec<u64>,
+            /// `sets × ways` payloads, laid out as `tags`.
+            lines: Vec<Option<L>>,
+            policy: ReplState,
+            ways: usize,
+            set_mask: u64,
+            rng: DetRng,
+        }
+
+        impl<L> SetAssoc<L> {
+            /// Creates an array with `num_sets` sets of `ways` ways using the given
+            /// replacement policy. `seed` feeds the policy's RNG (only `Random`
+            /// consumes it) so runs are reproducible.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `num_sets` is not a power of two, or `ways` is zero or
+            /// above 256.
+            pub fn new(num_sets: usize, ways: usize, repl: ReplKind, seed: u64) -> Self {
+                assert!(
+                    num_sets.is_power_of_two(),
+                    "num_sets must be a power of two, got {num_sets}"
+                );
+                let policy = ReplState::new(repl, num_sets, ways);
+                SetAssoc {
+                    tags: vec![0; num_sets * ways],
+                    lines: std::iter::repeat_with(|| None)
+                        .take(num_sets * ways)
+                        .collect(),
+                    policy,
+                    ways,
+                    set_mask: num_sets as u64 - 1,
+                    rng: DetRng::seed_from(seed),
+                }
+            }
+
+            /// The index range of set `set`'s ways in `tags` and `lines`.
+            fn ways_of(&self, set: usize) -> Range<usize> {
+                set * self.ways..(set + 1) * self.ways
+            }
+
+            /// The way of `set` holding `block`: the first way whose tag matches
+            /// and whose line is present.
+            fn way_of(&self, set: usize, block: BlockAddr) -> Option<usize> {
+                let ways = self.ways_of(set);
+                let lines = &self.lines[ways.clone()];
+                self.tags[ways]
+                    .iter()
+                    .zip(lines)
+                    .position(|(&tag, line)| tag == block.get() && line.is_some())
+            }
+
+            /// The first free way of `set`.
+            fn free_way(&self, set: usize) -> Option<usize> {
+                self.lines[self.ways_of(set)]
+                    .iter()
+                    .position(Option::is_none)
+            }
+
+            /// The index in `tags` and `lines` of `block`'s way.
+            fn slot_of(&self, block: BlockAddr) -> Option<usize> {
+                let set = self.set_index(block);
+                self.way_of(set, block).map(|w| set * self.ways + w)
+            }
+
+            /// Number of sets.
+            pub fn num_sets(&self) -> usize {
+                self.lines.len() / self.ways
+            }
+
+            /// Associativity.
+            pub fn ways(&self) -> usize {
+                self.ways
+            }
+
+            /// Total capacity in blocks.
+            pub fn capacity(&self) -> usize {
+                self.lines.len()
+            }
+
+            /// Number of blocks currently stored.
+            pub fn occupancy(&self) -> usize {
+                self.lines.iter().filter(|l| l.is_some()).count()
+            }
+
+            /// The replacement policy kind this array was built with.
+            pub fn repl_kind(&self) -> ReplKind {
+                self.policy.kind()
+            }
+
+            /// The set index a block maps to.
+            pub fn set_index(&self, block: BlockAddr) -> usize {
+                (block.get() & self.set_mask) as usize
+            }
+
+            /// Returns the payload for `block` without updating recency.
+            pub fn get(&self, block: BlockAddr) -> Option<&L> {
+                self.lines[self.slot_of(block)?].as_ref()
+            }
+
+            /// Returns the payload for `block` mutably without updating recency.
+            pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
+                let slot = self.slot_of(block)?;
+                self.lines[slot].as_mut()
+            }
+
+            /// Tests whether `block` is present.
+            pub fn contains(&self, block: BlockAddr) -> bool {
+                self.slot_of(block).is_some()
+            }
+
+            /// Records a hit on `block`, promoting it in the replacement order.
+            /// Returns `false` if the block is absent.
+            pub fn touch(&mut self, block: BlockAddr) -> bool {
+                let idx = self.set_index(block);
+                match self.way_of(idx, block) {
+                    Some(w) => {
+                        self.policy.on_hit(idx, w);
+                        true
+                    }
+                    None => false,
+                }
+            }
+
+            /// Returns the payload mutably and promotes the block (hit semantics).
+            pub fn access_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
+                let idx = self.set_index(block);
+                let w = self.way_of(idx, block)?;
+                self.policy.on_hit(idx, w);
+                self.lines[idx * self.ways + w].as_mut()
+            }
+
+            /// Inserts `block`, evicting and returning the replacement victim if
+            /// the target set is full.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `block` is already present (callers must use [`get_mut`]
+            /// to update an existing payload).
+            ///
+            /// [`get_mut`]: SetAssoc::get_mut
+            pub fn insert(&mut self, block: BlockAddr, payload: L) -> Option<(BlockAddr, L)> {
+                let idx = self.set_index(block);
+                assert!(
+                    self.way_of(idx, block).is_none(),
+                    "block {block} already present; update it instead of re-inserting"
+                );
+                let way = match self.free_way(idx) {
+                    Some(w) => w,
+                    None => self.policy.victim(idx, &mut self.rng),
+                };
+                let slot = idx * self.ways + way;
+                let old_tag = std::mem::replace(&mut self.tags[slot], block.get());
+                let evicted = self.lines[slot].replace(payload);
+                self.policy.on_fill(idx, way);
+                evicted.map(|line| (BlockAddr::new(old_tag), line))
+            }
+
+            /// The block that would be evicted if `block` were inserted now, or
+            /// `None` if the target set still has a free way (or already holds
+            /// `block`). May advance policy state (SRRIP aging, RNG draws), which
+            /// mirrors hardware where the victim choice is made once per miss.
+            pub fn victim_for(&mut self, block: BlockAddr) -> Option<BlockAddr> {
+                let idx = self.set_index(block);
+                if self.way_of(idx, block).is_some() || self.free_way(idx).is_some() {
+                    return None;
+                }
+                // The set is full, so the victim way holds a block.
+                let w = self.policy.victim(idx, &mut self.rng);
+                Some(BlockAddr::new(self.tags[idx * self.ways + w]))
+            }
+
+            /// Removes `block`, returning its payload. The way keeps `block`'s
+            /// tag, stale until the way is filled again.
+            pub fn remove(&mut self, block: BlockAddr) -> Option<L> {
+                let slot = self.slot_of(block)?;
+                self.lines[slot].take()
+            }
+
+            /// Iterates the occupants of the set `block` maps to, as
+            /// `(way, block, payload)` triples. Used by callers that pick victims
+            /// by payload content (the stash directory's private-first policy).
+            pub fn set_occupants(
+                &self,
+                block: BlockAddr,
+            ) -> impl Iterator<Item = (usize, BlockAddr, &L)> {
+                let ways = self.ways_of(self.set_index(block));
+                self.tags[ways.clone()]
+                    .iter()
+                    .zip(&self.lines[ways])
+                    .enumerate()
+                    .filter_map(|(w, (&tag, line))| {
+                        line.as_ref().map(|l| (w, BlockAddr::new(tag), l))
+                    })
+            }
+
+            /// `true` when the set `block` maps to has no free way and does not
+            /// already contain `block` (i.e. inserting `block` would evict).
+            pub fn would_evict(&self, block: BlockAddr) -> bool {
+                let idx = self.set_index(block);
+                self.way_of(idx, block).is_none() && self.free_way(idx).is_none()
+            }
+
+            /// Iterates every resident `(block, payload)` pair in set order, ways
+            /// in order within a set.
+            pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &L)> {
+                self.tags
+                    .iter()
+                    .zip(&self.lines)
+                    .filter_map(|(&tag, line)| line.as_ref().map(|l| (BlockAddr::new(tag), l)))
+            }
+
+            /// Removes every block.
+            pub fn clear(&mut self) {
+                self.lines.fill_with(|| None);
+            }
+        }
+
+        impl<L: std::fmt::Debug> std::fmt::Debug for SetAssoc<L> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_struct("SetAssoc")
+                    .field("num_sets", &self.num_sets())
+                    .field("ways", &self.ways)
+                    .field("occupancy", &self.occupancy())
+                    .field("repl", &self.repl_kind())
+                    .finish_non_exhaustive()
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Inserts the next tag, round robin, into one of the four sets.
+        Fill(u8),
+        Insert(u8, u16),
+        Remove(u8, u16),
+        Touch(u8, u16),
+        AccessMut(u8, u16),
+        GetMut(u8, u16),
+        VictimFor(u8, u16),
+        WouldEvict(u8, u16),
+        Clear,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let at = || (0u8..4, 0u16..400);
+        prop_oneof![
+            400 => (0u8..4).prop_map(Op::Fill),
+            400 => at().prop_map(|(s, t)| Op::Insert(s, t)),
+            120 => at().prop_map(|(s, t)| Op::Remove(s, t)),
+            120 => at().prop_map(|(s, t)| Op::Touch(s, t)),
+            120 => at().prop_map(|(s, t)| Op::AccessMut(s, t)),
+            60 => at().prop_map(|(s, t)| Op::GetMut(s, t)),
+            120 => at().prop_map(|(s, t)| Op::VictimFor(s, t)),
+            60 => at().prop_map(|(s, t)| Op::WouldEvict(s, t)),
+            // Rare, so 256-way sets still fill between clears.
+            1 => Just(Op::Clear),
+        ]
+    }
+
+    /// The block an op names in a `sets`-set, `ways`-way array: one of
+    /// four sets spread over the chunks (first, second, middle and last
+    /// set), and one of a few more tags than the set has ways, so sets
+    /// fill and evict.
+    fn block_of(sets: usize, ways: usize, set_pick: u8, tag: u16) -> BlockAddr {
+        let set = [0, 1, sets / 2, sets - 1][set_pick as usize] % sets;
+        let tags = ways + ways / 4 + 2;
+        BlockAddr::new((tag as usize % tags * sets + set) as u64)
+    }
+
+    const KINDS: [ReplKind; 6] = [
+        ReplKind::Lru,
+        ReplKind::Fifo,
+        ReplKind::Random,
+        ReplKind::Nru,
+        ReplKind::Srrip,
+        ReplKind::TreePlru,
+    ];
+
+    /// `(sets, ways)`: one set, and several chunks of 3-, 12-, 256- and
+    /// 1-way sets.
+    const GEOMETRIES: [(usize, usize); 7] = [
+        (1, 3),
+        (1, 12),
+        (1, 256),
+        (256, 3),
+        (64, 12),
+        (2, 256),
+        (512, 1),
+    ];
+
+    /// Runs `ops` on a chunked array and on the flat reference, and
+    /// fails at the first call whose answer differs.
+    fn run_differential(
+        ops: &[Op],
+        repl: ReplKind,
+        (sets, ways): (usize, usize),
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut chunked: SetAssoc<u64> = SetAssoc::new(sets, ways, repl, seed);
+        let mut flat: reference::SetAssoc<u64> = reference::SetAssoc::new(sets, ways, repl, seed);
+        let mut next_tag = [0u16; 4];
+        let at = |s, t| block_of(sets, ways, s, t);
+        for (payload, op) in (0u64..).zip(ops) {
+            let block = match *op {
+                Op::Fill(s) | Op::Insert(s, _) => {
+                    let block = match *op {
+                        Op::Insert(_, t) => at(s, t),
+                        _ => {
+                            next_tag[s as usize] = next_tag[s as usize].wrapping_add(1);
+                            at(s, next_tag[s as usize])
+                        }
+                    };
+                    prop_assert_eq!(chunked.contains(block), flat.contains(block));
+                    if !flat.contains(block) {
+                        prop_assert_eq!(
+                            chunked.insert(block, payload),
+                            flat.insert(block, payload)
+                        );
+                    }
+                    block
+                }
+                Op::Remove(s, t) => {
+                    let block = at(s, t);
+                    prop_assert_eq!(chunked.remove(block), flat.remove(block));
+                    block
+                }
+                Op::Touch(s, t) => {
+                    let block = at(s, t);
+                    prop_assert_eq!(chunked.touch(block), flat.touch(block));
+                    block
+                }
+                Op::AccessMut(s, t) | Op::GetMut(s, t) => {
+                    let block = at(s, t);
+                    let (mine, theirs) = if matches!(op, Op::AccessMut(..)) {
+                        (chunked.access_mut(block), flat.access_mut(block))
+                    } else {
+                        (chunked.get_mut(block), flat.get_mut(block))
+                    };
+                    prop_assert_eq!(mine.as_deref(), theirs.as_deref());
+                    // Rewrite the payload, so a line answered from the
+                    // wrong way shows up later.
+                    if let (Some(mine), Some(theirs)) = (mine, theirs) {
+                        *mine = payload;
+                        *theirs = payload;
+                    }
+                    block
+                }
+                Op::VictimFor(s, t) => {
+                    let block = at(s, t);
+                    prop_assert_eq!(chunked.victim_for(block), flat.victim_for(block));
+                    block
+                }
+                Op::WouldEvict(s, t) => {
+                    let block = at(s, t);
+                    prop_assert_eq!(chunked.would_evict(block), flat.would_evict(block));
+                    block
+                }
+                Op::Clear => {
+                    chunked.clear();
+                    flat.clear();
+                    at(0, 0)
+                }
+            };
+            prop_assert_eq!(chunked.get(block), flat.get(block));
+            prop_assert_eq!(chunked.occupancy(), flat.occupancy());
+            prop_assert!(
+                chunked.set_occupants(block).eq(flat.set_occupants(block)),
+                "{repl} {sets}x{ways}: set_occupants of {block} differ after {op:?}"
+            );
+            // A whole-array walk every few ops keeps the test fast.
+            if payload % 16 == 0 {
+                prop_assert!(
+                    chunked.iter().eq(flat.iter()),
+                    "{repl} {sets}x{ways}: iter() differs after {op:?}"
+                );
+            }
+        }
+        prop_assert!(
+            chunked.iter().eq(flat.iter()),
+            "{repl} {sets}x{ways}: final iter() differs"
+        );
+        prop_assert_eq!(chunked.num_sets(), flat.num_sets());
+        prop_assert_eq!(chunked.capacity(), flat.capacity());
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Under any op sequence, for each policy and each geometry, the
+        /// chunked array answers every call exactly as the flat reference
+        /// does: the same victims (with the same `Random` draws),
+        /// payloads, `iter()` order and `set_occupants` order. Sequences
+        /// are long enough that 256-way sets fill and evict.
+        #[test]
+        fn chunked_array_matches_flat_reference(
+            ops in prop::collection::vec(arb_op(), 1200..2400),
+            seed in 0u64..1024,
+        ) {
+            for repl in KINDS {
+                for (sets, ways) in GEOMETRIES {
+                    // Only 256-way sets need the long tail to fill.
+                    let len = if ways < 256 { ops.len().min(600) } else { ops.len() };
+                    run_differential(&ops[..len], repl, (sets, ways), seed)?;
+                }
+            }
+        }
     }
 }

@@ -1,22 +1,27 @@
-//! `SetAssoc` storage is flat: building an array costs a constant number
-//! of heap allocations, whatever its number of sets. A per-set heap
-//! layout (a `Vec` of ways or a boxed policy per set) fails this test.
+//! Building a `SetAssoc` costs a constant number of heap allocations,
+//! whatever its number of sets, and requests next to no bytes: storage
+//! is allocated per chunk of sets on first insert. A per-set heap layout
+//! (a `Vec` of ways or a boxed policy per set) or an eagerly allocated
+//! one fails these tests.
 
 use stashdir_mem::{ReplKind, SetAssoc};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// The system allocator, counting allocations per thread so the test
-/// harness's own threads do not disturb the count.
+/// The system allocator, counting allocations and the bytes they
+/// request per thread so the test harness's own threads do not disturb
+/// the count.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + layout.size()));
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.alloc(layout) }
     }
@@ -30,17 +35,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations made by `f` on this thread.
-fn allocations<T>(f: impl FnOnce() -> T) -> usize {
-    let before = ALLOCATIONS.with(Cell::get);
+/// What `counter` counted on this thread while `f` ran.
+fn counted<T>(
+    counter: &'static std::thread::LocalKey<Cell<usize>>,
+    f: impl FnOnce() -> T,
+) -> usize {
+    let before = counter.with(Cell::get);
     let value = f();
-    let after = ALLOCATIONS.with(Cell::get);
+    let after = counter.with(Cell::get);
     drop(value);
     after - before
 }
 
-/// Allocations `SetAssoc::new` may make: the tag vector, the line
-/// vector and the replacement-state vector.
+/// Allocations made by `f` on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> usize {
+    counted(&ALLOCATIONS, f)
+}
+
+/// Bytes requested by `f`'s allocations on this thread.
+fn requested_bytes<T>(f: impl FnOnce() -> T) -> usize {
+    counted(&BYTES, f)
+}
+
+/// Allocations `SetAssoc::new` may make. It makes one, the chunk index;
+/// the flat layout it replaced made three.
 const MAX_ALLOCATIONS: usize = 3;
 
 #[test]
@@ -61,4 +79,15 @@ fn construction_allocates_a_constant_number_of_times() {
         );
         assert_eq!(one, many, "{repl}: allocations grow with the set count");
     }
+}
+
+/// A 16 K-line array of 16-byte payloads: the flat layout requested
+/// 528 KiB of tags, lines and LRU stacks up front.
+#[test]
+fn construction_requests_only_the_chunk_index() {
+    let bytes = requested_bytes(|| SetAssoc::<[u64; 2]>::new(1024, 16, ReplKind::Lru, 7));
+    assert!(
+        bytes < 4096,
+        "SetAssoc::new(1024, 16) requested {bytes} bytes"
+    );
 }

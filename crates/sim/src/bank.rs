@@ -285,9 +285,15 @@ impl Bank {
         }
     }
 
+    /// Every resident LLC line, borrowed, in set order (global
+    /// addresses).
+    pub fn llc_lines(&self) -> impl Iterator<Item = (BlockAddr, &LlcLine)> {
+        self.llc.iter().map(|(b, l)| (self.global(b), l))
+    }
+
     /// Snapshot of all resident LLC lines (global addresses).
     pub fn llc_entries(&self) -> Vec<(BlockAddr, LlcLine)> {
-        self.llc.iter().map(|(b, l)| (self.global(b), *l)).collect()
+        self.llc_lines().map(|(b, l)| (b, *l)).collect()
     }
 
     // ---- Directory slice ----
@@ -302,11 +308,16 @@ impl Bank {
         }
     }
 
+    /// The directory's view of `block`, borrowed from its entry (`None`
+    /// when untracked).
+    pub fn dir_lookup(&self, block: BlockAddr) -> Option<&DirView> {
+        self.dir.lookup(self.dir_key(block))
+    }
+
     /// The directory's view of `block` ([`DirView::Untracked`] when no
     /// entry exists).
     pub fn dir_view(&self, block: BlockAddr) -> DirView {
-        self.dir
-            .lookup(self.dir_key(block))
+        self.dir_lookup(block)
             .cloned()
             .unwrap_or(DirView::Untracked)
     }
@@ -340,20 +351,22 @@ impl Bank {
         self.dir.remove(key);
     }
 
+    /// Every directory entry, borrowed, in the slice's
+    /// [`tracked`](DirectoryModel::tracked) order (global addresses).
+    pub fn dir_tracked(&self) -> impl Iterator<Item = (BlockAddr, &DirView)> {
+        self.dir.tracked().map(|(b, v)| {
+            let g = if self.dir_global_keys {
+                b
+            } else {
+                self.global(b)
+            };
+            (g, v)
+        })
+    }
+
     /// Snapshot of directory entries (global addresses).
     pub fn dir_entries(&self) -> Vec<(BlockAddr, DirView)> {
-        self.dir
-            .entries()
-            .into_iter()
-            .map(|(b, v)| {
-                let g = if self.dir_global_keys {
-                    b
-                } else {
-                    self.global(b)
-                };
-                (g, v)
-            })
-            .collect()
+        self.dir_tracked().map(|(b, v)| (b, v.clone())).collect()
     }
 
     /// The directory slice itself (stats, capacity).

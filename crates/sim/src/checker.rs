@@ -22,6 +22,7 @@
 //!   at its home.
 
 use crate::machine::Machine;
+use crate::private::PrivateHier;
 use stashdir_common::{BlockAddr, CoreId, FxHashMap};
 use stashdir_protocol::{DirView, PrivState};
 
@@ -31,12 +32,19 @@ type PrivCopy = (BlockAddr, CoreId, PrivState, u64);
 /// Runs every invariant over `machine`, returning human-readable
 /// violation descriptions (empty = clean). `final_check` additionally
 /// verifies liveness (I6).
+///
+/// The walk visits resident state only, bank-major: private copies and
+/// written blocks are ordered by home bank, then bank-local block, so
+/// each bank's LLC and directory are read in set order. Messages are
+/// reported in address order within each check, whatever the walk's
+/// order, so failure reports do not depend on cache layout.
 pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
     let mut problems = Vec::new();
     let uses_stash = machine.config().dir.uses_stash();
+    let key = |block| machine.bank_major(block);
 
     // Gather every valid private copy into one flat vector, core by core.
-    let total: usize = machine.privs.iter().map(|h| h.l2_entries().count()).sum();
+    let total = machine.privs.iter().map(PrivateHier::l2_occupancy).sum();
     let mut copies: Vec<PrivCopy> = Vec::with_capacity(total);
     for hier in &machine.privs {
         let core = hier.core();
@@ -51,89 +59,142 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
                 .map(|(block, line)| (block, core, line.state, line.version)),
         );
     }
-    // Block order, so violation messages do not depend on cache layout —
-    // checker output feeds failure reports. A core holds a block once,
-    // so `(block, core)` is unique: the unstable sort keeps each block's
-    // copies in core order, as a stable sort by block would, without
-    // the stable sort's scratch buffer.
-    copies.sort_unstable_by_key(|&(block, core, _, _)| (block, core));
+    // A core holds a block once, so `(block, core)` is unique: the
+    // unstable sort keeps each block's copies in core order without the
+    // stable sort's scratch buffer.
+    copies.sort_unstable_by_key(|&(block, core, _, _)| (key(block), core));
+    let mut written: Vec<(BlockAddr, u64)> = machine.values.written().collect();
+    written.sort_unstable_by_key(|&(block, _)| key(block));
+    let mut wb_versions: FxHashMap<BlockAddr, u64> = FxHashMap::default();
+    for hier in &machine.privs {
+        for (block, entry) in hier.parked() {
+            let best = wb_versions.entry(block).or_insert(0);
+            *best = (*best).max(entry.version);
+        }
+    }
 
-    for holders in copies.chunk_by(|a, b| a.0 == b.0) {
-        let Some(&(block, ..)) = holders.first() else {
-            continue;
+    // One walk over the union of held and written blocks. Per-block
+    // messages (I3, I4, I1/I2, I5 stale copies) and lost writes keep
+    // their block, to be put back in address order below.
+    let mut per_block: Vec<(BlockAddr, String)> = Vec::new();
+    let mut lost: Vec<(BlockAddr, String)> = Vec::new();
+    let untracked = DirView::Untracked;
+    let (mut c, mut w) = (0, 0);
+    loop {
+        let block = match (copies.get(c), written.get(w)) {
+            (Some(copy), Some(&(wrote, _))) if key(wrote) < key(copy.0) => wrote,
+            (Some(copy), _) => copy.0,
+            (None, Some(&(wrote, _))) => wrote,
+            (None, None) => break,
         };
+        let rest = copies.get(c..).unwrap_or_default();
+        let held = rest.iter().take_while(|copy| copy.0 == block).count();
+        let holders = rest.get(..held).unwrap_or_default();
+        c += held;
+        let written_latest = match written.get(w) {
+            Some(&(wrote, latest)) if wrote == block => {
+                w += 1;
+                Some(latest)
+            }
+            _ => None,
+        };
+        let latest = written_latest.unwrap_or(0);
         let home = machine.home(block);
-        // lint: allow(indexing) — `home()`/`dir_bank_of()` return in-range BankIds.
-        let bank = &machine.banks[home.index()];
-        // The entry may live away from the home (opaque sharding).
-        // lint: allow(indexing) — `dir_bank_of()` returns an in-range BankId.
-        let view = machine.banks[machine.dir_bank_of(block).index()].dir_view(block);
-        let stash = bank.stash_bit(block);
-        let llc_resident = bank.llc_peek(block).is_some();
+        // lint: allow(indexing) — `home()` returns an in-range BankId.
+        let llc = machine.banks[home.index()].llc_peek(block);
 
-        // I3: single writer.
-        let exclusive = || {
-            holders
-                .iter()
-                .filter(|(_, _, s, _)| s.is_exclusive())
-                .map(|&(_, c, _, _)| c)
-        };
-        if exclusive().nth(1).is_some() {
-            let exclusive_holders: Vec<CoreId> = exclusive().collect();
-            problems.push(format!(
-                "I3: {block} has multiple exclusive holders: {exclusive_holders:?}"
-            ));
-        }
-        if let Some(first) = exclusive().next() {
-            if holders.len() > 1 {
-                problems.push(format!(
-                    "I3: {block} has an exclusive copy at {first} alongside {} other copies",
-                    holders.len() - 1
-                ));
-            }
-        }
+        if !holders.is_empty() {
+            // The entry may live away from the home (opaque sharding).
+            // lint: allow(indexing) — `dir_bank_of()` returns an in-range BankId.
+            let view = machine.banks[machine.dir_bank_of(block).index()]
+                .dir_lookup(block)
+                .unwrap_or(&untracked);
+            let stash = llc.is_some_and(|l| l.stash);
+            let mut report = |message| per_block.push((block, message));
 
-        // I4: LLC inclusion.
-        if !llc_resident {
-            problems.push(format!(
-                "I4: {block} cached privately but not resident in {home}'s LLC"
-            ));
-        }
-
-        // I1/I2: directory coverage per holder, plus state agreement.
-        for &(_, core, state, _) in holders {
-            let covered = match &view {
-                DirView::Untracked => false,
-                DirView::Exclusive(owner) => *owner == core,
-                DirView::Shared(set) => set.contains(core),
+            // I3: single writer.
+            let exclusive = || {
+                holders
+                    .iter()
+                    .filter(|(_, _, s, _)| s.is_exclusive())
+                    .map(|&(_, c, _, _)| c)
             };
-            let hidden = uses_stash && stash;
-            if !covered && !hidden {
-                problems.push(format!(
-                    "I1/I2: {core} holds {block} ({state}) but {home} tracks {view} with stash={stash}"
+            if exclusive().nth(1).is_some() {
+                let exclusive_holders: Vec<CoreId> = exclusive().collect();
+                report(format!(
+                    "I3: {block} has multiple exclusive holders: {exclusive_holders:?}"
                 ));
             }
-            if covered && state.is_exclusive() && !matches!(view, DirView::Exclusive(_)) {
-                problems.push(format!(
-                    "I1: {core} holds {block} in {state} but {home} tracks it as {view}"
+            if let Some(first) = exclusive().next() {
+                if holders.len() > 1 {
+                    report(format!(
+                        "I3: {block} has an exclusive copy at {first} alongside {} other copies",
+                        holders.len() - 1
+                    ));
+                }
+            }
+
+            // I4: LLC inclusion.
+            if llc.is_none() {
+                report(format!(
+                    "I4: {block} cached privately but not resident in {home}'s LLC"
                 ));
+            }
+
+            // I1/I2: directory coverage per holder, plus state agreement.
+            for &(_, core, state, _) in holders {
+                let covered = match view {
+                    DirView::Untracked => false,
+                    DirView::Exclusive(owner) => *owner == core,
+                    DirView::Shared(set) => set.contains(core),
+                };
+                let hidden = uses_stash && stash;
+                if !covered && !hidden {
+                    report(format!(
+                        "I1/I2: {core} holds {block} ({state}) but {home} tracks {view} with stash={stash}"
+                    ));
+                }
+                if covered && state.is_exclusive() && !matches!(view, DirView::Exclusive(_)) {
+                    report(format!(
+                        "I1: {core} holds {block} in {state} but {home} tracks it as {view}"
+                    ));
+                }
+            }
+
+            // I5: every valid copy holds the latest version.
+            for &(_, core, state, version) in holders {
+                if version != latest {
+                    report(format!(
+                        "I5: {core} holds {block} ({state}) at version {version}, latest is {latest}"
+                    ));
+                }
             }
         }
 
-        // I5: every valid copy holds the latest version.
-        let latest = machine.values.latest(block);
-        for &(_, core, state, version) in holders {
-            if version != latest {
-                problems.push(format!(
-                    "I5: {core} holds {block} ({state}) at version {version}, latest is {latest}"
+        // I5 reachability: the latest version of a written block exists
+        // somewhere. DRAM is asked last, only when nothing else holds it.
+        if let Some(latest) = written_latest {
+            let reachable = holders.iter().any(|copy| copy.3 == latest)
+                || wb_versions.get(&block).copied().unwrap_or(0) == latest
+                || llc.is_some_and(|l| l.version == latest)
+                || machine.dram_store.get(&block).copied().unwrap_or(0) == latest;
+            if !reachable {
+                lost.push((
+                    block,
+                    format!("I5: latest version {latest} of {block} is unreachable (lost write)"),
                 ));
             }
         }
     }
+    // Stable sorts: a block's messages stay in the order they were found.
+    per_block.sort_by_key(|&(block, _)| block);
+    lost.sort_by_key(|&(block, _)| block);
+    problems.extend(per_block.into_iter().map(|(_, message)| message));
 
-    // Stash discipline + I5 reachability, scanned from the banks.
+    // Stash discipline and directory-side inclusion, scanned in place
+    // from the banks.
     for bank in &machine.banks {
-        for (block, line) in bank.llc_entries() {
+        for (block, line) in bank.llc_lines() {
             if line.stash {
                 if !uses_stash {
                     problems.push(format!(
@@ -141,8 +202,9 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
                     ));
                 }
                 // lint: allow(indexing) — `dir_bank_of()` returns an in-range BankId.
-                if machine.banks[machine.dir_bank_of(block).index()].dir_view(block)
-                    != DirView::Untracked
+                if machine.banks[machine.dir_bank_of(block).index()]
+                    .dir_lookup(block)
+                    .is_some()
                 {
                     problems.push(format!(
                         "stash: {block} is tracked yet keeps its stash bit set"
@@ -153,7 +215,7 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
         // Directory entries must point at resident LLC lines (inclusion
         // seen from the home side — an opaque shard tracks blocks homed at
         // *other* banks, so residence is checked at each block's home).
-        for (block, _) in bank.dir_entries() {
+        for (block, _) in bank.dir_tracked() {
             // lint: allow(indexing) — `home()` returns an in-range BankId.
             if machine.banks[machine.home(block).index()]
                 .llc_peek(block)
@@ -166,34 +228,7 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
             }
         }
     }
-
-    // I5 reachability: the latest version of every written block exists
-    // somewhere.
-    let mut wb_versions: FxHashMap<BlockAddr, u64> = FxHashMap::default();
-    for hier in &machine.privs {
-        for (block, entry) in hier.wb_entries() {
-            let best = wb_versions.entry(block).or_insert(0);
-            *best = (*best).max(entry.version);
-        }
-    }
-    for (block, latest) in machine.values.written_blocks() {
-        let in_copies = copies
-            .iter()
-            .skip(copies.partition_point(|c| c.0 < block))
-            .take_while(|c| c.0 == block)
-            .any(|c| c.3 == latest);
-        let in_wb = wb_versions.get(&block).copied().unwrap_or(0) == latest;
-        // lint: allow(indexing) — `home()` returns an in-range BankId.
-        let in_llc = machine.banks[machine.home(block).index()]
-            .llc_peek(block)
-            .is_some_and(|l| l.version == latest);
-        let in_dram = machine.dram_store.get(&block).copied().unwrap_or(0) == latest;
-        if !(in_copies || in_wb || in_llc || in_dram) {
-            problems.push(format!(
-                "I5: latest version {latest} of {block} is unreachable (lost write)"
-            ));
-        }
-    }
+    problems.extend(lost.into_iter().map(|(_, message)| message));
 
     // I6: liveness (final only).
     if final_check {
@@ -235,6 +270,7 @@ mod tests {
     use crate::config::{CoverageRatio, DirSpec, SystemConfig};
     use crate::machine::Machine;
     use crate::values::ValueTracker;
+    use proptest::prelude::*;
     use stashdir_common::{BlockAddr, MemOp};
     use stashdir_protocol::Grant;
 
@@ -471,5 +507,405 @@ mod tests {
             problems.iter().any(|p| p.contains("tracks it as")),
             "{problems:?}"
         );
+    }
+
+    /// The check as it was before it walked resident state bank-major:
+    /// copies in address order, LLC and directory read through cloning
+    /// snapshots. Kept verbatim as the reference model for the
+    /// differential property below, less its indexing lint directives,
+    /// which test code does not need.
+    mod reference {
+        use crate::machine::Machine;
+        use stashdir_common::{BlockAddr, CoreId, FxHashMap};
+        use stashdir_protocol::{DirView, PrivState};
+
+        /// One valid private copy: `(block, core, state, version)`.
+        type PrivCopy = (BlockAddr, CoreId, PrivState, u64);
+
+        pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
+            let mut problems = Vec::new();
+            let uses_stash = machine.config().dir.uses_stash();
+
+            // Gather every valid private copy into one flat vector, core by core.
+            let total: usize = machine.privs.iter().map(|h| h.l2_entries().count()).sum();
+            let mut copies: Vec<PrivCopy> = Vec::with_capacity(total);
+            for hier in &machine.privs {
+                let core = hier.core();
+                // I7: L1 ⊆ L2. L2 stores no Invalid line, so Invalid means absent.
+                for l1_block in hier.l1_blocks() {
+                    if hier.state_of(l1_block) == PrivState::Invalid {
+                        problems.push(format!("I7: {core} holds {l1_block} in L1 but not L2"));
+                    }
+                }
+                copies.extend(
+                    hier.l2_entries()
+                        .map(|(block, line)| (block, core, line.state, line.version)),
+                );
+            }
+            // Block order, so violation messages do not depend on cache layout —
+            // checker output feeds failure reports. A core holds a block once,
+            // so `(block, core)` is unique: the unstable sort keeps each block's
+            // copies in core order, as a stable sort by block would, without
+            // the stable sort's scratch buffer.
+            copies.sort_unstable_by_key(|&(block, core, _, _)| (block, core));
+
+            for holders in copies.chunk_by(|a, b| a.0 == b.0) {
+                let Some(&(block, ..)) = holders.first() else {
+                    continue;
+                };
+                let home = machine.home(block);
+                let bank = &machine.banks[home.index()];
+                // The entry may live away from the home (opaque sharding).
+                let view = machine.banks[machine.dir_bank_of(block).index()].dir_view(block);
+                let stash = bank.stash_bit(block);
+                let llc_resident = bank.llc_peek(block).is_some();
+
+                // I3: single writer.
+                let exclusive = || {
+                    holders
+                        .iter()
+                        .filter(|(_, _, s, _)| s.is_exclusive())
+                        .map(|&(_, c, _, _)| c)
+                };
+                if exclusive().nth(1).is_some() {
+                    let exclusive_holders: Vec<CoreId> = exclusive().collect();
+                    problems.push(format!(
+                        "I3: {block} has multiple exclusive holders: {exclusive_holders:?}"
+                    ));
+                }
+                if let Some(first) = exclusive().next() {
+                    if holders.len() > 1 {
+                        problems.push(format!(
+                            "I3: {block} has an exclusive copy at {first} alongside {} other copies",
+                            holders.len() - 1
+                        ));
+                    }
+                }
+
+                // I4: LLC inclusion.
+                if !llc_resident {
+                    problems.push(format!(
+                        "I4: {block} cached privately but not resident in {home}'s LLC"
+                    ));
+                }
+
+                // I1/I2: directory coverage per holder, plus state agreement.
+                for &(_, core, state, _) in holders {
+                    let covered = match &view {
+                        DirView::Untracked => false,
+                        DirView::Exclusive(owner) => *owner == core,
+                        DirView::Shared(set) => set.contains(core),
+                    };
+                    let hidden = uses_stash && stash;
+                    if !covered && !hidden {
+                        problems.push(format!(
+                            "I1/I2: {core} holds {block} ({state}) but {home} tracks {view} with stash={stash}"
+                        ));
+                    }
+                    if covered && state.is_exclusive() && !matches!(view, DirView::Exclusive(_)) {
+                        problems.push(format!(
+                            "I1: {core} holds {block} in {state} but {home} tracks it as {view}"
+                        ));
+                    }
+                }
+
+                // I5: every valid copy holds the latest version.
+                let latest = machine.values.latest(block);
+                for &(_, core, state, version) in holders {
+                    if version != latest {
+                        problems.push(format!(
+                            "I5: {core} holds {block} ({state}) at version {version}, latest is {latest}"
+                        ));
+                    }
+                }
+            }
+
+            // Stash discipline + I5 reachability, scanned from the banks.
+            for bank in &machine.banks {
+                for (block, line) in bank.llc_entries() {
+                    if line.stash {
+                        if !uses_stash {
+                            problems.push(format!(
+                                "stash: {block} has a stash bit under a non-stash directory"
+                            ));
+                        }
+                        if machine.banks[machine.dir_bank_of(block).index()].dir_view(block)
+                            != DirView::Untracked
+                        {
+                            problems.push(format!(
+                                "stash: {block} is tracked yet keeps its stash bit set"
+                            ));
+                        }
+                    }
+                }
+                // Directory entries must point at resident LLC lines (inclusion
+                // seen from the home side — an opaque shard tracks blocks homed at
+                // *other* banks, so residence is checked at each block's home).
+                for (block, _) in bank.dir_entries() {
+                    if machine.banks[machine.home(block).index()]
+                        .llc_peek(block)
+                        .is_none()
+                    {
+                        problems.push(format!(
+                            "I4: {} tracks {block} without an LLC line",
+                            bank.id()
+                        ));
+                    }
+                }
+            }
+
+            // I5 reachability: the latest version of every written block exists
+            // somewhere.
+            let mut wb_versions: FxHashMap<BlockAddr, u64> = FxHashMap::default();
+            for hier in &machine.privs {
+                for (block, entry) in hier.wb_entries() {
+                    let best = wb_versions.entry(block).or_insert(0);
+                    *best = (*best).max(entry.version);
+                }
+            }
+            for (block, latest) in machine.values.written_blocks() {
+                let in_copies = copies
+                    .iter()
+                    .skip(copies.partition_point(|c| c.0 < block))
+                    .take_while(|c| c.0 == block)
+                    .any(|c| c.3 == latest);
+                let in_wb = wb_versions.get(&block).copied().unwrap_or(0) == latest;
+                let in_llc = machine.banks[machine.home(block).index()]
+                    .llc_peek(block)
+                    .is_some_and(|l| l.version == latest);
+                let in_dram = machine.dram_store.get(&block).copied().unwrap_or(0) == latest;
+                if !(in_copies || in_wb || in_llc || in_dram) {
+                    problems.push(format!(
+                        "I5: latest version {latest} of {block} is unreachable (lost write)"
+                    ));
+                }
+            }
+
+            // I6: liveness (final only).
+            if final_check {
+                let cores = &machine.cores;
+                for (i, (((pc, trace), pending), finish)) in cores
+                    .pc
+                    .iter()
+                    .zip(&cores.trace)
+                    .zip(&cores.pending)
+                    .zip(&cores.finish)
+                    .enumerate()
+                {
+                    if *pc < trace.len() || pending.is_some() || finish.is_none() {
+                        problems.push(format!(
+                            "I6: core{i} did not retire its trace (pc {}/{}, pending={})",
+                            pc,
+                            trace.len(),
+                            pending.is_some()
+                        ));
+                    }
+                }
+                for hier in &machine.privs {
+                    if hier.has_parked_writebacks() {
+                        problems.push(format!(
+                            "I6: {} still has parked writebacks at end of run",
+                            hier.core()
+                        ));
+                    }
+                }
+            }
+
+            problems
+        }
+    }
+
+    /// Every registered backend, bounded ones under coverage pressure
+    /// (the list `tests/checker_props.rs` keeps complete).
+    fn every_backend() -> Vec<DirSpec> {
+        vec![
+            DirSpec::FullMap,
+            DirSpec::sparse(CoverageRatio::new(1, 2)),
+            DirSpec::stash(CoverageRatio::new(1, 8)),
+            DirSpec::Cuckoo {
+                coverage: CoverageRatio::new(1, 2),
+            },
+            DirSpec::limited_ptr(CoverageRatio::new(1, 2), 1),
+            DirSpec::Dls,
+            DirSpec::opaque(CoverageRatio::new(1, 2)),
+        ]
+    }
+
+    /// One way to damage a machine; the `usize` picks the target among
+    /// the candidates, modulo their number.
+    #[derive(Debug, Clone, Copy)]
+    enum Corruption {
+        DropLlcLine(usize),
+        FlipSharer(usize, u16),
+        SpuriousStash(usize),
+        StaleVersion(usize),
+        L1WithoutL2(usize),
+        LostWrite(u16, usize),
+        /// A core conjures a Modified copy of an LLC-resident block.
+        ExtraOwner(u16, usize),
+    }
+
+    fn corruption() -> impl Strategy<Value = Corruption> {
+        let pick = || 0usize..1 << 16;
+        prop_oneof![
+            pick().prop_map(Corruption::DropLlcLine),
+            (pick(), 0u16..4).prop_map(|(i, c)| Corruption::FlipSharer(i, c)),
+            pick().prop_map(Corruption::SpuriousStash),
+            pick().prop_map(Corruption::StaleVersion),
+            pick().prop_map(Corruption::L1WithoutL2),
+            (0u16..4, pick()).prop_map(|(c, i)| Corruption::LostWrite(c, i)),
+            (0u16..4, pick()).prop_map(|(c, i)| Corruption::ExtraOwner(c, i)),
+        ]
+    }
+
+    /// The `i`-th of `items`, modulo their number.
+    fn nth<T: Copy>(items: &[T], i: usize) -> Option<T> {
+        (!items.is_empty()).then(|| items[i % items.len()])
+    }
+
+    /// Applies `damage` to `m`; a corruption with no candidate does
+    /// nothing.
+    fn corrupt(m: &mut Machine, damage: Corruption) {
+        let llc_lines: Vec<BlockAddr> = m
+            .banks
+            .iter()
+            .flat_map(|b| b.llc_lines().map(|(block, _)| block))
+            .collect();
+        match damage {
+            Corruption::DropLlcLine(i) => {
+                if let Some(block) = nth(&llc_lines, i) {
+                    let home = m.home(block);
+                    m.banks[home.index()].llc_remove(block);
+                }
+            }
+            Corruption::SpuriousStash(i) => {
+                if let Some(block) = nth(&llc_lines, i) {
+                    let home = m.home(block);
+                    m.banks[home.index()].set_stash_bit(block, true);
+                }
+            }
+            Corruption::FlipSharer(i, core) => {
+                let entries: Vec<(usize, BlockAddr)> = (0..m.banks.len())
+                    .flat_map(|b| {
+                        m.banks[b]
+                            .dir_tracked()
+                            .map(move |(block, _)| (b, block))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                let Some((b, block)) = nth(&entries, i) else {
+                    return;
+                };
+                let core = CoreId::new(core);
+                let bank = &mut m.banks[b];
+                let mut sharers = match bank.dir_view(block) {
+                    DirView::Untracked => return,
+                    DirView::Exclusive(owner) => {
+                        let mut set = stashdir_common::SharerSet::new(4);
+                        set.insert(owner);
+                        set
+                    }
+                    DirView::Shared(set) => set,
+                };
+                if sharers.contains(core) {
+                    sharers.remove(core);
+                } else {
+                    sharers.insert(core);
+                }
+                if sharers.is_empty() {
+                    bank.dir_remove(block);
+                } else {
+                    let _ = bank.dir_install(block, DirView::Shared(sharers));
+                }
+            }
+            Corruption::StaleVersion(i) => {
+                let copies: Vec<(usize, BlockAddr)> = (0..m.privs.len())
+                    .flat_map(|c| {
+                        m.privs[c]
+                            .l2_entries()
+                            .map(move |(block, _)| (c, block))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                if let Some((c, block)) = nth(&copies, i) {
+                    if let Some(line) = m.privs[c].l2_line_mut(block) {
+                        line.version ^= 1;
+                    }
+                }
+            }
+            Corruption::L1WithoutL2(i) => {
+                let l1: Vec<(usize, BlockAddr)> = (0..m.privs.len())
+                    .flat_map(|c| {
+                        m.privs[c]
+                            .l1_blocks()
+                            .map(move |block| (c, block))
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+                if let Some((c, block)) = nth(&l1, i) {
+                    m.privs[c].drop_l2_line(block);
+                }
+            }
+            Corruption::ExtraOwner(core, i) => {
+                let hier = &mut m.privs[core as usize];
+                if let Some(block) = nth(&llc_lines, i) {
+                    if hier.state_of(block) == PrivState::Invalid {
+                        let _ = hier.fill(block, Grant::Modified, 0);
+                    }
+                }
+            }
+            Corruption::LostWrite(core, i) => {
+                let trace = &m.cores.trace[core as usize];
+                if let Some(op) = nth(&(0..trace.len()).collect::<Vec<_>>(), i) {
+                    let block = trace[op].block;
+                    m.values.on_write(CoreId::new(core), op, block);
+                }
+            }
+        }
+    }
+
+    /// One core's trace over 24 blocks, three times the 8-block L2, so
+    /// replacements, discovery and directory evictions all happen.
+    fn trace() -> impl Strategy<Value = Vec<MemOp>> {
+        prop::collection::vec(
+            (0u64..24, prop::bool::ANY).prop_map(|(b, w)| {
+                if w {
+                    MemOp::write(BlockAddr::new(b))
+                } else {
+                    MemOp::read(BlockAddr::new(b))
+                }
+            }),
+            0..48,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// On every backend, stopped anywhere in a random run and
+        /// damaged in any of seven ways, the machine gets exactly the
+        /// reference's messages, in the reference's order, with and
+        /// without the liveness checks.
+        #[test]
+        fn bank_major_check_matches_the_reference(
+            traces in prop::collection::vec(trace(), 4),
+            events in 0usize..600,
+            damage in prop::collection::vec(corruption(), 0..4),
+        ) {
+            for dir in every_backend() {
+                let mut m = machine(dir);
+                m.run_events(traces.clone(), events);
+                for &d in &damage {
+                    corrupt(&mut m, d);
+                }
+                for final_check in [false, true] {
+                    prop_assert_eq!(
+                        check(&m, final_check),
+                        reference::check(&m, final_check),
+                        "{} after {} events, {:?}, final={}", dir, events, damage, final_check
+                    );
+                }
+            }
+        }
     }
 }

@@ -247,6 +247,13 @@ impl Machine {
         BankId::new((block.get() & ((1 << self.bank_bits) - 1)) as u16)
     }
 
+    /// A key ordering blocks bank-major: by home bank, then by
+    /// bank-local block (the block with the bank bits shifted out), the
+    /// order in which a bank's arrays index them.
+    pub(crate) fn bank_major(&self, block: BlockAddr) -> u64 {
+        block.get().rotate_right(self.bank_bits)
+    }
+
     /// The bank holding `block`'s *directory entry*: the home bank for
     /// every organization except opaque-distributed, which shards entries
     /// by a multiplicative hash of the whole block address — deliberately
@@ -305,6 +312,21 @@ impl Machine {
         self.cores = CoreTable::new(traces);
         for c in 0..self.cfg.cores {
             self.queue.push(Cycle::ZERO, Event::Issue(CoreId::new(c)));
+        }
+    }
+
+    /// Starts a run over `traces` and handles at most `events` events,
+    /// leaving the machine mid-run for a test to corrupt and check.
+    #[cfg(test)]
+    pub(crate) fn run_events(&mut self, traces: Vec<Vec<MemOp>>, events: usize) {
+        self.start(traces);
+        for _ in 0..events {
+            let Some((now, event)) = self.queue.pop() else {
+                break;
+            };
+            if !self.step(now, event) {
+                break;
+            }
         }
     }
 

@@ -381,6 +381,11 @@ impl PrivateHier {
             .map_or(PrivState::Invalid, |line| line.state)
     }
 
+    /// The number of L2-resident blocks.
+    pub fn l2_occupancy(&self) -> usize {
+        self.l2.occupancy()
+    }
+
     /// Every L2-resident block with its line, in set order.
     pub fn l2_entries(&self) -> impl Iterator<Item = (BlockAddr, L2Line)> + '_ {
         self.l2.iter().map(|(b, l)| (b, *l))
@@ -398,12 +403,25 @@ impl PrivateHier {
         self.l2.remove(block);
     }
 
+    /// `block`'s L2 line, mutably: lets the checker's tests plant a
+    /// stale version.
+    #[cfg(test)]
+    pub(crate) fn l2_line_mut(&mut self, block: BlockAddr) -> Option<&mut L2Line> {
+        self.l2.get_mut(block)
+    }
+
     /// Whether any eviction is still parked awaiting its `Put`.
     pub fn has_parked_writebacks(&self) -> bool {
         !self.wb.is_empty()
     }
 
-    /// Snapshot of parked writebacks.
+    /// Every parked writeback, borrowed, in no particular order.
+    pub fn parked(&self) -> impl Iterator<Item = (BlockAddr, &WbEntry)> {
+        // lint: allow(determinism) — the order is the caller's to fix; the checker folds it into a map.
+        self.wb.iter().map(|(b, e)| (*b, e))
+    }
+
+    /// Snapshot of parked writebacks, in address order.
     pub fn wb_entries(&self) -> Vec<(BlockAddr, WbEntry)> {
         let mut v: Vec<_> = self.wb.iter().map(|(b, e)| (*b, *e)).collect();
         v.sort_by_key(|(b, _)| *b);

@@ -157,6 +157,13 @@ impl ValueTracker {
         v
     }
 
+    /// Blocks that have ever been written with their latest versions, in
+    /// no particular order.
+    pub(crate) fn written(&self) -> impl Iterator<Item = (BlockAddr, u64)> + '_ {
+        // lint: allow(determinism) — the order is the caller's to fix; the checker sorts it.
+        self.latest.iter().map(|(b, v)| (*b, *v))
+    }
+
     /// Consistency violations observed so far.
     pub fn violations(&self) -> &[String] {
         &self.violations
