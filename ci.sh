@@ -29,72 +29,33 @@ echo "== stashdir-lint"
 cargo run -q -p stashdir-lint --offline -- --root . \
   --json results/lint/findings.json
 
-# Chaos smoke (E17): one injected fault per taxonomy class on a small
-# grid; the run fails unless every class is caught by its expected
-# detector (invariant checker or liveness watchdog) — the end-to-end
-# mutation gate for the fault-injection layer. Runs together with the
-# E19 static rounds from a scratch cwd, so the committed CSVs are not
-# clobbered; both experiments cap ops at 400, so the scratch CSVs are the
-# full-scale bytes and must match the committed ones exactly.
-echo "== chaos smoke (E17) + campaign rounds (E19)"
+# Full default sweep: every experiment E1-E20 at the default ops and
+# seed (pinned, so STASHDIR_OPS/STASHDIR_SEED cannot move them), from a
+# scratch cwd so the committed CSVs are not clobbered. Every
+# results/e*.csv must match the committed file byte for byte, which is
+# the repository's output contract. The E17 chaos smoke injects one
+# fault per taxonomy class and must catch each with its expected
+# detector (invariant checker or liveness watchdog), and the E19 static
+# rounds must catch every class when faults are composed pairwise: the
+# end-to-end mutation gates for the fault-injection layer. About 100 s
+# on two workers.
+echo "== full sweep (E1-E20) against results/"
 repo_root=$(pwd)
-chaos_dir=$(mktemp -d)
-chaos_out=$(cd "$chaos_dir" && cargo run -q --manifest-path "$repo_root/Cargo.toml" \
+sweep_dir=$(mktemp -d)
+sweep_out=$(cd "$sweep_dir" && cargo run -q --release --manifest-path "$repo_root/Cargo.toml" \
   -p stashdir-harness --offline --bin sweep -- \
-  --plan chaos_smoke,campaign --run ci_chaos --ops 400 --no-progress)
-echo "$chaos_out" | grep -qF \
+  --all --run ci_full --ops 10000 --seed 7 --no-progress)
+for gate in \
   "chaos gate: 7/7 fault classes caught by their expected detector — PASS" \
-  || { echo "chaos smoke FAILED:"; echo "$chaos_out"; exit 1; }
-for csv in e17_chaos_smoke.csv e19_campaign.csv; do
-  cmp "$chaos_dir/results/$csv" "results/$csv" \
-    || { echo "chaos smoke FAILED: $csv differs from the committed file"; exit 1; }
+  "pairwise gate: 7/7 fault classes caught when composed — PASS"; do
+  grep -qF "$gate" <<<"$sweep_out" \
+    || { echo "full sweep FAILED (missing \"$gate\"):"; echo "$sweep_out"; exit 1; }
 done
-rm -rf "$chaos_dir"
-
-# Shoot-out smoke (E18): the equal-area backend comparison end to end at
-# a reduced op count, from a scratch cwd so the committed full-scale
-# results/e18_shootout.csv is not clobbered. Passes when the sweep
-# completes and the CSV carries exactly the backends of the committed
-# CSV, which carries every registered backend.
-echo "== shoot-out smoke (E18)"
-e18_dir=$(mktemp -d)
-(cd "$e18_dir" && cargo run -q --manifest-path "$repo_root/Cargo.toml" \
-  -p stashdir-harness --offline --bin sweep -- \
-  --plan shootout --run ci_shootout --ops 300 --no-progress >/dev/null)
-e18_backends=$(tail -n +2 "$e18_dir/results/e18_shootout.csv" | cut -d, -f2 | sort -u)
-e18_expected=$(tail -n +2 results/e18_shootout.csv | cut -d, -f2 | sort -u)
-[[ "$e18_backends" == "$e18_expected" ]] \
-  || { echo "E18 smoke FAILED: backends in CSV:"; echo "$e18_backends";
-       echo "expected (results/e18_shootout.csv):"; echo "$e18_expected"; exit 1; }
-rm -rf "$e18_dir"
-
-# XL-scaling smoke (E20): one budgeted 256-core point through the
-# struct-of-arrays sim core, from a scratch cwd so the committed
-# full-scale results/e20_scaling_xl.csv is not clobbered. Passes when
-# the sweep completes and the CSV carries all four core counts (the
-# 128-1024 rows assemble even when only the smoke ops ran).
-echo "== XL-scaling smoke (E20)"
-e20_dir=$(mktemp -d)
-(cd "$e20_dir" && cargo run -q --manifest-path "$repo_root/Cargo.toml" \
-  -p stashdir-harness --offline --bin sweep -- \
-  --plan scaling_xl --run ci_scaling_xl --ops 40 --no-progress >/dev/null)
-e20_rows=$(tail -n +2 "$e20_dir/results/e20_scaling_xl.csv" | cut -d, -f2 | sort -un)
-[[ "$e20_rows" == $'128\n256\n512\n1024' ]] \
-  || { echo "E20 smoke FAILED: core counts in CSV:"; echo "$e20_rows"; exit 1; }
-rm -rf "$e20_dir"
-
-# E16 timeline: the one-case time-series experiment at the default ops
-# and seed (pinned, so STASHDIR_OPS/STASHDIR_SEED cannot move them),
-# from a scratch cwd so the committed CSV is not clobbered; its CSV must
-# match the committed results/e16_timeline.csv byte for byte.
-echo "== E16 timeline"
-e16_dir=$(mktemp -d)
-(cd "$e16_dir" && cargo run -q --manifest-path "$repo_root/Cargo.toml" \
-  -p stashdir-harness --offline --bin sweep -- \
-  --plan timeline --run ci_timeline --ops 10000 --seed 7 --no-progress >/dev/null)
-cmp "$e16_dir/results/e16_timeline.csv" results/e16_timeline.csv \
-  || { echo "E16 FAILED: e16_timeline.csv differs from the committed file"; exit 1; }
-rm -rf "$e16_dir"
+for csv in results/e*.csv; do
+  cmp "$sweep_dir/$csv" "$csv" \
+    || { echo "full sweep FAILED: $csv differs from the committed file"; exit 1; }
+done
+rm -rf "$sweep_dir"
 
 # Chaos campaign smoke (E19): a short budgeted coverage-guided campaign
 # from a scratch cwd against the freshly written protocol model. Passes

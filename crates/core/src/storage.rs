@@ -4,10 +4,11 @@
 //!
 //! Storage is flat and set-major: one tag vector and one view vector of
 //! `sets × ways` entries each, and one recency stack of `ways` bytes per
-//! set, all allocated at construction. (`stashdir_mem::SetAssoc` keeps
-//! the same set-major layout but allocates it per chunk of sets on first
-//! insert.) Building a directory allocates three times whatever its set
-//! count, and no lookup, install or eviction allocates.
+//! set, all allocated at construction. (`stashdir_mem::SetAssoc` marks
+//! free ways with the same sentinel tag, but allocates per chunk of sets
+//! on first insert and stores only as many ways per set as the chunk has
+//! needed so far.) Building a directory allocates three times whatever
+//! its set count, and no lookup, install or eviction allocates.
 
 // lint: allow-file(indexing) — set indices are masked by `set_mask`; way
 // indices come from `slot_of`/`free_way`/the recency stack, all below

@@ -5,66 +5,120 @@
 //! replacement policy. It is the storage substrate for the private caches
 //! and the LLC banks.
 //!
-//! Storage is set-major and allocated on first touch. The sets are cut
-//! into chunks of a power-of-two number of consecutive sets, about 256
-//! ways each. A chunk holds its sets' tags, payloads and replacement
-//! bytes, and is allocated by the first insert into any of its sets;
-//! until then its sets read as empty. Building an array allocates only
-//! the chunk index, so an array pays memory for the sets a run touches,
-//! not for its capacity. A lookup scans its set's tags, which for eight
-//! ways fill one host cache line, and reads a payload only on a tag
-//! match.
+//! Storage is set-major, allocated on first touch and grown with use.
+//! The sets are cut into chunks of a power-of-two number of consecutive
+//! sets, about 256 ways each. A chunk holds its sets' tags, payloads and
+//! replacement bytes, and is allocated by the first insert into any of
+//! its sets; until then its sets read as empty. A new chunk stores one
+//! way slot per set. When an insert finds every slot of its set full and
+//! the chunk stores fewer slots than the set has ways, the chunk is laid
+//! out again at twice the slots per set (at most the associativity), each
+//! way staying where it was, and the new block takes the first new way.
+//! Replacement bytes are allocated at their full size with the chunk.
+//!
+//! The array answers exactly as one that allocated every way up front:
+//! fills take the lowest free way, so no way past a chunk's slots has
+//! ever held a block, and only a set with all its ways stored and full
+//! asks the policy for a victim. An array thus pays memory for the ways
+//! its sets have filled, not for its capacity.
+//!
+//! A free way carries a sentinel tag, so a lookup or a free-way search
+//! scans its set's tags alone, which for eight ways fill one host cache
+//! line, and reads a payload only on a tag match.
 
 // lint: allow-file(indexing) — set indices are masked by `set_mask`, so
-// chunk indices are below `chunks.len()` and chunk-local sets below
-// `chunk_sets`; way indices come from `way_of`/`free_way`/the policy, all
-// below `ways`; a chunk's tag and line slices hold `chunk_sets × ways`
-// entries from its allocation on.
+// chunk indices are below `chunks.len()` and chunk-local sets below the
+// chunk's set count; way indices come from `way_of`/`vacancy`/the policy,
+// all below the chunk's `cap`; a chunk's tag and line slices hold
+// `sets × cap` entries and its replacement bytes `sets × stride`.
 
 use crate::replacement::{Policy, ReplKind};
 use stashdir_common::{BlockAddr, DetRng};
 use std::ops::Range;
 
-/// The number of ways a chunk aims at: tags, payloads and replacement
-/// bytes of this many ways are allocated together.
+/// The number of ways a chunk aims at: the sets of this many ways share
+/// one chunk.
 const CHUNK_WAYS: usize = 256;
 
-/// The storage of `chunk_sets` consecutive sets, set-major: set `s` of
-/// the chunk owns `tags[s * ways..(s + 1) * ways]`, the same range of
-/// `lines`, and `repl[s * stride..(s + 1) * stride]`.
+/// The tag of a free way. No block reaches it: block numbers are byte
+/// addresses shifted right by the line-offset bits.
+const EMPTY: u64 = u64::MAX;
+
+/// The storage of consecutive sets, set-major: ways `0..cap` of set `s`
+/// are `tags[s * cap..(s + 1) * cap]` and the same range of `lines`, and
+/// its replacement bytes are `repl[s * stride..(s + 1) * stride]`.
 struct Chunk<L> {
-    /// Raw block numbers. A way holds a block only while its line is
-    /// `Some`: an emptied way keeps its stale tag, which no lookup
-    /// answers to.
+    /// Way slots stored per set. No way at or above `cap` has held a
+    /// block.
+    cap: usize,
+    /// Raw block numbers. [`EMPTY`] marks a free way.
     tags: Box<[u64]>,
+    /// Payloads, `Some` exactly where the tag is not [`EMPTY`].
     lines: Box<[Option<L>]>,
     repl: Box<[u8]>,
 }
 
 impl<L> Chunk<L> {
-    /// A chunk of `sets` empty sets with fresh replacement state: the
-    /// state a flat array starts every set in.
-    fn new(sets: usize, ways: usize, policy: &Policy) -> Self {
+    /// A chunk of `sets` empty sets, one slot each, with fresh
+    /// replacement state: the state a flat array starts every set in.
+    fn new(sets: usize, policy: &Policy) -> Self {
         Chunk {
-            tags: vec![0; sets * ways].into_boxed_slice(),
-            lines: std::iter::repeat_with(|| None).take(sets * ways).collect(),
+            cap: 1,
+            tags: vec![EMPTY; sets].into_boxed_slice(),
+            lines: std::iter::repeat_with(|| None).take(sets).collect(),
             repl: policy.fresh(sets),
         }
     }
 
-    /// The way within `ways` holding `block`: the first way whose tag
-    /// matches and whose line is present.
-    fn way_of(&self, ways: Range<usize>, block: BlockAddr) -> Option<usize> {
-        let lines = &self.lines[ways.clone()];
-        self.tags[ways]
-            .iter()
-            .zip(lines)
-            .position(|(&tag, line)| tag == block.get() && line.is_some())
+    /// The index range of chunk-local set `set`'s slots in `tags` and
+    /// `lines`.
+    fn slots(&self, set: usize) -> Range<usize> {
+        set * self.cap..(set + 1) * self.cap
     }
 
-    /// The first free way within `ways`.
-    fn free_way(&self, ways: Range<usize>) -> Option<usize> {
-        self.lines[ways].iter().position(Option::is_none)
+    /// The way of chunk-local set `set` holding `block`.
+    fn way_of(&self, set: usize, block: BlockAddr) -> Option<usize> {
+        self.tags[self.slots(set)]
+            .iter()
+            .position(|&tag| tag == block.get())
+    }
+
+    /// The first free slot of chunk-local set `set`, found in the pass
+    /// that checks `block` is absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set holds `block`.
+    fn vacancy(&self, set: usize, block: BlockAddr) -> Option<usize> {
+        let mut free = None;
+        for (way, &tag) in self.tags[self.slots(set)].iter().enumerate() {
+            assert!(
+                tag != block.get(),
+                "block {block} already present; update it instead of re-inserting"
+            );
+            if tag == EMPTY && free.is_none() {
+                free = Some(way);
+            }
+        }
+        free
+    }
+
+    /// Lays the chunk out again at `cap` slots per set, every way of
+    /// every set staying where it is.
+    fn grow(&mut self, cap: usize) {
+        let len = self.tags.len() / self.cap * cap;
+        let mut tags = Vec::with_capacity(len);
+        let mut lines = Vec::with_capacity(len);
+        let mut old_lines = Vec::from(std::mem::take(&mut self.lines)).into_iter();
+        for set in self.tags.chunks_exact(self.cap) {
+            tags.extend_from_slice(set);
+            tags.resize(tags.len() + cap - self.cap, EMPTY);
+            lines.extend(old_lines.by_ref().take(self.cap));
+            lines.resize_with(lines.len() + cap - self.cap, || None);
+        }
+        self.tags = tags.into_boxed_slice();
+        self.lines = lines.into_boxed_slice();
+        self.cap = cap;
     }
 }
 
@@ -136,27 +190,19 @@ impl<L> SetAssoc<L> {
         (set >> self.chunk_bits, set & ((1 << self.chunk_bits) - 1))
     }
 
-    /// The index range of chunk-local set `set`'s ways in its chunk's
-    /// `tags` and `lines`.
-    fn ways_of(&self, set: usize) -> Range<usize> {
-        set * self.ways..(set + 1) * self.ways
-    }
-
-    /// `block`'s chunk and its index there in `tags` and `lines`.
+    /// `block`'s chunk and its slot there.
     fn find(&self, block: BlockAddr) -> Option<(&Chunk<L>, usize)> {
         let (c, set) = self.place(block);
         let chunk = self.chunks[c].as_ref()?;
-        let ways = self.ways_of(set);
-        let base = ways.start;
-        chunk.way_of(ways, block).map(|w| (chunk, base + w))
+        let w = chunk.way_of(set, block)?;
+        Some((chunk, set * chunk.cap + w))
     }
 
     /// `block`'s chunk-local set and way, with its chunk, mutably.
     fn find_mut(&mut self, block: BlockAddr) -> Option<(&mut Chunk<L>, usize, usize)> {
         let (c, set) = self.place(block);
-        let ways = self.ways_of(set);
         let chunk = self.chunks[c].as_mut()?;
-        let w = chunk.way_of(ways, block)?;
+        let w = chunk.way_of(set, block)?;
         Some((chunk, set, w))
     }
 
@@ -198,9 +244,8 @@ impl<L> SetAssoc<L> {
 
     /// Returns the payload for `block` mutably without updating recency.
     pub fn get_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let ways = self.ways;
         let (chunk, set, w) = self.find_mut(block)?;
-        chunk.lines[set * ways + w].as_mut()
+        chunk.lines[set * chunk.cap + w].as_mut()
     }
 
     /// Tests whether `block` is present.
@@ -216,10 +261,10 @@ impl<L> SetAssoc<L> {
 
     /// Returns the payload mutably and promotes the block (hit semantics).
     pub fn access_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let (policy, ways) = (self.policy, self.ways);
+        let policy = self.policy;
         let (chunk, set, w) = self.find_mut(block)?;
         policy.on_hit(&mut chunk.repl[policy.bytes_of(set)], w);
-        chunk.lines[set * ways + w].as_mut()
+        chunk.lines[set * chunk.cap + w].as_mut()
     }
 
     /// Inserts `block`, evicting and returning the replacement victim if
@@ -232,19 +277,23 @@ impl<L> SetAssoc<L> {
     ///
     /// [`get_mut`]: SetAssoc::get_mut
     pub fn insert(&mut self, block: BlockAddr, payload: L) -> Option<(BlockAddr, L)> {
+        assert!(block.get() != EMPTY, "block {block} is the free-way tag");
         let (c, set) = self.place(block);
-        let (ways, repl) = (self.ways_of(set), self.policy.bytes_of(set));
-        let (policy, chunk_sets, set_ways) = (self.policy, 1 << self.chunk_bits, self.ways);
-        let chunk = self.chunks[c].get_or_insert_with(|| Chunk::new(chunk_sets, set_ways, &policy));
-        assert!(
-            chunk.way_of(ways.clone(), block).is_none(),
-            "block {block} already present; update it instead of re-inserting"
-        );
-        let way = match chunk.free_way(ways.clone()) {
+        let (policy, ways, chunk_sets) = (self.policy, self.ways, 1 << self.chunk_bits);
+        let chunk = self.chunks[c].get_or_insert_with(|| Chunk::new(chunk_sets, &policy));
+        let repl = policy.bytes_of(set);
+        let way = match chunk.vacancy(set, block) {
             Some(w) => w,
+            // Every stored way is full but the set has more: the first
+            // of them is the flat array's first free way.
+            None if chunk.cap < ways => {
+                let w = chunk.cap;
+                chunk.grow((2 * w).min(ways));
+                w
+            }
             None => policy.victim(&mut chunk.repl[repl.clone()], &mut self.rng),
         };
-        let slot = ways.start + way;
+        let slot = set * chunk.cap + way;
         let old_tag = std::mem::replace(&mut chunk.tags[slot], block.get());
         let evicted = chunk.lines[slot].replace(payload);
         policy.on_fill(&mut chunk.repl[repl], way);
@@ -260,49 +309,30 @@ impl<L> SetAssoc<L> {
     /// mirrors hardware where the victim choice is made once per miss.
     pub fn victim_for(&mut self, block: BlockAddr) -> Option<BlockAddr> {
         let (c, set) = self.place(block);
-        let (ways, repl) = (self.ways_of(set), self.policy.bytes_of(set));
         let chunk = self.chunks[c].as_mut()?;
-        if chunk.way_of(ways.clone(), block).is_some() || chunk.free_way(ways.clone()).is_some() {
+        let slots = chunk.slots(set);
+        if chunk.cap < self.ways
+            || chunk.tags[slots.clone()]
+                .iter()
+                .any(|&tag| tag == EMPTY || tag == block.get())
+        {
             return None;
         }
         // The set is full, so the victim way holds a block.
-        let w = self.policy.victim(&mut chunk.repl[repl], &mut self.rng);
-        Some(BlockAddr::new(chunk.tags[ways.start + w]))
+        let w = self
+            .policy
+            .victim(&mut chunk.repl[self.policy.bytes_of(set)], &mut self.rng);
+        Some(BlockAddr::new(chunk.tags[slots.start + w]))
     }
 
-    /// Removes `block`, returning its payload. The way keeps `block`'s
-    /// tag, stale until the way is filled again.
+    /// Removes `block`, returning its payload. Its way is free again.
     pub fn remove(&mut self, block: BlockAddr) -> Option<L> {
-        let ways = self.ways;
         let (chunk, set, w) = self.find_mut(block)?;
-        let line = chunk.lines[set * ways + w].take();
+        let slot = set * chunk.cap + w;
+        chunk.tags[slot] = EMPTY;
+        let line = chunk.lines[slot].take();
         self.len -= 1;
         line
-    }
-
-    /// Iterates the occupants of the set `block` maps to, as
-    /// `(way, block, payload)` triples. Used by callers that pick victims
-    /// by payload content (the stash directory's private-first policy).
-    pub fn set_occupants(&self, block: BlockAddr) -> impl Iterator<Item = (usize, BlockAddr, &L)> {
-        let (c, set) = self.place(block);
-        let ways = self.ways_of(set);
-        self.chunks[c].iter().flat_map(move |chunk| {
-            chunk.tags[ways.clone()]
-                .iter()
-                .zip(&chunk.lines[ways.clone()])
-                .enumerate()
-                .filter_map(|(w, (&tag, line))| line.as_ref().map(|l| (w, BlockAddr::new(tag), l)))
-        })
-    }
-
-    /// `true` when the set `block` maps to has no free way and does not
-    /// already contain `block` (i.e. inserting `block` would evict).
-    pub fn would_evict(&self, block: BlockAddr) -> bool {
-        let (c, set) = self.place(block);
-        let ways = self.ways_of(set);
-        self.chunks[c].as_ref().is_some_and(|chunk| {
-            chunk.way_of(ways.clone(), block).is_none() && chunk.free_way(ways).is_none()
-        })
     }
 
     /// Iterates every resident `(block, payload)` pair in set order, ways
@@ -317,10 +347,11 @@ impl<L> SetAssoc<L> {
         })
     }
 
-    /// Removes every block. Replacement state and storage stay as they
-    /// are.
+    /// Removes every block. Replacement state and storage, the slots
+    /// each chunk has grown to included, stay as they are.
     pub fn clear(&mut self) {
         for chunk in self.chunks.iter_mut().flatten() {
+            chunk.tags.fill(EMPTY);
             chunk.lines.fill_with(|| None);
         }
         self.len = 0;
@@ -345,6 +376,43 @@ mod tests {
 
     fn array(sets: usize, ways: usize) -> SetAssoc<u32> {
         SetAssoc::new(sets, ways, ReplKind::Lru, 1)
+    }
+
+    /// The `(way, block, payload)` triples of the set `block` maps to,
+    /// read off its chunk's slots in way order.
+    fn occupants<L: Copy>(a: &SetAssoc<L>, block: BlockAddr) -> Vec<(usize, BlockAddr, L)> {
+        let (c, set) = a.place(block);
+        a.chunks[c]
+            .iter()
+            .flat_map(|chunk| {
+                let slots = chunk.slots(set);
+                chunk.tags[slots.clone()]
+                    .iter()
+                    .zip(&chunk.lines[slots])
+                    .enumerate()
+                    .filter_map(|(w, (&tag, line))| line.map(|l| (w, BlockAddr::new(tag), l)))
+            })
+            .collect()
+    }
+
+    /// The slots per set of the chunk holding `block`'s set, 0 while
+    /// that chunk is unallocated.
+    fn cap_of<L>(a: &SetAssoc<L>, block: BlockAddr) -> usize {
+        a.chunks[a.place(block).0]
+            .as_ref()
+            .map_or(0, |chunk| chunk.cap)
+    }
+
+    /// Whether every slot of `block`'s chunk carries [`EMPTY`] exactly
+    /// when it holds no payload.
+    fn tags_match_lines<L>(a: &SetAssoc<L>, block: BlockAddr) -> bool {
+        a.chunks[a.place(block).0].iter().all(|chunk| {
+            chunk
+                .tags
+                .iter()
+                .zip(&chunk.lines)
+                .all(|(&tag, line)| (tag == EMPTY) == line.is_none())
+        })
     }
 
     #[test]
@@ -416,32 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn set_occupants_lists_whole_set() {
-        let mut a = array(2, 2);
-        a.insert(BlockAddr::new(0), 10); // set 0
-        a.insert(BlockAddr::new(2), 20); // set 0
-        a.insert(BlockAddr::new(1), 11); // set 1
-        let set0: Vec<_> = a.set_occupants(BlockAddr::new(0)).collect();
-        assert_eq!(set0.len(), 2);
-        assert!(set0
-            .iter()
-            .any(|&(_, b, &v)| b == BlockAddr::new(0) && v == 10));
-        assert!(set0
-            .iter()
-            .any(|&(_, b, &v)| b == BlockAddr::new(2) && v == 20));
-    }
-
-    #[test]
-    fn would_evict_reports_pressure() {
-        let mut a = array(1, 2);
-        assert!(!a.would_evict(BlockAddr::new(0)));
-        a.insert(BlockAddr::new(0), 0);
-        a.insert(BlockAddr::new(1), 1);
-        assert!(a.would_evict(BlockAddr::new(2)));
-        assert!(!a.would_evict(BlockAddr::new(0)), "already present");
-    }
-
-    #[test]
     fn iter_visits_everything() {
         let mut a = array(4, 2);
         for i in 0..6 {
@@ -453,22 +495,21 @@ mod tests {
     }
 
     #[test]
-    fn stale_tags_never_answer() {
+    fn removed_blocks_never_answer() {
         let mut a = array(1, 2);
         let (x, y, z) = (BlockAddr::new(0), BlockAddr::new(1), BlockAddr::new(2));
         a.insert(x, 10);
         a.insert(y, 11);
         assert_eq!(a.remove(x), Some(10));
-        // Way 0 keeps x's tag, but nothing sees x.
         assert_eq!(a.get(x), None);
         assert!(!a.contains(x));
         assert!(!a.touch(x));
         assert_eq!(a.victim_for(z), None, "x's way is free");
         assert!(a.iter().all(|(b, _)| b != x));
+        assert!(tags_match_lines(&a, x));
         // z fills x's way and is found there.
         assert!(a.insert(z, 12).is_none());
-        let set: Vec<_> = a.set_occupants(z).map(|(w, b, &v)| (w, b, v)).collect();
-        assert_eq!(set, [(0, z, 12), (1, y, 11)]);
+        assert_eq!(occupants(&a, z), [(0, z, 12), (1, y, 11)]);
         assert_eq!(a.get(z), Some(&12));
         assert_eq!(a.get(x), None);
         // The victim of the now full set is a live block.
@@ -477,21 +518,97 @@ mod tests {
     }
 
     #[test]
-    fn a_block_beside_its_own_stale_tag_is_found_once() {
-        let mut a = array(1, 3);
-        let (x, y) = (BlockAddr::new(0), BlockAddr::new(1));
-        a.insert(y, 1);
-        a.insert(x, 2);
-        a.remove(y);
-        a.remove(x);
-        // x goes to way 0; way 1 still carries x's stale tag.
-        a.insert(x, 3);
-        let set: Vec<_> = a.set_occupants(x).map(|(w, b, &v)| (w, b, v)).collect();
-        assert_eq!(set, [(0, x, 3)]);
-        assert_eq!(a.get(x), Some(&3));
-        assert_eq!(a.remove(x), Some(3));
-        assert_eq!(a.get(x), None, "neither of x's tags answers");
+    fn a_set_grows_only_once_its_slots_are_full() {
+        // Four 8-way sets share one chunk; blocks b and b + 4 share a set.
+        let mut a = array(4, 8);
+        let b = BlockAddr::new;
+        assert_eq!(cap_of(&a, b(0)), 0, "no chunk before the first insert");
+        a.insert(b(0), 0);
+        assert_eq!(cap_of(&a, b(0)), 1);
+        a.insert(b(1), 1);
+        assert_eq!(cap_of(&a, b(0)), 1, "set 1 had a free slot of its own");
+        a.insert(b(4), 4);
+        assert_eq!(cap_of(&a, b(0)), 2);
+        a.insert(b(5), 5);
+        assert_eq!(cap_of(&a, b(0)), 2, "set 1 fills the slot set 0 grew");
+        for (tag, cap) in [(8, 4), (12, 4), (16, 8), (20, 8), (24, 8), (28, 8)] {
+            a.insert(b(tag), tag as u32);
+            assert_eq!(cap_of(&a, b(0)), cap, "after inserting {tag}");
+        }
+        let set0: Vec<_> = (0..8).map(|w| (w, b(4 * w as u64), 4 * w as u32)).collect();
+        assert_eq!(occupants(&a, b(0)), set0, "ways kept their places");
+        assert_eq!(occupants(&a, b(1)), [(0, b(1), 1), (1, b(5), 5)]);
+        // All eight ways stored and full: the next block evicts.
+        assert!(a.insert(b(32), 32).is_some());
+        assert_eq!(cap_of(&a, b(0)), 8);
+        assert!(tags_match_lines(&a, b(0)));
+    }
+
+    #[test]
+    fn a_hole_below_cap_is_refilled_before_the_set_grows() {
+        let mut a = array(1, 4);
+        let b = BlockAddr::new;
+        a.insert(b(0), 0);
+        a.insert(b(1), 1);
+        assert_eq!(cap_of(&a, b(0)), 2);
+        a.remove(b(0));
+        assert!(a.insert(b(2), 2).is_none());
+        assert_eq!(cap_of(&a, b(0)), 2, "the hole took the block");
+        assert_eq!(occupants(&a, b(0)), [(0, b(2), 2), (1, b(1), 1)]);
+        a.insert(b(3), 3);
+        assert_eq!(cap_of(&a, b(0)), 4);
+        assert_eq!(
+            occupants(&a, b(0)),
+            [(0, b(2), 2), (1, b(1), 1), (2, b(3), 3)]
+        );
+    }
+
+    #[test]
+    fn after_growth_the_lru_victim_matches_the_flat_array() {
+        let b = BlockAddr::new;
+        let mut chunked: SetAssoc<u64> = SetAssoc::new(2, 8, ReplKind::Lru, 1);
+        let mut flat: reference::SetAssoc<u64> = reference::SetAssoc::new(2, 8, ReplKind::Lru, 1);
+        // Set 0 grows from one slot to eight through a hole, with hits
+        // between the fills.
+        macro_rules! drive {
+            ($a:expr) => {{
+                for tag in [0, 2, 4] {
+                    $a.insert(b(tag), tag);
+                }
+                $a.touch(b(0));
+                $a.remove(b(2));
+                for tag in [6, 8, 10, 12, 14, 16] {
+                    $a.insert(b(tag), tag);
+                }
+                $a.touch(b(4));
+            }};
+        }
+        drive!(chunked);
+        drive!(flat);
+        assert_eq!(cap_of(&chunked, b(0)), 8);
+        let victim = chunked.victim_for(b(18));
+        assert_eq!(victim, flat.victim_for(b(18)));
+        assert_eq!(victim, Some(b(0)), "0 was touched before the last fills");
+        assert_eq!(chunked.insert(b(18), 18), flat.insert(b(18), 18));
+        assert!(chunked.iter().eq(flat.iter()));
+    }
+
+    #[test]
+    fn clear_keeps_the_capacity() {
+        let mut a = array(1, 8);
+        let b = BlockAddr::new;
+        for tag in 0..5 {
+            a.insert(b(tag), tag as u32);
+        }
+        assert_eq!(cap_of(&a, b(0)), 8);
+        a.clear();
+        assert_eq!(cap_of(&a, b(0)), 8);
         assert_eq!(a.occupancy(), 0);
+        assert_eq!(a.iter().count(), 0);
+        assert_eq!(a.get(b(3)), None);
+        assert!(tags_match_lines(&a, b(0)));
+        a.insert(b(9), 9);
+        assert_eq!(occupants(&a, b(9)), [(0, b(9), 9)]);
     }
 
     #[test]
@@ -774,7 +891,6 @@ mod tests {
         AccessMut(u8, u16),
         GetMut(u8, u16),
         VictimFor(u8, u16),
-        WouldEvict(u8, u16),
         Clear,
     }
 
@@ -788,7 +904,6 @@ mod tests {
             120 => at().prop_map(|(s, t)| Op::AccessMut(s, t)),
             60 => at().prop_map(|(s, t)| Op::GetMut(s, t)),
             120 => at().prop_map(|(s, t)| Op::VictimFor(s, t)),
-            60 => at().prop_map(|(s, t)| Op::WouldEvict(s, t)),
             // Rare, so 256-way sets still fill between clears.
             1 => Just(Op::Clear),
         ]
@@ -813,9 +928,9 @@ mod tests {
         ReplKind::TreePlru,
     ];
 
-    /// `(sets, ways)`: one set, and several chunks of 3-, 12-, 256- and
-    /// 1-way sets.
-    const GEOMETRIES: [(usize, usize); 7] = [
+    /// `(sets, ways)`: one set, several chunks of 3-, 12-, 256- and
+    /// 1-way sets, and the machine's L1, L2 and LLC bank shapes.
+    const GEOMETRIES: [(usize, usize); 10] = [
         (1, 3),
         (1, 12),
         (1, 256),
@@ -823,6 +938,9 @@ mod tests {
         (64, 12),
         (2, 256),
         (512, 1),
+        (128, 4),
+        (512, 8),
+        (1024, 16),
     ];
 
     /// Runs `ops` on a chunked array and on the flat reference, and
@@ -887,11 +1005,6 @@ mod tests {
                     prop_assert_eq!(chunked.victim_for(block), flat.victim_for(block));
                     block
                 }
-                Op::WouldEvict(s, t) => {
-                    let block = at(s, t);
-                    prop_assert_eq!(chunked.would_evict(block), flat.would_evict(block));
-                    block
-                }
                 Op::Clear => {
                     chunked.clear();
                     flat.clear();
@@ -900,9 +1013,23 @@ mod tests {
             };
             prop_assert_eq!(chunked.get(block), flat.get(block));
             prop_assert_eq!(chunked.occupancy(), flat.occupancy());
+            let theirs: Vec<_> = flat
+                .set_occupants(block)
+                .map(|(w, b, &l)| (w, b, l))
+                .collect();
+            prop_assert_eq!(
+                occupants(&chunked, block),
+                theirs,
+                "{} {}x{}: the ways of {}'s set differ after {:?}",
+                repl,
+                sets,
+                ways,
+                block,
+                op
+            );
             prop_assert!(
-                chunked.set_occupants(block).eq(flat.set_occupants(block)),
-                "{repl} {sets}x{ways}: set_occupants of {block} differ after {op:?}"
+                tags_match_lines(&chunked, block),
+                "{repl} {sets}x{ways}: a tag and its line disagree after {op:?}"
             );
             // A whole-array walk every few ops keeps the test fast.
             if payload % 16 == 0 {
@@ -927,8 +1054,10 @@ mod tests {
         /// Under any op sequence, for each policy and each geometry, the
         /// chunked array answers every call exactly as the flat reference
         /// does: the same victims (with the same `Random` draws),
-        /// payloads, `iter()` order and `set_occupants` order. Sequences
-        /// are long enough that 256-way sets fill and evict.
+        /// payloads and `iter()` order, and after every call the touched
+        /// set holds the same blocks in the same ways as the flat
+        /// reference's `set_occupants`, however far its chunk has grown.
+        /// Sequences are long enough that 256-way sets fill and evict.
         #[test]
         fn chunked_array_matches_flat_reference(
             ops in prop::collection::vec(arb_op(), 1200..2400),

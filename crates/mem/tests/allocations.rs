@@ -1,9 +1,13 @@
 //! Building a `SetAssoc` costs a constant number of heap allocations,
 //! whatever its number of sets, and requests next to no bytes: storage
-//! is allocated per chunk of sets on first insert. A per-set heap layout
-//! (a `Vec` of ways or a boxed policy per set) or an eagerly allocated
-//! one fails these tests.
+//! is allocated per chunk of sets on first insert. A chunk then stores
+//! only as many ways per set as its fullest set has needed, so sets
+//! holding one block each request one way each. A per-set heap layout
+//! (a `Vec` of ways or a boxed policy per set), an eagerly allocated one,
+//! or chunks that store every way from their first insert fail these
+//! tests.
 
+use stashdir_common::BlockAddr;
 use stashdir_mem::{ReplKind, SetAssoc};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -89,5 +93,24 @@ fn construction_requests_only_the_chunk_index() {
     assert!(
         bytes < 4096,
         "SetAssoc::new(1024, 16) requested {bytes} bytes"
+    );
+}
+
+/// One block in each set of a 16 K-line array of 16-byte payloads: 64
+/// chunks of one way per set request 51.5 KiB, tags, lines, LRU stacks
+/// and the index together; chunks storing all 16 ways of every set
+/// requested 531 KiB.
+#[test]
+fn one_block_per_set_requests_one_way_per_set() {
+    let bytes = requested_bytes(|| {
+        let mut array = SetAssoc::<[u64; 2]>::new(1024, 16, ReplKind::Lru, 7);
+        for set in 0..1024 {
+            array.insert(BlockAddr::new(set), [set; 2]);
+        }
+        array
+    });
+    assert!(
+        bytes < 64 * 1024,
+        "one block in each of 1024 16-way sets requested {bytes} bytes"
     );
 }

@@ -259,12 +259,11 @@ impl Bank {
     /// [`llc_victim_for`]: Bank::llc_victim_for
     pub fn llc_insert(&mut self, block: BlockAddr, line: LlcLine) {
         let local = self.local(block);
+        let evicted = self.llc.insert(local, line);
         assert!(
-            !self.llc.would_evict(local),
+            evicted.is_none(),
             "LLC victim for {block} must be evicted by the caller first"
         );
-        let none = self.llc.insert(local, line);
-        debug_assert!(none.is_none());
     }
 
     /// The stash bit of `block`'s LLC line (`false` when not resident).

@@ -212,8 +212,10 @@ impl Machine {
         t = self.consult_dir_bank(bank_id, dir_bank, t);
         let mut view = self.banks[dir_bank.index()].dir_view(block);
 
-        // Stash discovery: directory miss + stash bit set.
+        // Stash discovery: directory miss + stash bit set. The view is
+        // tested first so a tracked block costs no LLC lookup.
         if self.cfg.dir.uses_stash()
+            && view == DirView::Untracked
             && needs_discovery(&view, self.banks[bank_id.index()].stash_bit(block))
         {
             let intent = discovery_intent(msg.req);
@@ -305,10 +307,9 @@ impl Machine {
                 ready.max(t_acks),
             );
             data_at_req = Some((arr, version));
-        } else if self.banks[bank_id.index()].llc_peek(block).is_some() {
+        } else if self.banks[bank_id.index()].llc_access(block).is_some() {
             // Owner-supplied data or data-less upgrade: the LLC line is
             // touched (writeback / tag check) but supplies nothing.
-            self.banks[bank_id.index()].llc_access(block);
             self.banks[bank_id.index()].llc_stats.hits.incr();
         }
 
@@ -455,35 +456,34 @@ impl Machine {
     /// (evicting an LLC victim, with its protocol side effects) when it
     /// is not resident. Returns `(data_ready, protocol_done, version)`.
     fn llc_read(&mut self, bank_id: BankId, block: BlockAddr, t: Cycle) -> (Cycle, Cycle, u64) {
-        let (ready, t_protocol) = if self.banks[bank_id.index()].llc_peek(block).is_some() {
-            self.banks[bank_id.index()].llc_stats.hits.incr();
-            (t + self.cfg.llc_bank.latency, t)
-        } else {
-            self.banks[bank_id.index()].llc_stats.misses.incr();
-            let mut t_protocol = t;
-            // Make room first: the victim's eviction is a protocol action.
-            if let Some(victim) = self.banks[bank_id.index()].llc_victim_for(block) {
-                t_protocol = self.evict_llc_line(bank_id, victim, t);
-            }
-            // Fetch.
-            let ready = self.dram.access(block, t + self.cfg.llc_bank.latency);
-            let version = self.dram_store.get(&block).copied().unwrap_or(0);
-            self.banks[bank_id.index()].llc_insert(
-                block,
-                LlcLine {
-                    version,
-                    dirty: false,
-                    stash: false,
-                },
-            );
-            (ready.max(t_protocol), t_protocol)
-        };
-        let version = self.banks[bank_id.index()]
-            .llc_access(block)
-            // lint: allow(expect) — protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state.
-            .expect("just made resident")
-            .version;
-        (ready, t_protocol, version)
+        let bank = &mut self.banks[bank_id.index()];
+        if let Some(line) = bank.llc_access(block) {
+            let version = line.version;
+            bank.llc_stats.hits.incr();
+            return (t + self.cfg.llc_bank.latency, t, version);
+        }
+        bank.llc_stats.misses.incr();
+        let mut t_protocol = t;
+        // Make room first: the victim's eviction is a protocol action.
+        if let Some(victim) = self.banks[bank_id.index()].llc_victim_for(block) {
+            t_protocol = self.evict_llc_line(bank_id, victim, t);
+        }
+        // Fetch.
+        let ready = self.dram.access(block, t + self.cfg.llc_bank.latency);
+        let version = self.dram_store.get(&block).copied().unwrap_or(0);
+        let bank = &mut self.banks[bank_id.index()];
+        bank.llc_insert(
+            block,
+            LlcLine {
+                version,
+                dirty: false,
+                stash: false,
+            },
+        );
+        // The fetched line is read as a hit once it is in.
+        // lint: allow(expect) — protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state.
+        let version = bank.llc_access(block).expect("just made resident").version;
+        (ready.max(t_protocol), t_protocol, version)
     }
 
     /// Evicts `victim` from the LLC, recalling or discovering any cached
