@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 /// Every crate whose `src/` tree the repo-wide passes scan. The panic
 /// lint restricts itself to the hot subset ([`crate::panics::HOT_CRATES`]);
 /// the determinism pass and directive accounting cover all of these.
-pub const SCANNED_CRATES: &[&str] = &["common", "core", "harness", "mem", "protocol", "sim"];
+pub const SCANNED_CRATES: &[&str] = &["common", "core", "harness", "mem", "noc", "protocol", "sim"];
 
 /// One loaded source file.
 #[derive(Debug, Clone)]

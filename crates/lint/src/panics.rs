@@ -10,7 +10,7 @@ use crate::lexer::{lex, Tok, TokKind};
 use crate::{Finding, RULE_EXPECT, RULE_INDEXING, RULE_UNWRAP};
 
 /// The crates whose `src/` trees the panic lint scans.
-pub const HOT_CRATES: &[&str] = &["core", "protocol", "sim", "mem"];
+pub const HOT_CRATES: &[&str] = &["core", "protocol", "sim", "mem", "noc"];
 
 /// Keywords that may directly precede `[` without it being an index
 /// expression (array literals, attribute syntax, types, …).

@@ -51,6 +51,7 @@ impl Mesh {
             }
             w += 1;
         }
+        // lint: allow(expect) — w = 1 divides every `nodes`, so the loop records a factorization.
         let (w, h) = best.expect("factorization exists");
         assert!(
             w <= h * 2,
@@ -141,8 +142,12 @@ impl Mesh {
     /// assert_eq!((y.links.len(), y.reversed), (2, false));
     /// ```
     pub fn xy_link_runs(self, src: NodeId, dst: NodeId) -> [LinkRun; 2] {
-        let (sx, sy) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
+        self.link_runs(self.coords(src), self.coords(dst))
+    }
+
+    /// [`Mesh::xy_link_runs`] between the nodes at `(sx, sy)` and
+    /// `(dx, dy)`, for callers that already hold both coordinates.
+    pub(crate) fn link_runs(self, (sx, sy): (u16, u16), (dx, dy): (u16, u16)) -> [LinkRun; 2] {
         let (sx, sy, dx, dy) = (sx as usize, sy as usize, dx as usize, dy as usize);
         let w = self.width as usize;
         let h = self.height as usize;

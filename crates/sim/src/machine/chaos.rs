@@ -222,7 +222,7 @@ impl Machine {
                     .iter()
                     .any(|p| p.state_of(block) != PrivState::Invalid);
                 if hidden_copy_exists {
-                    self.banks[b].set_stash_bit(block, false);
+                    self.clear_stash_bit(block);
                     return true;
                 }
             }

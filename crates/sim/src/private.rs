@@ -88,6 +88,18 @@ pub struct ProbeAnswer {
     pub retained: bool,
 }
 
+impl ProbeAnswer {
+    /// The answer of a cache that holds no copy of the block, neither
+    /// in L2 nor parked in its writeback buffer.
+    pub fn absent(p: Probe) -> Self {
+        ProbeAnswer {
+            reply: probe_fsm(PrivState::Invalid, p).reply,
+            version: 0,
+            retained: false,
+        }
+    }
+}
+
 /// One core's L1 + L2 + writeback buffer.
 #[derive(Debug)]
 pub struct PrivateHier {
@@ -360,12 +372,7 @@ impl PrivateHier {
                 retained: false,
             };
         }
-        let effect = probe_fsm(PrivState::Invalid, p);
-        ProbeAnswer {
-            reply: effect.reply,
-            version: 0,
-            retained: false,
-        }
+        ProbeAnswer::absent(p)
     }
 
     /// Removes and returns the parked eviction entry once the home has
@@ -403,11 +410,23 @@ impl PrivateHier {
         self.l2.remove(block);
     }
 
+    /// Parks `entry` for `block` as if an eviction had sent its `Put`:
+    /// lets the home's tests stage a writeback in flight.
+    #[cfg(test)]
+    pub(crate) fn park(&mut self, block: BlockAddr, entry: WbEntry) {
+        self.wb.insert(block, entry);
+    }
+
     /// `block`'s L2 line, mutably: lets the checker's tests plant a
     /// stale version.
     #[cfg(test)]
     pub(crate) fn l2_line_mut(&mut self, block: BlockAddr) -> Option<&mut L2Line> {
         self.l2.get_mut(block)
+    }
+
+    /// Whether an eviction of `block` is parked awaiting its `Put`.
+    pub fn has_parked(&self, block: BlockAddr) -> bool {
+        self.wb.contains_key(&block)
     }
 
     /// Whether any eviction is still parked awaiting its `Put`.
