@@ -33,7 +33,6 @@ use stashdir_protocol::DirView;
 #[derive(Debug)]
 pub struct SparseDirectory {
     storage: DirStorage,
-    repl: DirReplPolicy,
     format: SharerFormat,
     stats: DirStats,
 }
@@ -46,8 +45,7 @@ impl SparseDirectory {
     /// Panics if `sets` is not a power of two or `ways` is zero.
     pub fn new(sets: usize, ways: usize, repl: DirReplPolicy, seed: u64) -> Self {
         SparseDirectory {
-            storage: DirStorage::new(sets, ways, seed),
-            repl,
+            storage: DirStorage::new(sets, ways, repl, seed),
             format: SharerFormat::FullMap,
             stats: DirStats::default(),
         }
@@ -64,7 +62,7 @@ impl SparseDirectory {
 
     /// The victim-selection policy.
     pub fn repl(&self) -> DirReplPolicy {
-        self.repl
+        self.storage.repl()
     }
 }
 
@@ -74,15 +72,15 @@ impl DirectoryModel for SparseDirectory {
     }
 
     fn capacity(&self) -> usize {
-        self.storage.capacity()
+        self.storage.entries.capacity()
     }
 
     fn occupancy(&self) -> usize {
-        self.storage.occupancy()
+        self.storage.entries.occupancy()
     }
 
     fn lookup(&self, block: BlockAddr) -> Option<&DirView> {
-        self.storage.lookup(block)
+        self.storage.entries.get(block)
     }
 
     fn install(&mut self, block: BlockAddr, view: DirView) -> EvictionAction {
@@ -92,38 +90,34 @@ impl DirectoryModel for SparseDirectory {
         );
         self.stats.lookups.incr();
         let view = self.format.degrade(view);
-        if let Some(entry) = self.storage.access_mut(block) {
+        if let Some(entry) = self.storage.entries.access_mut(block) {
             *entry = view;
             self.stats.hits.incr();
             return EvictionAction::None;
         }
         self.stats.allocations.incr();
-        let action = if self.storage.needs_victim(block) {
-            let (victim, victim_view) = self.storage.take_victim(block, self.repl);
-            self.stats.invalidating_evictions.incr();
-            self.stats
-                .copies_invalidated
-                .add(victim_view.holder_count() as u64);
-            if victim_view.is_private() {
-                self.stats.private_victims_invalidated.incr();
-            }
-            EvictionAction::Invalidate {
-                block: victim,
-                view: victim_view,
-            }
-        } else {
-            EvictionAction::None
+        let Some((victim, victim_view)) = self.storage.insert(block, view) else {
+            return EvictionAction::None;
         };
-        self.storage.insert(block, view);
-        action
+        self.stats.invalidating_evictions.incr();
+        self.stats
+            .copies_invalidated
+            .add(victim_view.holder_count() as u64);
+        if victim_view.is_private() {
+            self.stats.private_victims_invalidated.incr();
+        }
+        EvictionAction::Invalidate {
+            block: victim,
+            view: victim_view,
+        }
     }
 
     fn remove(&mut self, block: BlockAddr) {
-        self.storage.remove(block);
+        self.storage.entries.remove(block);
     }
 
     fn tracked(&self) -> Box<dyn Iterator<Item = (BlockAddr, &DirView)> + '_> {
-        Box::new(self.storage.tracked())
+        Box::new(self.storage.entries.iter())
     }
 
     fn stats(&self) -> &DirStats {

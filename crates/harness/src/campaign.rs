@@ -377,12 +377,12 @@ impl Default for Recipe {
 /// notifications, and (optionally) a 16 KiB L2 over a 4 KiB L1 so
 /// evictions — and therefore Put requests — are constant.
 fn recipe_config(r: &Recipe) -> SystemConfig {
-    use stashdir::mem::{CacheConfig, ReplKind};
+    use stashdir::mem::CacheConfig;
     let mut config = chaos_config((r.dir)());
     config.notify_clean_evictions = r.notify_clean;
     if r.tiny_l2 {
-        config.l1 = CacheConfig::new(4 * 1024, 2, 64, 1, ReplKind::Lru);
-        config.l2 = CacheConfig::new(16 * 1024, 2, 64, 8, ReplKind::Lru);
+        config.l1 = CacheConfig::new(4 * 1024, 2, 64, 1);
+        config.l2 = CacheConfig::new(16 * 1024, 2, 64, 8);
     }
     config
 }

@@ -20,7 +20,7 @@
 
 use std::path::Path;
 
-use stashdir::mem::{CacheConfig, ReplKind};
+use stashdir::mem::CacheConfig;
 use stashdir::{CoverageRatio, DirSpec, SystemConfig, Workload};
 use stashdir_harness::artifact::report_to_json;
 use stashdir_harness::{machine_with, run_cases, CaseSpec, Params, RunOptions};
@@ -155,9 +155,9 @@ const PRESSURE: [(&str, &str); 7] = [
 /// every level.
 fn pressure_machine(dir: DirSpec) -> SystemConfig {
     let mut cfg = machine_with(dir);
-    cfg.l1 = CacheConfig::new(2 * 1024, 2, 64, 1, ReplKind::Lru);
-    cfg.l2 = CacheConfig::new(8 * 1024, 4, 64, 8, ReplKind::Lru);
-    cfg.llc_bank = CacheConfig::new(32 * 1024, 8, 64, 24, ReplKind::Lru);
+    cfg.l1 = CacheConfig::new(2 * 1024, 2, 64, 1);
+    cfg.l2 = CacheConfig::new(8 * 1024, 4, 64, 8);
+    cfg.llc_bank = CacheConfig::new(32 * 1024, 8, 64, 24);
     cfg
 }
 

@@ -1,17 +1,17 @@
 //! Cache geometry configuration and hit/miss accounting.
 
-use crate::replacement::ReplKind;
 use serde::{Deserialize, Serialize};
 use stashdir_common::{Counter, StatSink};
 use std::fmt;
 
-/// Geometry and timing of one cache level.
+/// Geometry and timing of one cache level. Every cache replaces its
+/// least-recently-used block.
 ///
 /// # Examples
 ///
 /// ```
-/// use stashdir_mem::{CacheConfig, ReplKind};
-/// let l1 = CacheConfig::new(32 * 1024, 4, 64, 1, ReplKind::Lru);
+/// use stashdir_mem::CacheConfig;
+/// let l1 = CacheConfig::new(32 * 1024, 4, 64, 1);
 /// assert_eq!(l1.num_sets(), 128);
 /// assert_eq!(l1.num_blocks(), 512);
 /// ```
@@ -22,8 +22,6 @@ pub struct CacheConfig {
     block_bytes: u64,
     /// Access latency in cycles (tag + data).
     pub latency: u64,
-    /// Replacement policy.
-    pub repl: ReplKind,
 }
 
 impl CacheConfig {
@@ -33,13 +31,7 @@ impl CacheConfig {
     ///
     /// Panics if the geometry is inconsistent: sizes not powers of two,
     /// zero associativity, or a size that does not divide into whole sets.
-    pub fn new(
-        size_bytes: u64,
-        assoc: usize,
-        block_bytes: u64,
-        latency: u64,
-        repl: ReplKind,
-    ) -> Self {
+    pub fn new(size_bytes: u64, assoc: usize, block_bytes: u64, latency: u64) -> Self {
         assert!(assoc > 0, "associativity must be positive");
         assert!(
             block_bytes.is_power_of_two(),
@@ -54,7 +46,6 @@ impl CacheConfig {
             assoc,
             block_bytes,
             latency,
-            repl,
         };
         assert!(
             (cfg.num_sets() as u64).is_power_of_two(),
@@ -94,12 +85,11 @@ impl fmt::Display for CacheConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}KiB {}-way {}B-block {}cyc {}",
+            "{}KiB {}-way {}B-block {}cyc lru",
             self.size_bytes / 1024,
             self.assoc,
             self.block_bytes,
             self.latency,
-            self.repl
         )
     }
 }
@@ -178,7 +168,7 @@ mod tests {
 
     #[test]
     fn geometry_derivations() {
-        let c = CacheConfig::new(256 * 1024, 8, 64, 8, ReplKind::Lru);
+        let c = CacheConfig::new(256 * 1024, 8, 64, 8);
         assert_eq!(c.num_sets(), 512);
         assert_eq!(c.num_blocks(), 4096);
         assert_eq!(c.size_bytes(), 256 * 1024);
@@ -188,14 +178,14 @@ mod tests {
 
     #[test]
     fn display_is_compact() {
-        let c = CacheConfig::new(32 * 1024, 4, 64, 1, ReplKind::Lru);
+        let c = CacheConfig::new(32 * 1024, 4, 64, 1);
         assert_eq!(c.to_string(), "32KiB 4-way 64B-block 1cyc lru");
     }
 
     #[test]
     #[should_panic(expected = "does not divide")]
     fn bad_geometry_panics() {
-        let _ = CacheConfig::new(100, 3, 64, 1, ReplKind::Lru);
+        let _ = CacheConfig::new(100, 3, 64, 1);
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! Cache and memory substrates for the Stash Directory reproduction.
 //!
 //! The paper's simulator needs set-associative storage in four places: the
-//! private L1s, the private L2s, the shared LLC banks, and the sparse
-//! directory slices themselves. This crate provides one generic,
-//! well-tested building block for all of them — [`SetAssoc`] — plus the
-//! replacement policies it is parameterized by and a first-order DRAM
-//! timing model.
+//! private L1s, the private L2s, the shared LLC banks, and the sparse and
+//! stash directory slices themselves. This crate provides one generic,
+//! well-tested building block for all of them — [`SetAssoc`], an LRU
+//! array whose full sets can also hand their victim choice to the
+//! caller — plus a first-order DRAM timing model.
 //!
 //! # Examples
 //!
 //! ```
 //! use stashdir_common::BlockAddr;
-//! use stashdir_mem::{ReplKind, SetAssoc};
+//! use stashdir_mem::SetAssoc;
 //!
 //! // A 4-set, 2-way array holding `char` payloads.
-//! let mut array: SetAssoc<char> = SetAssoc::new(4, 2, ReplKind::Lru, 1);
+//! let mut array: SetAssoc<char> = SetAssoc::new(4, 2);
 //! assert!(array.insert(BlockAddr::new(0), 'a').is_none());
 //! assert!(array.insert(BlockAddr::new(4), 'b').is_none()); // same set, 2nd way
 //! // Third block in set 0 evicts the LRU entry ('a').
@@ -27,10 +27,8 @@
 
 pub mod cache;
 pub mod dram;
-pub mod replacement;
 pub mod set_assoc;
 
 pub use cache::{CacheConfig, CacheStats};
 pub use dram::{DramConfig, DramModel};
-pub use replacement::ReplKind;
 pub use set_assoc::SetAssoc;

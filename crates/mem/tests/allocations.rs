@@ -3,12 +3,12 @@
 //! is allocated per chunk of sets on first insert. A chunk then stores
 //! only as many ways per set as its fullest set has needed, so sets
 //! holding one block each request one way each. A per-set heap layout
-//! (a `Vec` of ways or a boxed policy per set), an eagerly allocated one,
+//! (a `Vec` of ways or an LRU stack per set), an eagerly allocated one,
 //! or chunks that store every way from their first insert fail these
 //! tests.
 
 use stashdir_common::BlockAddr;
-use stashdir_mem::{ReplKind, SetAssoc};
+use stashdir_mem::SetAssoc;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -67,29 +67,20 @@ const MAX_ALLOCATIONS: usize = 3;
 
 #[test]
 fn construction_allocates_a_constant_number_of_times() {
-    for repl in [
-        ReplKind::Lru,
-        ReplKind::Fifo,
-        ReplKind::Random,
-        ReplKind::Nru,
-        ReplKind::Srrip,
-        ReplKind::TreePlru,
-    ] {
-        let one = allocations(|| SetAssoc::<u64>::new(1, 16, repl, 7));
-        let many = allocations(|| SetAssoc::<u64>::new(1024, 16, repl, 7));
-        assert!(
-            many <= MAX_ALLOCATIONS,
-            "{repl}: SetAssoc::new(1024, 16) made {many} allocations"
-        );
-        assert_eq!(one, many, "{repl}: allocations grow with the set count");
-    }
+    let one = allocations(|| SetAssoc::<u64>::new(1, 16));
+    let many = allocations(|| SetAssoc::<u64>::new(1024, 16));
+    assert!(
+        many <= MAX_ALLOCATIONS,
+        "SetAssoc::new(1024, 16) made {many} allocations"
+    );
+    assert_eq!(one, many, "allocations grow with the set count");
 }
 
 /// A 16 K-line array of 16-byte payloads: the flat layout requested
 /// 528 KiB of tags, lines and LRU stacks up front.
 #[test]
 fn construction_requests_only_the_chunk_index() {
-    let bytes = requested_bytes(|| SetAssoc::<[u64; 2]>::new(1024, 16, ReplKind::Lru, 7));
+    let bytes = requested_bytes(|| SetAssoc::<[u64; 2]>::new(1024, 16));
     assert!(
         bytes < 4096,
         "SetAssoc::new(1024, 16) requested {bytes} bytes"
@@ -103,7 +94,7 @@ fn construction_requests_only_the_chunk_index() {
 #[test]
 fn one_block_per_set_requests_one_way_per_set() {
     let bytes = requested_bytes(|| {
-        let mut array = SetAssoc::<[u64; 2]>::new(1024, 16, ReplKind::Lru, 7);
+        let mut array = SetAssoc::<[u64; 2]>::new(1024, 16);
         for set in 0..1024 {
             array.insert(BlockAddr::new(set), [set; 2]);
         }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use stashdir_common::BlockAddr;
-use stashdir_mem::{ReplKind, SetAssoc};
+use stashdir_mem::SetAssoc;
 use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
@@ -22,7 +22,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 proptest! {
-    /// Under any access/remove sequence and any policy:
+    /// Under any access/remove sequence:
     /// * a block disappears only by removal or by an eviction from its
     ///   own set,
     /// * per-set occupancy never exceeds associativity,
@@ -31,18 +31,10 @@ proptest! {
     #[test]
     fn set_assoc_accounts_for_every_block(
         ops in arb_ops(),
-        repl in prop::sample::select(vec![
-            ReplKind::Lru,
-            ReplKind::Fifo,
-            ReplKind::Random,
-            ReplKind::Nru,
-            ReplKind::Srrip,
-            ReplKind::TreePlru,
-        ]),
         sets in prop::sample::select(vec![1usize, 2, 4]),
         ways in 1usize..4,
     ) {
-        let mut array: SetAssoc<u64> = SetAssoc::new(sets, ways, repl, 5);
+        let mut array: SetAssoc<u64> = SetAssoc::new(sets, ways);
         // Block -> payload; each insert gets a fresh payload, so a payload
         // left behind by an earlier fill of the same way shows up.
         let mut model: HashMap<u64, u64> = HashMap::new();
@@ -88,7 +80,7 @@ proptest! {
     /// next `ways - 1` distinct insertions into its set.
     #[test]
     fn lru_protects_recently_used(ways in 2usize..6, salt in 0u64..100) {
-        let mut array: SetAssoc<()> = SetAssoc::new(1, ways, ReplKind::Lru, salt);
+        let mut array: SetAssoc<()> = SetAssoc::new(1, ways);
         for i in 0..ways as u64 {
             array.insert(BlockAddr::new(i), ());
         }
@@ -103,20 +95,13 @@ proptest! {
         }
     }
 
-    /// `victim_for` is a faithful prediction: for deterministic policies
-    /// the immediately following insert evicts exactly that block.
+    /// `victim_for` is a faithful prediction: the immediately following
+    /// insert evicts exactly that block.
     #[test]
     fn victim_prediction_is_exact(
         blocks in prop::collection::hash_set(0u64..32, 4..8),
-        repl in prop::sample::select(vec![
-            ReplKind::Lru,
-            ReplKind::Fifo,
-            ReplKind::Nru,
-            ReplKind::Srrip,
-            ReplKind::TreePlru,
-        ]),
     ) {
-        let mut array: SetAssoc<()> = SetAssoc::new(1, 4, repl, 0);
+        let mut array: SetAssoc<()> = SetAssoc::new(1, 4);
         for &b in blocks.iter().take(4) {
             array.insert(BlockAddr::new(b), ());
         }

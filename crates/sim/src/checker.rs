@@ -276,12 +276,12 @@ mod tests {
 
     /// A fresh, empty machine whose state the tests corrupt by hand.
     fn machine(dir: DirSpec) -> Machine {
-        use stashdir_mem::{CacheConfig, ReplKind};
+        use stashdir_mem::CacheConfig;
         let cfg = SystemConfig {
             cores: 4,
-            l1: CacheConfig::new(256, 2, 64, 1, ReplKind::Lru),
-            l2: CacheConfig::new(512, 2, 64, 4, ReplKind::Lru),
-            llc_bank: CacheConfig::new(1024, 2, 64, 8, ReplKind::Lru),
+            l1: CacheConfig::new(256, 2, 64, 1),
+            l2: CacheConfig::new(512, 2, 64, 4),
+            llc_bank: CacheConfig::new(1024, 2, 64, 8),
             dir,
             ..SystemConfig::default()
         };

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use stashdir_core::{CostParams, DirConfig, DirReplPolicy, SharerFormat};
-use stashdir_mem::{CacheConfig, DramConfig, ReplKind};
+use stashdir_mem::{CacheConfig, DramConfig};
 use stashdir_noc::{Mesh, NocConfig};
 use std::fmt;
 
@@ -436,9 +436,9 @@ impl Default for SystemConfig {
         SystemConfig {
             cores: 16,
             block_bytes: 64,
-            l1: CacheConfig::new(32 * 1024, 4, 64, 1, ReplKind::Lru),
-            l2: CacheConfig::new(256 * 1024, 8, 64, 8, ReplKind::Lru),
-            llc_bank: CacheConfig::new(1024 * 1024, 16, 64, 24, ReplKind::Lru),
+            l1: CacheConfig::new(32 * 1024, 4, 64, 1),
+            l2: CacheConfig::new(256 * 1024, 8, 64, 8),
+            llc_bank: CacheConfig::new(1024 * 1024, 16, 64, 24),
             dir: DirSpec::stash(CoverageRatio::FULL),
             dir_latency: 2,
             bank_occupancy: 4,

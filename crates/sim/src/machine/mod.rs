@@ -630,7 +630,7 @@ mod tests {
     use crate::config::{CoverageRatio, DirSpec};
     use stashdir_common::DetRng;
     use stashdir_core::DirReplPolicy;
-    use stashdir_mem::{CacheConfig, ReplKind};
+    use stashdir_mem::CacheConfig;
 
     /// A tiny 4-core machine that makes conflicts easy to provoke:
     /// 4-block L1, 8-block L2, 16-block LLC banks.
@@ -638,9 +638,9 @@ mod tests {
         SystemConfig {
             cores: 4,
             block_bytes: 64,
-            l1: CacheConfig::new(256, 2, 64, 1, ReplKind::Lru),
-            l2: CacheConfig::new(512, 2, 64, 4, ReplKind::Lru),
-            llc_bank: CacheConfig::new(1024, 2, 64, 8, ReplKind::Lru),
+            l1: CacheConfig::new(256, 2, 64, 1),
+            l2: CacheConfig::new(512, 2, 64, 4),
+            llc_bank: CacheConfig::new(1024, 2, 64, 8),
             dir,
             ..SystemConfig::default()
         }

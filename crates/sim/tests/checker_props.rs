@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use stashdir_common::{BlockAddr, MemOp};
-use stashdir_mem::{CacheConfig, ReplKind};
+use stashdir_mem::CacheConfig;
 use stashdir_sim::{CoverageRatio, DirSpec, Machine, SimReport, SystemConfig};
 
 /// Distinct blocks the traces touch: three times the 8-block private L2
@@ -24,9 +24,9 @@ const CORES: usize = 4;
 fn small_config(dir: DirSpec) -> SystemConfig {
     SystemConfig {
         cores: CORES as u16,
-        l1: CacheConfig::new(256, 2, 64, 1, ReplKind::Lru),
-        l2: CacheConfig::new(512, 2, 64, 4, ReplKind::Lru),
-        llc_bank: CacheConfig::new(1024, 2, 64, 8, ReplKind::Lru),
+        l1: CacheConfig::new(256, 2, 64, 1),
+        l2: CacheConfig::new(512, 2, 64, 4),
+        llc_bank: CacheConfig::new(1024, 2, 64, 8),
         dir,
         ..SystemConfig::default()
     }

@@ -6,7 +6,7 @@
 //! cargo run --release --example hidden_blocks
 //! ```
 
-use stashdir::mem::{CacheConfig, ReplKind};
+use stashdir::mem::CacheConfig;
 use stashdir::{BlockAddr, CoverageRatio, DirReplPolicy, DirSpec, Machine, MemOp, SystemConfig};
 
 fn main() {
@@ -14,9 +14,9 @@ fn main() {
     // hiding happens constantly.
     let config = SystemConfig {
         cores: 4,
-        l1: CacheConfig::new(4 * 1024, 2, 64, 1, ReplKind::Lru),
-        l2: CacheConfig::new(16 * 1024, 4, 64, 4, ReplKind::Lru),
-        llc_bank: CacheConfig::new(64 * 1024, 8, 64, 12, ReplKind::Lru),
+        l1: CacheConfig::new(4 * 1024, 2, 64, 1),
+        l2: CacheConfig::new(16 * 1024, 4, 64, 4),
+        llc_bank: CacheConfig::new(64 * 1024, 8, 64, 12),
         dir: DirSpec::Stash {
             coverage: CoverageRatio::new(1, 16),
             assoc: 2,

@@ -29,7 +29,7 @@
 //! | [`sim`] | `stashdir-sim` | The machine: [`Machine`], [`SystemConfig`], invariant checker |
 //! | [`protocol`] | `stashdir-protocol` | MESI states, messages, home decision logic |
 //! | [`workloads`] | `stashdir-workloads` | The twelve-workload suite: [`Workload`] |
-//! | [`mem`] | `stashdir-mem` | Set-associative arrays, replacement policies, DRAM |
+//! | [`mem`] | `stashdir-mem` | The LRU set-associative array, cache geometry, DRAM |
 //! | [`noc`] | `stashdir-noc` | Mesh network model |
 //! | [`common`] | `stashdir-common` | Addresses, ids, RNG, stats |
 //!

@@ -7,12 +7,12 @@ use stashdir::{CoverageRatio, DirSpec, Machine, SystemConfig, Workload};
 /// A reduced machine (8 cores, quarter-size caches) so the whole matrix
 /// stays fast while still exercising conflicts at every level.
 fn small_config(dir: DirSpec) -> SystemConfig {
-    use stashdir::mem::{CacheConfig, ReplKind};
+    use stashdir::mem::CacheConfig;
     SystemConfig {
         cores: 8,
-        l1: CacheConfig::new(8 * 1024, 4, 64, 1, ReplKind::Lru),
-        l2: CacheConfig::new(64 * 1024, 8, 64, 8, ReplKind::Lru),
-        llc_bank: CacheConfig::new(256 * 1024, 16, 64, 24, ReplKind::Lru),
+        l1: CacheConfig::new(8 * 1024, 4, 64, 1),
+        l2: CacheConfig::new(64 * 1024, 8, 64, 8),
+        llc_bank: CacheConfig::new(256 * 1024, 16, 64, 24),
         dir,
         ..SystemConfig::default()
     }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use stashdir::common::{BlockAddr, CoreId, SharerSet};
-use stashdir::mem::{CacheConfig, ReplKind};
+use stashdir::mem::CacheConfig;
 use stashdir::protocol::DirView;
 use stashdir::{
     CoverageRatio, DirConfig, DirReplPolicy, DirSpec, DirectoryModel, EvictionAction, Machine,
@@ -15,9 +15,9 @@ use stashdir::{
 fn tiny(dir: DirSpec, notify: bool, seed: u64) -> SystemConfig {
     SystemConfig {
         cores: 4,
-        l1: CacheConfig::new(256, 2, 64, 1, ReplKind::Lru),
-        l2: CacheConfig::new(512, 2, 64, 4, ReplKind::Lru),
-        llc_bank: CacheConfig::new(1024, 2, 64, 8, ReplKind::Lru),
+        l1: CacheConfig::new(256, 2, 64, 1),
+        l2: CacheConfig::new(512, 2, 64, 4),
+        llc_bank: CacheConfig::new(1024, 2, 64, 8),
         dir,
         notify_clean_evictions: notify,
         seed,
