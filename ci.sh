@@ -107,6 +107,11 @@ cargo test -q --workspace --offline
 echo "== simbench tests"
 cargo test -q --offline --manifest-path simbench/Cargo.toml
 
+# The workspace clippy above never sees simbench, which calls public
+# APIs of mem, sim and core; lint it with the same settings.
+echo "== cargo clippy (simbench) --all-targets -- -D warnings"
+cargo clippy --offline --manifest-path simbench/Cargo.toml --all-targets -- -D warnings
+
 # Digest smoke: one warm-up and three rounds of all five simbench
 # workloads (64-1024 cores, ~30 s) per seed. Exits 1 on any report
 # digest that differs from simbench/baseline.json, so byte-identity
