@@ -1,6 +1,5 @@
 //! Physical and block addresses.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A physical byte address in the simulated machine.
@@ -15,9 +14,7 @@ use std::fmt;
 /// let a = Addr::new(0x1000);
 /// assert_eq!(a.get(), 0x1000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -69,9 +66,7 @@ impl From<u64> for Addr {
 /// let b = BlockAddr::new(7);
 /// assert_eq!(b.get(), 7);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockAddr(u64);
 
 impl BlockAddr {
@@ -120,7 +115,7 @@ impl From<u64> for BlockAddr {
 /// assert_eq!(geom.block_of(Addr::new(128)).get(), 2);
 /// assert_eq!(geom.block_bytes(), 64);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockGeometry {
     offset_bits: u32,
 }

@@ -1,6 +1,5 @@
 //! Simulated time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
@@ -20,9 +19,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t - Cycle::ZERO, 10);
 /// assert_eq!((t + 5).get(), 15);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(u64);
 
 impl Cycle {

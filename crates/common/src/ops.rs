@@ -5,11 +5,10 @@
 //! protocol or simulator crates) lets trace tooling stay dependency-light.
 
 use crate::addr::BlockAddr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of a memory operation issued by a core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemOpKind {
     /// A load.
     Read,
@@ -41,7 +40,7 @@ impl fmt::Display for MemOpKind {
 /// assert_eq!(op.kind, MemOpKind::Read);
 /// assert_eq!(op.think, 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemOp {
     /// Load or store.
     pub kind: MemOpKind,

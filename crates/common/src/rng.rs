@@ -5,8 +5,6 @@
 //! seedable xoshiro256**-based generator. Simulation results are therefore
 //! exactly reproducible from a seed, which the experiment harness relies on.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic random number generator (xoshiro256**).
 ///
 /// Not cryptographically secure; statistically solid and extremely fast,
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = DetRng::seed_from(42);
 /// assert_eq!(a.next_u64(), b.next_u64()); // same seed, same stream
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetRng {
     s: [u64; 4],
 }

@@ -6,12 +6,11 @@
 //! slice sized at construction.
 
 use crate::ids::CoreId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The bit-vector words of a [`SharerSet`]: one inline word up to 64
 /// cores, a boxed slice beyond.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Words {
     Inline(u64),
     Boxed(Box<[u64]>),
@@ -30,7 +29,7 @@ enum Words {
 /// assert!(s.contains(CoreId::new(3)));
 /// assert_eq!(s.sole_member(), None); // two members, not private
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SharerSet {
     words: Words,
     capacity: u16,

@@ -4,7 +4,6 @@
 //! registry, no locks) and export them into a [`StatSink`] at the end of a
 //! run, which the experiment harness serializes as rows.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -19,7 +18,7 @@ use std::fmt;
 /// c.incr();
 /// assert_eq!(c.get(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -67,7 +66,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(h.max(), Some(100));
 /// assert!((h.mean().unwrap() - 26.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -194,7 +193,7 @@ impl Histogram {
 /// assert_eq!(sink.get("dir.silent"), Some(9.0));
 /// assert_eq!(sink.to_csv().lines().count(), 3); // header + 2 rows
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatSink {
     values: BTreeMap<String, f64>,
 }

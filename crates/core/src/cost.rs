@@ -6,10 +6,8 @@
 //! the comparison. Dynamic energy is approximated elsewhere by event
 //! counts (directory accesses, probes, broadcasts).
 
-use serde::{Deserialize, Serialize};
-
 /// Inputs to the bit-counting model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostParams {
     /// Address tag bits stored per entry.
     pub tag_bits: u32,
@@ -70,7 +68,7 @@ impl Default for CostParams {
 /// numbers), and a run's dynamic energy is the weighted event sum. The
 /// point is *relative* comparison between directory organizations on the
 /// same run, not absolute joules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Directory slice lookup or update.
     pub dir_access_pj: f64,
@@ -98,7 +96,7 @@ impl Default for EnergyModel {
 
 /// Event counts feeding [`EnergyModel::dynamic_pj`], extracted from a
 /// simulation report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyCounts {
     /// Directory lookups + installs.
     pub dir_accesses: u64,

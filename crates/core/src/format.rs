@@ -16,13 +16,12 @@
 //! silently dropped.
 
 use crate::cost::CostParams;
-use serde::{Deserialize, Serialize};
 use stashdir_common::{CoreId, SharerSet};
 use stashdir_protocol::DirView;
 use std::fmt;
 
 /// How a directory entry encodes its sharers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SharerFormat {
     /// One presence bit per core: precise, `N` bits.
     #[default]

@@ -1,6 +1,5 @@
 //! Cache geometry configuration and hit/miss accounting.
 
-use serde::{Deserialize, Serialize};
 use stashdir_common::{Counter, StatSink};
 use std::fmt;
 
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(l1.num_sets(), 128);
 /// assert_eq!(l1.num_blocks(), 512);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     size_bytes: u64,
     assoc: usize,
@@ -106,7 +105,7 @@ impl fmt::Display for CacheConfig {
 /// assert_eq!(s.accesses(), 2);
 /// assert_eq!(s.miss_rate(), 0.5);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand accesses that hit.
     pub hits: Counter,

@@ -6,11 +6,10 @@
 //! channel for a fixed service time; accesses queue FIFO behind earlier
 //! ones on the same channel.
 
-use serde::{Deserialize, Serialize};
 use stashdir_common::{BlockAddr, Counter, Cycle, StatSink};
 
 /// Configuration for [`DramModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Latency from request arrival to data return, unloaded (cycles).
     pub latency: u64,

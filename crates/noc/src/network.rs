@@ -1,11 +1,10 @@
 //! The network timing/traffic model.
 
 use crate::topology::Mesh;
-use serde::{Deserialize, Serialize};
 use stashdir_common::{Counter, Cycle, Histogram, NodeId, StatSink};
 
 /// Configuration for [`Network`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NocConfig {
     /// Per-hop pipeline latency (router + link traversal), cycles.
     pub hop_latency: u64,

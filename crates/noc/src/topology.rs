@@ -1,6 +1,5 @@
 //! Mesh topology and dimension-order routing.
 
-use serde::{Deserialize, Serialize};
 use stashdir_common::NodeId;
 use std::fmt;
 use std::ops::Range;
@@ -18,7 +17,7 @@ use std::ops::Range;
 /// assert_eq!(mesh.coords(NodeId::new(5)), (1, 1));
 /// assert_eq!(mesh.hops(NodeId::new(0), NodeId::new(15)), 6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Mesh {
     width: u16,
     height: u16,
@@ -231,7 +230,7 @@ impl LinkRun {
 }
 
 /// A directed link between two adjacent routers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Link {
     /// Upstream router.
     pub from: NodeId,

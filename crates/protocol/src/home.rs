@@ -14,12 +14,11 @@
 //! unchanged.
 
 use crate::msg::{DiscoveryIntent, Grant, Probe, Request};
-use serde::{Deserialize, Serialize};
 use stashdir_common::{CoreId, SharerSet};
 use std::fmt;
 
 /// What the directory knows about a block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirView {
     /// No directory entry: as far as tracking goes, no private cache holds
     /// the block. (Under the stash directory this may be a lie — see
@@ -78,7 +77,7 @@ impl fmt::Display for DirView {
 }
 
 /// The home's plan for one demand request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestOutcome {
     /// Probes to deliver (and collect replies for) before granting.
     pub probes: Vec<(CoreId, Probe)>,
@@ -222,7 +221,7 @@ fn decide_getm(req: Request, requester: CoreId, view: &DirView, capacity: u16) -
 }
 
 /// The home's verdict on an eviction notification.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PutOutcome {
     /// The put matches the directory's knowledge.
     Accept {

@@ -4,7 +4,6 @@
 //! data-bearing messages carry a 64-byte block over a 16-byte-flit network
 //! (1 head flit + 4 body flits).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Flits in a control (address-only) message.
@@ -15,7 +14,7 @@ pub const CONTROL_FLITS: u32 = 1;
 pub const DATA_FLITS: u32 = 5;
 
 /// A request from a core to a block's home node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Request {
     /// Read miss: asks for a readable copy.
     GetS,
@@ -74,7 +73,7 @@ impl fmt::Display for Request {
 }
 
 /// A probe from the home to a private cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Probe {
     /// Forwarded read: the owner must supply data and downgrade to Shared.
     FwdGetS,
@@ -92,7 +91,7 @@ pub enum Probe {
 }
 
 /// What a discovery round will do with the hidden copy once found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiscoveryIntent {
     /// Triggered by a GetS: the hidden owner downgrades to Shared.
     Share,
@@ -131,7 +130,7 @@ impl fmt::Display for Probe {
 }
 
 /// A private cache's answer to a [`Probe`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeReply {
     /// Acknowledgement without data (the copy was clean or absent).
     Ack,
@@ -181,7 +180,7 @@ impl fmt::Display for ProbeReply {
 }
 
 /// The permission granted by the home's data reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Grant {
     /// Readable copy; others may also hold it ([`PrivState::Shared`]).
     ///

@@ -5,11 +5,10 @@
 //! state and what must be sent. The simulator owns timing and queues.
 
 use crate::msg::{DiscoveryIntent, Grant, Probe, ProbeReply, Request};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable MESI states of a block in a private cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrivState {
     /// Writable, dirty, sole copy.
     Modified,
@@ -59,7 +58,7 @@ impl fmt::Display for PrivState {
 pub use stashdir_common::MemOpKind;
 
 /// Result of attempting a local access against a block's current state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessOutcome {
     /// The access completes locally; the block moves to the given state
     /// (identical to the old state except for the silent E→M upgrade).
@@ -113,7 +112,7 @@ pub fn expected_state(grant: Grant) -> PrivState {
 }
 
 /// What a probe did to a private copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProbeEffect {
     /// The block's state after the probe.
     pub next: PrivState,

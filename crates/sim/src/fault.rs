@@ -16,12 +16,11 @@
 //! and artifacts byte-identical to a plain run (property-tested in the
 //! harness).
 
-use serde::{Deserialize, Serialize};
 use stashdir_common::json::Value;
 use stashdir_common::DetRng;
 
 /// The kinds of damage the chaos layer can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// A NoC message is delayed far beyond any legitimate latency
     /// (injected at the machine's demand send).
@@ -90,7 +89,7 @@ impl FaultClass {
 }
 
 /// Which mechanism is expected to catch a fault class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Detector {
     /// A machine-wide invariant (I1–I8) flags the damage as a
     /// violation.
@@ -144,7 +143,7 @@ pub fn expected_detector(class: FaultClass) -> Detector {
 /// rolls at `rate_per_mille` from cycle `onset`, stays hot for `len`
 /// cycles, sleeps `gap` cycles, and repeats. A `len` or `gap` of `0`
 /// means the burst never switches off once `onset` is reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultBurst {
     /// The fault class this burst injects.
     pub class: FaultClass,
@@ -196,7 +195,7 @@ impl FaultBurst {
 /// layer composes several.
 ///
 /// [`Machine::with_faults`]: crate::Machine::with_faults
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Seed for the injection RNG (independent of the workload seed).
     pub seed: u64,
@@ -394,7 +393,7 @@ impl std::str::FromStr for FaultConfig {
 /// Injection and detection counters, surfaced on
 /// [`SimReport`](crate::SimReport) and persisted in sweep artifacts.
 /// All-zero on a fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// NoC messages delayed.
     pub injected_noc_delay: u64,

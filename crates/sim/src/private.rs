@@ -11,7 +11,6 @@
 //! answered from the buffer, which is how the protocol resolves the
 //! owner-evicted-while-forward-in-flight race.
 
-use serde::{Deserialize, Serialize};
 use stashdir_common::{BlockAddr, CoreId, FxHashMap, MemOp, MemOpKind};
 use stashdir_mem::{CacheConfig, CacheStats, SetAssoc};
 use stashdir_protocol::{
@@ -19,7 +18,7 @@ use stashdir_protocol::{
 };
 
 /// An L2 line: coherence state plus the data version it holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2Line {
     /// MESI state.
     pub state: PrivState,
@@ -35,7 +34,7 @@ pub struct L2Line {
 /// decide whether an untracked-but-stashed `PutM` is the hidden owner's
 /// authoritative writeback (unclaimed) or a raced duplicate whose data
 /// already reached its new owner (claimed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WbEntry {
     /// Version of the data in flight (meaningful when `dirty`).
     pub version: u64,

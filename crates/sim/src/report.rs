@@ -1,14 +1,13 @@
 //! Simulation results.
 
 use crate::fault::FaultSummary;
-use serde::{Deserialize, Serialize};
 use stashdir_common::StatSink;
 
 /// One point of the run's time series (enabled with
 /// [`SystemConfig::with_timeline`]).
 ///
 /// [`SystemConfig::with_timeline`]: crate::SystemConfig::with_timeline
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimelineSample {
     /// Sample timestamp (cycles).
     pub cycle: u64,
@@ -31,7 +30,7 @@ pub struct TimelineSample {
 /// diffed directly against the reachable set.
 ///
 /// [`FaultConfig::witness`]: crate::fault::FaultConfig
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransitionHits {
     /// Matrix section: `private_probe`, `local_access`, `home` or
     /// `fault_response`.
@@ -62,7 +61,7 @@ pub struct TransitionHits {
 /// assert_eq!(report.completed_ops, 1);
 /// assert!(report.stat("l2.misses") >= 1.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Execution time: the cycle at which the last core retired its last
     /// operation.

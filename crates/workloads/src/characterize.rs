@@ -6,12 +6,11 @@
 //! **private-block fraction** — the share of blocks touched by exactly
 //! one core, which is the opportunity the stash directory exploits.
 
-use serde::{Deserialize, Serialize};
 use stashdir_common::MemOp;
 use std::collections::HashMap;
 
 /// Summary statistics of one multi-core trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Characterization {
     /// Total operations.
     pub ops: u64,

@@ -1,7 +1,6 @@
 //! The workload suite: one named entry point per sharing archetype.
 
 use crate::gen;
-use serde::{Deserialize, Serialize};
 use stashdir_common::MemOp;
 use std::fmt;
 
@@ -21,7 +20,7 @@ use std::fmt;
 ///     assert_eq!(traces.len(), 4, "{w}");
 /// }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// Blackscholes-like private streaming (`gen::data_parallel`).
     DataParallel,

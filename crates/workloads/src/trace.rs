@@ -1,7 +1,6 @@
 //! Trace serialization: save generated traces to disk and reload them,
 //! so experiments can be re-run bit-identically without regenerating.
 
-use serde::{Deserialize, Serialize};
 use stashdir_common::json::Value;
 use stashdir_common::{BlockAddr, MemOp, MemOpKind};
 use std::io;
@@ -22,7 +21,7 @@ use std::path::Path;
 /// assert_eq!(loaded.traces, traces);
 /// # std::fs::remove_file(&dir).ok();
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceFile {
     /// Workload name that produced the trace.
     pub workload: String,
