@@ -4,8 +4,9 @@
 //! Adding a counter to `SimReport` (or a field to `Histogram`) and
 //! forgetting to thread it through the artifact serializer or the merge
 //! function silently drops data from sweeps. `Machine::build_report`
-//! folds per-bank counters through `BackendStats::merge`, so a field
-//! that merge forgets is lost from every report. The rule is
+//! folds per-core and per-bank counters through the `merge` of
+//! `CacheStats`, `DirStats`, `BankStats` and `BackendStats`, so a field
+//! that a merge forgets is lost from every report. The rule is
 //! textual on purpose: a field is "registered" when its identifier
 //! occurs in the registry function's body.
 
@@ -95,6 +96,52 @@ pub const RULES: &[RegRule] = &[
             Registry {
                 file: "crates/sim/src/bank.rs",
                 function: "BackendStats::merge",
+            },
+        ],
+    },
+    RegRule {
+        struct_file: "crates/core/src/model.rs",
+        struct_name: "DirStats",
+        // `build_report` folds every bank's directory counters through
+        // `merge` and exports the total once under `dir.*`.
+        registries: &[
+            Registry {
+                file: "crates/core/src/model.rs",
+                function: "DirStats::export",
+            },
+            Registry {
+                file: "crates/core/src/model.rs",
+                function: "DirStats::merge",
+            },
+        ],
+    },
+    RegRule {
+        struct_file: "crates/sim/src/bank.rs",
+        struct_name: "BankStats",
+        registries: &[
+            Registry {
+                file: "crates/sim/src/bank.rs",
+                function: "BankStats::export",
+            },
+            Registry {
+                file: "crates/sim/src/bank.rs",
+                function: "BankStats::merge",
+            },
+        ],
+    },
+    RegRule {
+        struct_file: "crates/mem/src/cache.rs",
+        struct_name: "CacheStats",
+        // The per-core L1/L2 and per-bank LLC counters, merged into the
+        // `l1.*`, `l2.*` and `llc.*` totals.
+        registries: &[
+            Registry {
+                file: "crates/mem/src/cache.rs",
+                function: "CacheStats::export",
+            },
+            Registry {
+                file: "crates/mem/src/cache.rs",
+                function: "CacheStats::merge",
             },
         ],
     },

@@ -1,7 +1,22 @@
 //! Fixture backend-stats struct. `BackendStats.indirection_hops` is
 //! deliberately missing from `BackendStats::merge`, seeding a
 //! stat-registration violation (`export` mentions every field, so the
-//! merge registry is the one that fires).
+//! merge registry is the one that fires). `BankStats` registers every
+//! field in both and stays clean.
+
+pub struct BankStats {
+    pub discoveries: u64,
+}
+
+impl BankStats {
+    pub fn export(&self, sink: &mut Vec<(String, u64)>) {
+        sink.push(("bank.discoveries".into(), self.discoveries));
+    }
+
+    pub fn merge(&mut self, other: &BankStats) {
+        self.discoveries += other.discoveries;
+    }
+}
 
 pub struct BackendStats {
     pub remote_llc_accesses: u64,
