@@ -5,18 +5,21 @@
 //! organizations differ in *storage* and in *what happens when they run
 //! out of it*:
 //!
-//! | Organization | Storage | On conflict |
-//! |---|---|---|
-//! | [`FullMapDirectory`] | one entry per LLC line (ideal) | never conflicts |
-//! | [`SparseDirectory`] | set-associative, under-provisioned | invalidate all copies of the victim |
-//! | [`StashDirectory`] | set-associative, under-provisioned | **silently drop** entries tracking *private* blocks (set the LLC stash bit); invalidate only shared victims |
-//! | [`CuckooDirectory`] | multi-hash, under-provisioned | relocate; invalidate only when a relocation path is exhausted |
-//! | [`DlsDirectory`] | none (directoryless) | never conflicts; shared blocks are never cached privately |
-//! | [`OpaqueDirectory`] | set-associative shards at opaque banks | invalidate all copies of the victim |
+//! | Organization | Type | Storage | On conflict |
+//! |---|---|---|---|
+//! | full-map | [`MapDirectory`] ([`MapOrg::FullMap`]) | one entry per LLC line (ideal) | never conflicts |
+//! | DLS | [`MapDirectory`] ([`MapOrg::Dls`]) | none (directoryless) | never conflicts; shared blocks are never cached privately |
+//! | sparse | [`SetAssocDirectory`] ([`SetAssocOrg::Sparse`]) | set-associative, under-provisioned | invalidate all copies of the victim |
+//! | stash | [`SetAssocDirectory`] ([`SetAssocOrg::Stash`]) | set-associative, under-provisioned, plus a stash bit per LLC line | **silently drop** entries tracking *private* blocks (set the LLC stash bit); invalidate only shared victims |
+//! | opaque | [`SetAssocDirectory`] ([`SetAssocOrg::Opaque`]) | set-associative shards at opaque banks, global keys | invalidate all copies of the victim |
+//! | cuckoo | [`CuckooDirectory`] | multi-hash, under-provisioned | relocate; invalidate only when a relocation path is exhausted |
 //!
-//! All implement [`DirectoryModel`], so the simulator (and your own code)
-//! can swap them freely — [`DirConfig::build`] resolves the organization
-//! through the enumerable backend [`registry`].
+//! One struct exists per storage layout; the organization is data it
+//! holds. All implement [`DirectoryModel`], so the simulator (and your
+//! own code) can swap them freely. [`DirConfig::build`] builds any of
+//! them, and [`backends`] lists every registered backend by name
+//! (`limited-ptr` is the stash organization with a limited-pointer
+//! [`SharerFormat`]).
 //!
 //! # Examples
 //!
@@ -43,23 +46,16 @@
 
 pub mod cost;
 pub mod cuckoo;
-pub mod dls;
 pub mod format;
-pub mod fullmap;
+pub mod map;
 pub mod model;
-pub mod opaque;
-pub mod registry;
-pub mod sparse;
-pub mod stash;
-mod storage;
+pub mod set_assoc;
 
 pub use cost::{CostParams, EnergyCounts, EnergyModel};
 pub use cuckoo::CuckooDirectory;
-pub use dls::DlsDirectory;
 pub use format::SharerFormat;
-pub use fullmap::FullMapDirectory;
-pub use model::{DirConfig, DirKind, DirReplPolicy, DirStats, DirectoryModel, EvictionAction};
-pub use opaque::OpaqueDirectory;
-pub use registry::{backends, BackendInfo};
-pub use sparse::SparseDirectory;
-pub use stash::StashDirectory;
+pub use map::{MapDirectory, MapOrg};
+pub use model::{
+    backends, DirConfig, DirKind, DirReplPolicy, DirStats, DirectoryModel, EvictionAction,
+};
+pub use set_assoc::{SetAssocDirectory, SetAssocOrg};

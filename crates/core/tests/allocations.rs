@@ -7,9 +7,7 @@
 //! sharer vector or a cloning lookup fails these tests.
 
 use stashdir_common::{BlockAddr, CoreId, SharerSet};
-use stashdir_core::{
-    DirReplPolicy, DirectoryModel, EvictionAction, SparseDirectory, StashDirectory,
-};
+use stashdir_core::{DirConfig, DirectoryModel, EvictionAction};
 use stashdir_protocol::DirView;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -61,17 +59,8 @@ const FIRST_FILL_ALLOCATIONS: usize = 3 + 3 * 2;
 type Build = fn(usize) -> Box<dyn DirectoryModel>;
 
 const BUILDERS: [(&str, Build); 2] = [
-    ("stash", |sets| {
-        Box::new(StashDirectory::new(
-            sets,
-            8,
-            DirReplPolicy::PrivateFirstLru,
-            7,
-        ))
-    }),
-    ("sparse", |sets| {
-        Box::new(SparseDirectory::new(sets, 8, DirReplPolicy::Lru, 7))
-    }),
+    ("stash", |sets| DirConfig::stash(sets, 8).build(7)),
+    ("sparse", |sets| DirConfig::sparse(sets, 8).build(7)),
 ];
 
 fn two_sharers(a: u16, b: u16) -> DirView {
@@ -159,8 +148,8 @@ fn operations_at_64_cores_allocate_nothing() {
 
 #[test]
 fn stash_silent_evictions_allocate_nothing() {
-    let mut dir = StashDirectory::new(1, 8, DirReplPolicy::PrivateFirstLru, 7);
-    fill(&mut dir, vec![DirView::Exclusive(CoreId::new(40)); 8]);
+    let mut dir = DirConfig::stash(1, 8).build(7);
+    fill(&mut *dir, vec![DirView::Exclusive(CoreId::new(40)); 8]);
     let views: Vec<DirView> = (0..32u16)
         .map(|i| DirView::Exclusive(CoreId::new(i)))
         .collect();

@@ -1591,11 +1591,10 @@ mod tests {
     fn e18_contenders_cover_the_registry_at_equal_area() {
         let backends = e18_backends();
         let names: Vec<_> = backends.iter().map(|(n, _)| *n).collect();
-        for info in stashdir::core::backends() {
+        for name in stashdir::core::backends() {
             assert!(
-                names.contains(&info.name),
-                "registry backend {} has no E18 contender",
-                info.name
+                names.contains(name),
+                "registry backend {name} has no E18 contender"
             );
         }
         let budget = e18_budget_bits();

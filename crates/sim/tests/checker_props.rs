@@ -61,7 +61,7 @@ fn dirs_cover_every_registered_backend() {
     let mut covered: Vec<&str> = dirs().iter().map(DirSpec::name).collect();
     covered.sort_unstable();
     covered.dedup();
-    let mut registered: Vec<&str> = stashdir_core::backends().iter().map(|b| b.name).collect();
+    let mut registered = stashdir_core::backends().to_vec();
     registered.sort_unstable();
     assert_eq!(covered, registered);
 }

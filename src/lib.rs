@@ -25,7 +25,7 @@
 //!
 //! | Re-export | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `stashdir-core` | The directory-backend registry ([`backends`]) and organizations: [`StashDirectory`], [`SparseDirectory`], [`FullMapDirectory`], [`CuckooDirectory`], [`DlsDirectory`], [`OpaqueDirectory`] |
+//! | [`core`] | `stashdir-core` | The backend names ([`backends`]) and one type per storage layout: [`SetAssocDirectory`] (sparse, stash, opaque), [`MapDirectory`] (full-map, DLS), [`CuckooDirectory`] |
 //! | [`sim`] | `stashdir-sim` | The machine: [`Machine`], [`SystemConfig`], invariant checker |
 //! | [`protocol`] | `stashdir-protocol` | MESI states, messages, home decision logic |
 //! | [`workloads`] | `stashdir-workloads` | The twelve-workload suite: [`Workload`] |
@@ -64,9 +64,9 @@ pub use stashdir_workloads as workloads;
 
 pub use stashdir_common::{Addr, BlockAddr, CoreId, Cycle, MemOp, MemOpKind, StatSink};
 pub use stashdir_core::{
-    backends, BackendInfo, CostParams, CuckooDirectory, DirConfig, DirReplPolicy, DirectoryModel,
-    DlsDirectory, EnergyCounts, EnergyModel, EvictionAction, FullMapDirectory, OpaqueDirectory,
-    SharerFormat, SparseDirectory, StashDirectory,
+    backends, CostParams, CuckooDirectory, DirConfig, DirReplPolicy, DirectoryModel, EnergyCounts,
+    EnergyModel, EvictionAction, MapDirectory, MapOrg, SetAssocDirectory, SetAssocOrg,
+    SharerFormat,
 };
 pub use stashdir_sim::{
     expected_detector, CoverageRatio, Detector, DirSpec, FaultBurst, FaultClass, FaultConfig,
