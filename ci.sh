@@ -24,10 +24,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # model checker, waits-for liveness, panic hygiene in hot crates,
 # artifact determinism, and stat registration. Prints per-pass timings,
 # writes results/lint/protocol_model.json (v2) plus the machine-readable
-# findings list, and fails on any finding.
+# findings list, and fails on any finding. The model pins protocol
+# source lines and is committed, and the lint rewrites it in place, so
+# it is compared with the committed copy: a stale model fails here.
 echo "== stashdir-lint"
+model_before=$(mktemp)
+cp results/lint/protocol_model.json "$model_before"
 cargo run -q -p stashdir-lint --offline -- --root . \
   --json results/lint/findings.json
+cmp "$model_before" results/lint/protocol_model.json \
+  || { rm -f "$model_before"; echo "stashdir-lint FAILED: results/lint/protocol_model.json is stale; commit the rewritten file"; exit 1; }
+rm -f "$model_before"
 
 # Full default sweep: every experiment E1-E20 at the default ops and
 # seed (pinned, so STASHDIR_OPS/STASHDIR_SEED cannot move them), from a

@@ -30,5 +30,5 @@
 pub mod network;
 pub mod topology;
 
-pub use network::{Network, NocConfig};
+pub use network::{Network, NocConfig, Packet};
 pub use topology::{Link, LinkRun, Mesh};

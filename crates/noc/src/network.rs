@@ -1,7 +1,7 @@
 //! The network timing/traffic model.
 
 use crate::topology::Mesh;
-use stashdir_common::{Counter, Cycle, Histogram, NodeId, StatSink};
+use stashdir_common::{Counter, Cycle, NodeId, StatSink};
 
 /// Configuration for [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +55,9 @@ pub struct Network {
     /// handful of classes, so a scan beats a map lookup.
     classes: Vec<(&'static str, u64, u64)>,
     flit_hops: Counter,
-    latency_hist: Histogram,
+    /// Sum of every message's end-to-end latency: with
+    /// [`Network::total_messages`], the mean latency.
+    latency_sum: u64,
 }
 
 impl Network {
@@ -70,7 +72,7 @@ impl Network {
             config,
             classes: Vec::new(),
             flit_hops: Counter::new(),
-            latency_hist: Histogram::new(),
+            latency_sum: 0,
         }
     }
 
@@ -99,29 +101,143 @@ impl Network {
         class: &'static str,
         now: Cycle,
     ) -> Cycle {
-        assert!(flits > 0, "a packet has at least one flit");
-        let (Some(&from), Some(&to)) = (self.coords.get(src.index()), self.coords.get(dst.index()))
-        else {
-            panic!("{src} -> {dst}: endpoint outside the {}", self.mesh);
-        };
-        match self.classes.iter_mut().find(|(c, _, _)| *c == class) {
-            Some((_, messages, total)) => {
-                *messages += 1;
-                *total += flits as u64;
-            }
-            None => self.classes.push((class, 1, flits as u64)),
-        }
-
-        if src == dst {
-            let arrival = now + self.config.local_latency;
-            self.latency_hist.record(arrival - now);
-            return arrival;
-        }
-
-        let runs = self.mesh.link_runs(from, to);
-        let hops = runs.iter().map(|run| run.links.len() as u64).sum::<u64>();
+        let (from, to) = (self.coords_of(src), self.coords_of(dst));
+        self.count(class, 1, flits as u64);
+        let (arrival, hops) = self.leg(from, to, flits, now);
         self.flit_hops.add(flits as u64 * hops);
+        self.latency_sum += arrival - now;
+        arrival
+    }
 
+    /// Sends one probe round from `hub`. For each `(target, reply)` in
+    /// order, a `probe` packet goes from `hub` to `target` at `t`, then
+    /// `reply` goes from `target` back to `hub` once the probe lands.
+    /// `fifo(src, dst, raw)` turns each leg's raw arrival into its
+    /// delivered one (the caller's per-channel FIFO clamp), and
+    /// `arrived(target, probe_arrival, reply_arrival)` hears each target's
+    /// two delivered arrivals.
+    ///
+    /// Links, arrivals and every counter end exactly as if each leg had
+    /// been [`Network::send`] in that order and passed through `fifo`;
+    /// the round only counts its messages, flits, flit-hops and latency
+    /// once instead of per leg.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stashdir_common::{Cycle, NodeId};
+    /// use stashdir_noc::{Mesh, Network, NocConfig, Packet};
+    ///
+    /// let mut net = Network::new(Mesh::new(2, 2), NocConfig::default());
+    /// let ack = Packet::new(1, "ack");
+    /// let mut arrivals = Vec::new();
+    /// net.probe_round(
+    ///     NodeId::new(0),
+    ///     Packet::new(1, "probe"),
+    ///     [(NodeId::new(1), ack), (NodeId::new(3), ack)],
+    ///     Cycle::ZERO,
+    ///     |_, _, raw| raw,
+    ///     |target, probe, reply| arrivals.push((target.get(), probe.get(), reply.get())),
+    /// );
+    /// // One hop out and back; then two hops out and back, the probe a
+    /// // cycle behind the first one on link 0->1.
+    /// assert_eq!(arrivals, [(1, 3, 6), (3, 7, 13)]);
+    /// assert_eq!((net.messages_of("probe"), net.messages_of("ack")), (2, 2));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if a packet has zero flits or an endpoint is outside the
+    /// mesh.
+    pub fn probe_round(
+        &mut self,
+        hub: NodeId,
+        probe: Packet,
+        targets: impl IntoIterator<Item = (NodeId, Packet)>,
+        t: Cycle,
+        mut fifo: impl FnMut(NodeId, NodeId, Cycle) -> Cycle,
+        mut arrived: impl FnMut(NodeId, Cycle, Cycle),
+    ) {
+        let at = self.coords_of(hub);
+        let mut probes = 0;
+        let mut flit_hops = 0;
+        let mut latency = 0;
+        // Consecutive replies of one class are counted together.
+        let mut replies: Option<(&'static str, u64, u64)> = None;
+        for (target, reply) in targets {
+            let there = self.coords_of(target);
+            let (raw, hops) = self.leg(at, there, probe.flits, t);
+            flit_hops += probe.flits as u64 * hops;
+            latency += raw - t;
+            let probe_arr = fifo(hub, target, raw);
+
+            let (raw, hops) = self.leg(there, at, reply.flits, probe_arr);
+            flit_hops += reply.flits as u64 * hops;
+            latency += raw - probe_arr;
+            let reply_arr = fifo(target, hub, raw);
+            arrived(target, probe_arr, reply_arr);
+
+            probes += 1;
+            match &mut replies {
+                Some((class, messages, flits)) if *class == reply.class => {
+                    *messages += 1;
+                    *flits += reply.flits as u64;
+                }
+                _ => {
+                    if let Some((class, messages, flits)) = replies {
+                        self.count(class, messages, flits);
+                    }
+                    replies = Some((reply.class, 1, reply.flits as u64));
+                }
+            }
+        }
+        if probes > 0 {
+            self.count(probe.class, probes, probe.flits as u64 * probes);
+        }
+        if let Some((class, messages, flits)) = replies {
+            self.count(class, messages, flits);
+        }
+        self.flit_hops.add(flit_hops);
+        self.latency_sum += latency;
+    }
+
+    /// The `(x, y)` of `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the mesh.
+    fn coords_of(&self, node: NodeId) -> (u16, u16) {
+        match self.coords.get(node.index()) {
+            Some(&at) => at,
+            None => panic!("{node}: endpoint outside the {}", self.mesh),
+        }
+    }
+
+    /// Adds `messages` packets of `flits` flits in total to `class`.
+    fn count(&mut self, class: &'static str, messages: u64, flits: u64) {
+        match self.classes.iter_mut().find(|(c, _, _)| *c == class) {
+            Some((_, m, f)) => {
+                *m += messages;
+                *f += flits;
+            }
+            None => self.classes.push((class, messages, flits)),
+        }
+    }
+
+    /// Moves one `flits`-long packet from the node at `from` to the node
+    /// at `to`, injected at `now`, through the links of its XY route.
+    /// Returns its arrival and its hop count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flits` is zero.
+    fn leg(&mut self, from: (u16, u16), to: (u16, u16), flits: u32, now: Cycle) -> (Cycle, u64) {
+        assert!(flits > 0, "a packet has at least one flit");
+        if from == to {
+            return (now + self.config.local_latency, 0);
+        }
+        let [x, y] = self.mesh.link_runs(from, to);
+        let hops = (x.links.len() + y.links.len()) as u64;
         let hop = self.config.hop_latency;
         let head = if self.config.model_contention {
             let mut head = now;
@@ -131,7 +247,7 @@ impl Network {
                 *free = depart + flits as u64;
                 head = depart + hop;
             };
-            for run in runs {
+            for run in [x, y] {
                 // lint: allow(indexing) — a run holds link indices of this mesh, all below `directed_links()`, the table's length.
                 let links = &mut self.link_free[run.links];
                 if run.reversed {
@@ -145,9 +261,7 @@ impl Network {
             now + hop * hops
         };
         // Tail arrives (flits - 1) cycles after the head.
-        let arrival = head + (flits as u64 - 1);
-        self.latency_hist.record(arrival - now);
-        arrival
+        (head + (flits as u64 - 1), hops)
     }
 
     /// Total flit-hops injected so far (the traffic metric of experiment
@@ -179,11 +293,6 @@ impl Network {
         self.classes.iter().map(|&(_, m, _)| m).sum()
     }
 
-    /// Observed end-to-end packet latencies.
-    pub fn latency_hist(&self) -> &Histogram {
-        &self.latency_hist
-    }
-
     /// Exports counters under `prefix.` into `sink`.
     pub fn export(&self, prefix: &str, sink: &mut StatSink) {
         sink.put(format!("{prefix}.flit_hops"), self.flit_hops.get() as f64);
@@ -191,8 +300,13 @@ impl Network {
             format!("{prefix}.total_messages"),
             self.total_messages() as f64,
         );
-        if let Some(mean) = self.latency_hist.mean() {
-            sink.put(format!("{prefix}.mean_latency"), mean);
+        // Every message adds one latency sample.
+        let messages = self.total_messages();
+        if messages > 0 {
+            sink.put(
+                format!("{prefix}.mean_latency"),
+                self.latency_sum as f64 / messages as f64,
+            );
         }
         let mut classes = self.classes.clone();
         classes.sort_unstable_by_key(|&(class, _, _)| class);
@@ -202,6 +316,23 @@ impl Network {
         for (class, _, flits) in &classes {
             sink.put(format!("{prefix}.flits.{class}"), *flits as f64);
         }
+    }
+}
+
+/// A packet's length in flits and its traffic-accounting class: what a
+/// [`Network::probe_round`] leg carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Packet {
+    /// Length in flits (at least one).
+    pub flits: u32,
+    /// Traffic-accounting class (`"discovery"`, `"ack"`, …).
+    pub class: &'static str,
+}
+
+impl Packet {
+    /// A `flits`-long packet of `class`.
+    pub const fn new(flits: u32, class: &'static str) -> Self {
+        Packet { flits, class }
     }
 }
 

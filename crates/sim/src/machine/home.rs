@@ -1,7 +1,9 @@
 //! The home node's protocol handlers: puts, demands (with stash
 //! discovery and the DLS remote-access path), LLC residency and
 //! eviction, and the enactment of directory evictions. Every probe the
-//! home sends goes through `Machine::exchange`.
+//! home sends goes through `Machine::exchange`, except a discovery
+//! round's: its candidates are probed first, then all its legs go out
+//! in one `Network::probe_round` pass (`Machine::run_discovery`).
 
 // lint: allow-file(indexing) — banks/bank_free/privs/cores are
 // fixed-size vectors indexed by CoreId/BankId produced by the
@@ -13,6 +15,7 @@ use crate::fault::FaultClass;
 use crate::private::ProbeAnswer;
 use stashdir_common::{BankId, BlockAddr, CoreId, Cycle, FxHashMap, MemOpKind, SharerSet};
 use stashdir_core::EvictionAction;
+use stashdir_noc::Packet;
 use stashdir_protocol::{
     decide, decide_put, discovery_intent, discovery_targets, needs_discovery, DirView,
     DiscoveryIntent, Grant, PrivState, Probe, ProbeReply, PutOutcome, Request, CONTROL_FLITS,
@@ -32,30 +35,15 @@ impl Machine {
         t: Cycle,
     ) -> (ProbeAnswer, Cycle, Cycle) {
         let ans = self.probe_with_witness(target, block, probe);
-        let (probe_arr, rep_arr) = self.round_trip(bank, target, probe, ans.reply, t);
-        (ans, probe_arr, rep_arr)
-    }
-
-    /// The two NoC legs of a probe round trip: `probe` from `bank` to
-    /// `target` at `t`, then `reply` back once the probe lands. Returns
-    /// both arrival times.
-    fn round_trip(
-        &mut self,
-        bank: BankId,
-        target: CoreId,
-        probe: Probe,
-        reply: ProbeReply,
-        t: Cycle,
-    ) -> (Cycle, Cycle) {
         let probe_arr = self.deliver(bank.node(), target.node(), probe.flits(), probe.class(), t);
         let rep_arr = self.deliver(
             target.node(),
             bank.node(),
-            reply.flits(),
-            reply.class(),
+            ans.reply.flits(),
+            ans.reply.class(),
             probe_arr,
         );
-        (probe_arr, rep_arr)
+        (ans, probe_arr, rep_arr)
     }
 
     /// Invalidates every holder in `view` from `bank`: a Recall to an
@@ -131,6 +119,9 @@ impl Machine {
         t = self.consult_dir_bank(bank_id, dir_bank, t);
         let view = self.banks[dir_bank.index()].dir_view(msg.block);
         let wb = self.privs[msg.from.index()].wb_take(msg.block);
+        if wb.is_some() {
+            self.put_taken(msg.block);
+        }
         self.witness_home(msg.req, &view);
         match decide_put(msg.req, msg.from, &view) {
             PutOutcome::Accept {
@@ -604,6 +595,38 @@ impl Machine {
         }
     }
 
+    /// How many cores have a `Put` of `block` in flight to its home. The
+    /// run's first call builds every block's count from the cores'
+    /// parked entries; from then on sending a `Put` raises it and
+    /// [`Machine::put_taken`] lowers it.
+    fn puts_in_flight(&mut self, block: BlockAddr) -> u32 {
+        let privs = &self.privs;
+        let counts = self.puts_in_flight.get_or_insert_with(|| {
+            let mut counts = FxHashMap::default();
+            for (parked, _) in privs.iter().flat_map(|hier| hier.parked()) {
+                *counts.entry(parked).or_insert(0) += 1;
+            }
+            counts
+        });
+        counts.get(&block).copied().unwrap_or(0)
+    }
+
+    /// Lowers `block`'s in-flight `Put` count: its home took one parked
+    /// entry of it.
+    fn put_taken(&mut self, block: BlockAddr) {
+        let Some(counts) = &mut self.puts_in_flight else {
+            return;
+        };
+        let count = counts.get_mut(&block);
+        debug_assert!(count.is_some(), "a Put of {block} taken but never counted");
+        if let Some(n) = count {
+            *n -= 1;
+            if *n == 0 {
+                counts.remove(&block);
+            }
+        }
+    }
+
     /// Runs a discovery broadcast for `block`, probing every core except
     /// `exclude`. Returns the hit, the hidden holder with its answer (at
     /// most one core holds a hidden copy), and the *conclusive* time:
@@ -614,12 +637,20 @@ impl Machine {
     ///
     /// Every target gets both NoC legs, but only a *candidate* is
     /// looked up: the hidden holder recorded with the stash bit, or a
-    /// core with an eviction of `block` parked (a claimed entry at a
-    /// former owner still answers). Any other core holds no copy and
-    /// gets the absent answer. Every target is a candidate when the bit
-    /// has no record (it was set before the run's first discovery, which
-    /// starts the records) or under a fault plan: chaos corrupts bits and
+    /// core with a `Put` of `block` in flight (its parked entry still
+    /// answers, claimed or not). The block's in-flight count settles
+    /// this in one lookup: while it is zero, the recorded holder is the
+    /// only candidate. Any other core holds no copy and replies
+    /// not-present. Every target is a candidate when the bit has no
+    /// record (it was set before the run's first discovery, which starts
+    /// the records) or under a fault plan: chaos corrupts bits and
     /// views, and witnessing counts every probe.
+    ///
+    /// The candidates' probes land first, in target order; then one
+    /// [`Network::probe_round`](stashdir_noc::Network::probe_round) sends
+    /// every target's probe and reply legs, in target order, through the
+    /// channel FIFO clamp. Private and NoC state are independent, so the
+    /// round ends exactly as per-target [`Machine::exchange`]s would.
     fn run_discovery(
         &mut self,
         bank_id: BankId,
@@ -629,39 +660,64 @@ impl Machine {
         t: Cycle,
     ) -> (Option<(CoreId, ProbeAnswer)>, Cycle) {
         let probe = Probe::Discovery(intent);
-        let absent = ProbeAnswer::absent(probe);
+        let cores = self.cfg.cores;
         let owner = self
             .hidden_owners
             .get_or_insert_with(FxHashMap::default)
             .get(&block)
             .copied();
+        let in_flight = self.puts_in_flight(block);
         let probe_all = self.faults.is_some() || owner.is_none();
-        let mut t_all = t;
-        let mut t_positive = None;
+        debug_assert_eq!(
+            in_flight as usize,
+            self.privs.iter().filter(|p| p.has_parked(block)).count(),
+            "{block}'s in-flight Put count disagrees with the parked entries"
+        );
+        debug_assert!(
+            probe_all
+                || discovery_targets(cores, exclude).all(|c| owner == Some(c)
+                    || self.privs[c.index()].has_parked(block)
+                    || self.privs[c.index()].state_of(block) == PrivState::Invalid),
+            "a core holds {block} beside its recorded hidden holder"
+        );
+
         let mut hit = None;
-        for target in discovery_targets(self.cfg.cores, exclude) {
-            let ans = if probe_all
+        for target in discovery_targets(cores, exclude) {
+            let candidate = probe_all
                 || owner == Some(target)
-                || self.privs[target.index()].has_parked(block)
-            {
-                self.probe_with_witness(target, block, probe)
-            } else {
-                // Not parked (the test above), and never the hidden copy.
-                debug_assert_eq!(
-                    self.privs[target.index()].state_of(block),
-                    PrivState::Invalid,
-                    "{target} holds {block} beside its recorded hidden holder"
-                );
-                absent
-            };
-            let (_, rep_arr) = self.round_trip(bank_id, target, probe, ans.reply, t);
-            t_all = t_all.max(rep_arr);
+                || (in_flight > 0 && self.privs[target.index()].has_parked(block));
+            if !candidate {
+                continue;
+            }
+            let ans = self.probe_with_witness(target, block, probe);
             if ans.reply != ProbeReply::NotPresent {
                 debug_assert!(hit.is_none(), "at most one hidden copy of {block}");
-                t_positive = Some(rep_arr);
                 hit = Some((target, ans));
             }
         }
+
+        let packet = |reply: ProbeReply| Packet::new(reply.flits(), reply.class());
+        let absent = packet(ProbeAnswer::absent(probe).reply);
+        let found = hit.map(|(holder, ans)| (holder.node(), packet(ans.reply)));
+        let mut t_all = t;
+        let mut t_positive = None;
+        let chans = &mut self.chans;
+        self.net.probe_round(
+            bank_id.node(),
+            Packet::new(probe.flits(), probe.class()),
+            discovery_targets(cores, exclude).map(|target| match found {
+                Some((holder, reply)) if holder == target.node() => (holder, reply),
+                _ => (target.node(), absent),
+            }),
+            t,
+            |src, dst, raw| chans.fifo(src, dst, raw),
+            |target, _, rep_arr| {
+                t_all = t_all.max(rep_arr);
+                if found.is_some_and(|(holder, _)| holder == target) {
+                    t_positive = Some(rep_arr);
+                }
+            },
+        );
         (hit, t_positive.unwrap_or(t_all))
     }
 }
@@ -686,7 +742,7 @@ mod tests {
     use crate::machine::tests::{no_ops, run, tiny};
     use crate::machine::Machine;
     use crate::private::WbEntry;
-    use stashdir_common::{BlockAddr, CoreId, Cycle, FxHashMap, MemOp};
+    use stashdir_common::{BlockAddr, CoreId, Cycle, DetRng, FxHashMap, MemOp};
     use stashdir_core::DirReplPolicy;
     use stashdir_protocol::{DiscoveryIntent, Grant, ProbeReply};
 
@@ -779,6 +835,61 @@ mod tests {
             ..parked
         };
         assert_eq!(m.privs[2].wb_entries(), vec![(block, claimed)]);
+    }
+
+    /// Clean-eviction notices over a small, contended block pool: Puts
+    /// race discoveries and go stale. At every checkpoint (the config
+    /// checks after each transaction) each block's in-flight count is
+    /// the number of cores with it parked, and once the run drains no
+    /// Put is in flight.
+    #[test]
+    fn puts_in_flight_match_the_parked_entries() {
+        let mut cfg = tiny(DirSpec::Stash {
+            coverage: CoverageRatio::new(1, 16),
+            assoc: 2,
+            repl: DirReplPolicy::PrivateFirstLru,
+        });
+        cfg.notify_clean_evictions = true;
+        let mut rng = DetRng::seed_from(0x9075);
+        let mut traces = no_ops(4);
+        for trace in traces.iter_mut() {
+            for _ in 0..400 {
+                let block = BlockAddr::new(rng.below(48));
+                let op = if rng.chance(0.35) {
+                    MemOp::write(block)
+                } else {
+                    MemOp::read(block)
+                };
+                trace.push(op.with_think(rng.below(5) as u32));
+            }
+        }
+        let mut m = Machine::new(cfg);
+        m.start(traces);
+        let mut checkpoints = 0;
+        while let Some((now, event)) = m.queue.pop() {
+            assert!(m.step(now, event));
+            let Some(counts) = &m.puts_in_flight else {
+                continue;
+            };
+            let mut parked = FxHashMap::default();
+            for (block, _) in m.privs.iter().flat_map(|hier| hier.parked()) {
+                *parked.entry(block).or_insert(0u32) += 1;
+            }
+            assert_eq!(counts, &parked, "after the event at {now}");
+            checkpoints += 1;
+        }
+        let total = |stat: fn(&crate::bank::BankStats) -> u64| -> u64 {
+            m.banks.iter().map(|bank| stat(&bank.stats)).sum()
+        };
+        assert!(total(|s| s.discoveries.get()) > 0, "the run discovers");
+        assert!(total(|s| s.stale_puts.get()) > 0, "some Puts go stale");
+        assert!(checkpoints > 0);
+        assert_eq!(m.cores.ops_done.iter().sum::<u64>(), 1600);
+        assert_eq!(
+            m.puts_in_flight,
+            Some(FxHashMap::default()),
+            "every Put sent was taken"
+        );
     }
 
     #[test]

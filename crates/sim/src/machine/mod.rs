@@ -102,16 +102,44 @@ struct BankMsg {
     version: u64,
 }
 
+/// The per-channel FIFO rule: a message on a `(src, dst)` channel
+/// arrives strictly after the one sent before it there, in *program*
+/// order (the order sends are made), which is the causal order of the
+/// simulation. Every delivery, discovery's probe legs included, passes
+/// its raw NoC arrival through [`Channels::fifo`].
+#[derive(Debug)]
+struct Channels {
+    /// Dense `nodes × nodes` last-arrival matrix, flat-indexed
+    /// `src * nodes + dst`: a hot per-message lookup with a statically
+    /// known key space, so no hashing.
+    last: Vec<Cycle>,
+    nodes: usize,
+}
+
+impl Channels {
+    fn new(nodes: usize) -> Self {
+        Channels {
+            last: vec![Cycle::ZERO; nodes * nodes],
+            nodes,
+        }
+    }
+
+    /// Clamps a message's `raw` arrival on the `src → dst` channel to
+    /// after the previous one's, and returns the delivered arrival.
+    fn fifo(&mut self, src: NodeId, dst: NodeId, raw: Cycle) -> Cycle {
+        let slot = &mut self.last[src.index() * self.nodes + dst.index()];
+        *slot = raw.max(*slot + 1);
+        *slot
+    }
+}
+
 /// The simulated machine.
 ///
 /// Construct with [`Machine::new`], execute with [`Machine::run`].
 pub struct Machine {
     pub(crate) cfg: SystemConfig,
     pub(crate) net: Network,
-    /// Dense per-channel FIFO clamp: `nodes × nodes` last-arrival
-    /// matrix, flat-indexed `src * nodes + dst`. A hot per-message
-    /// lookup with a statically known key space — no hashing.
-    chan_last: Vec<Cycle>,
+    chans: Channels,
     nodes: usize,
     pub(crate) cores: CoreTable,
     pub(crate) privs: Vec<PrivateHier>,
@@ -131,6 +159,14 @@ pub struct Machine {
     /// (`None` before it): a run that never discovers pays nothing for
     /// them. See [`Machine::stash_hidden_copy`].
     hidden_owners: Option<FxHashMap<BlockAddr, CoreId>>,
+    /// How many cores have a `Put` of each block in flight to its home:
+    /// raised where [`Machine::complete_demand`] sends a `Put`, lowered
+    /// where the home takes the parked entry, so a block's count is the
+    /// number of cores with it parked. Like `hidden_owners`, only
+    /// discovery reads it, so the run's first discovery builds it from
+    /// the parked entries (`None` before it). See
+    /// [`Machine::puts_in_flight`].
+    puts_in_flight: Option<FxHashMap<BlockAddr, u32>>,
     pub(crate) dram: DramModel,
     pub(crate) dram_store: FxHashMap<BlockAddr, u64>,
     pub(crate) values: ValueTracker,
@@ -192,7 +228,7 @@ impl Machine {
         let nodes = config.cores as usize;
         Machine {
             net: Network::new(mesh, config.noc),
-            chan_last: vec![Cycle::ZERO; nodes * nodes],
+            chans: Channels::new(nodes),
             nodes,
             cores: CoreTable::default(),
             privs,
@@ -201,6 +237,7 @@ impl Machine {
             block_busy: FxHashMap::default(),
             busy_sweep_at: nodes,
             hidden_owners: None,
+            puts_in_flight: None,
             dram: DramModel::new(config.dram),
             dram_store: FxHashMap::default(),
             values: ValueTracker::new(&[]),
@@ -296,9 +333,15 @@ impl Machine {
                 break;
             }
         }
-        // Only discovery reads the hidden-holder records: free them
-        // before the final check builds its copy vectors, the run's peak.
+        debug_assert!(
+            self.quiesced || self.puts_in_flight.as_ref().is_none_or(|m| m.is_empty()),
+            "every Put sent was taken at its home"
+        );
+        // Only discovery reads the hidden-holder records and the Put
+        // counts: free them before the final check builds its copy
+        // vectors, the run's peak.
         self.hidden_owners = None;
+        self.puts_in_flight = None;
         let violations = self.final_check();
         // A faulty run whose damage only surfaces at the end of the run
         // (a dropped grant leaving a core pending, I6) still counts as an
@@ -363,9 +406,8 @@ impl Machine {
 
     // ---- plumbing ----
 
-    /// Sends a message and returns its arrival, enforcing per-channel FIFO
-    /// in *program* order (the order calls are made), which is the causal
-    /// order of the simulation.
+    /// Sends a message and returns its arrival, clamped by the channel's
+    /// FIFO rule ([`Channels::fifo`]).
     fn deliver(
         &mut self,
         src: NodeId,
@@ -375,10 +417,7 @@ impl Machine {
         t: Cycle,
     ) -> Cycle {
         let raw = self.net.send(src, dst, flits, class, t);
-        let slot = &mut self.chan_last[src.index() * self.nodes + dst.index()];
-        let arrival = raw.max(*slot + 1);
-        *slot = arrival;
-        arrival
+        self.chans.fifo(src, dst, raw)
     }
 
     /// [`Machine::deliver`] with the NoC fault classes rolled from the
@@ -410,13 +449,8 @@ impl Machine {
         } else {
             None
         };
-        let chan = src.index() * self.nodes + dst.index();
-        let mut clamp = |raw: Cycle| {
-            let slot = &mut self.chan_last[chan];
-            *slot = raw.max(*slot + 1);
-            *slot
-        };
-        (clamp(raw), duplicate.map(clamp))
+        let arrival = self.chans.fifo(src, dst, raw);
+        (arrival, duplicate.map(|raw| self.chans.fifo(src, dst, raw)))
     }
 
     /// Schedules `msg` to arrive at its home at `at`.
@@ -566,6 +600,9 @@ impl Machine {
             let evicted = hier.fill(op.block, grant, data_version);
             if let Some(ev) = evicted {
                 if let Some(put) = ev.put {
+                    if let Some(counts) = &mut self.puts_in_flight {
+                        *counts.entry(ev.block).or_insert(0) += 1;
+                    }
                     let home = self.home(ev.block);
                     let arrival = self.deliver(
                         requester.node(),
