@@ -1,19 +1,28 @@
 //! Compact sharer sets: which cores hold a copy of a block.
 //!
-//! Directory entries carry a full-map bit vector of sharers. Up to 64
-//! cores the vector is one inline `u64`, so building or cloning a set
-//! never touches the heap; larger meshes keep their words in a boxed
-//! slice sized at construction.
+//! Directory entries carry a full-map bit vector of sharers. A set is 16
+//! bytes, so a directory view holding one fits 16 bytes too. Up to 64
+//! cores the vector is one inline `u64` beside its capacity, so building
+//! or cloning a set never touches the heap; larger meshes box their
+//! capacity and words together, sized at construction.
 
 use crate::ids::CoreId;
 use std::fmt;
 
-/// The bit-vector words of a [`SharerSet`]: one inline word up to 64
-/// cores, a boxed slice beyond.
+/// The words and capacity of a [`SharerSet`]: one inline word up to 64
+/// cores, a box beyond.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Words {
-    Inline(u64),
-    Boxed(Box<[u64]>),
+enum Repr {
+    Inline { bits: u64, capacity: u8 },
+    Wide(Box<Wide>),
+}
+
+/// A set of more than 64 cores: its capacity and `capacity.div_ceil(64)`
+/// words.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct Wide {
+    capacity: u16,
+    words: Box<[u64]>,
 }
 
 /// A set of cores, implemented as a full-map bit vector.
@@ -30,21 +39,23 @@ enum Words {
 /// assert_eq!(s.sole_member(), None); // two members, not private
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SharerSet {
-    words: Words,
-    capacity: u16,
-}
+pub struct SharerSet(Repr);
 
 impl SharerSet {
     /// Creates an empty set able to hold cores `0..capacity`. Allocates
     /// only when `capacity` exceeds 64.
     pub fn new(capacity: u16) -> Self {
-        let words = if capacity <= 64 {
-            Words::Inline(0)
+        SharerSet(if capacity <= 64 {
+            Repr::Inline {
+                bits: 0,
+                capacity: capacity as u8,
+            }
         } else {
-            Words::Boxed(vec![0; (capacity as usize).div_ceil(64)].into_boxed_slice())
-        };
-        SharerSet { words, capacity }
+            Repr::Wide(Box::new(Wide {
+                capacity,
+                words: vec![0; (capacity as usize).div_ceil(64)].into_boxed_slice(),
+            }))
+        })
     }
 
     /// Creates a set holding exactly one core.
@@ -60,29 +71,32 @@ impl SharerSet {
 
     /// The maximum number of distinct cores the set can hold.
     pub fn capacity(&self) -> u16 {
-        self.capacity
+        match &self.0 {
+            Repr::Inline { capacity, .. } => u16::from(*capacity),
+            Repr::Wide(wide) => wide.capacity,
+        }
     }
 
     fn words(&self) -> &[u64] {
-        match &self.words {
-            Words::Inline(w) => std::slice::from_ref(w),
-            Words::Boxed(ws) => ws,
+        match &self.0 {
+            Repr::Inline { bits, .. } => std::slice::from_ref(bits),
+            Repr::Wide(wide) => &wide.words,
         }
     }
 
     fn words_mut(&mut self) -> &mut [u64] {
-        match &mut self.words {
-            Words::Inline(w) => std::slice::from_mut(w),
-            Words::Boxed(ws) => ws,
+        match &mut self.0 {
+            Repr::Inline { bits, .. } => std::slice::from_mut(bits),
+            Repr::Wide(wide) => &mut wide.words,
         }
     }
 
     /// The word holding `core`'s bit, with the bit's mask.
     fn slot(&self, core: CoreId) -> (usize, u64) {
+        let capacity = self.capacity();
         assert!(
-            core.get() < self.capacity,
-            "core {core} out of range (capacity {})",
-            self.capacity
+            core.get() < capacity,
+            "core {core} out of range (capacity {capacity})"
         );
         (core.index() / 64, 1u64 << (core.index() % 64))
     }
@@ -159,7 +173,7 @@ impl SharerSet {
     /// Storage cost of the full-map vector in bits (one bit per trackable
     /// core), used by the directory area model.
     pub fn storage_bits(&self) -> u64 {
-        self.capacity as u64
+        u64::from(self.capacity())
     }
 }
 

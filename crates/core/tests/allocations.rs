@@ -51,9 +51,9 @@ fn allocations<T>(f: impl FnOnce() -> T) -> usize {
 const MAX_ALLOCATIONS: usize = 3;
 
 /// Allocations filling an empty set of eight ways: its chunk's tags,
-/// views and LRU stacks, then tags and views again as the chunk grows
-/// from one slot per set to two, four and eight.
-const FIRST_FILL_ALLOCATIONS: usize = 3 + 3 * 2;
+/// views and LRU stacks, then all three again as the chunk grows from
+/// one slot per set to two, four and eight.
+const FIRST_FILL_ALLOCATIONS: usize = 3 + 3 * 3;
 
 /// A directory as the machine builds one, boxed behind the trait.
 type Build = fn(usize) -> Box<dyn DirectoryModel>;
@@ -171,4 +171,15 @@ fn cloning_a_64_core_sharer_set_allocates_nothing() {
     assert_eq!(allocations(|| set.clone()), 0);
     let view = two_sharers(0, 63);
     assert_eq!(allocations(|| view.clone()), 0);
+}
+
+/// Beyond 64 cores a set boxes its capacity and words together, and the
+/// words again inside: a clone allocates both.
+#[test]
+fn cloning_a_1024_core_sharer_set_allocates_twice() {
+    let mut set = SharerSet::new(1024);
+    set.extend([CoreId::new(0), CoreId::new(1023)]);
+    assert_eq!(allocations(|| set.clone()), 2);
+    let view = DirView::Shared(set);
+    assert_eq!(allocations(|| view.clone()), 2);
 }

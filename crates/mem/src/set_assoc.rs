@@ -22,13 +22,16 @@
 //! chunk stores fewer slots than the set has ways, the chunk is laid out
 //! again at twice the slots per set (at most the associativity), each
 //! way staying where it was, and the new block takes the first new way.
-//! LRU stacks are allocated at their full size with the chunk.
+//! A set's LRU stack holds only its stored ways, so it grows with them:
+//! the new ways go, in way order, in front of the old stack.
 //!
 //! The array answers exactly as one that allocated every way up front:
 //! fills take the lowest free way, so no way past a chunk's slots has
 //! ever held a block, and only a set with all its ways stored and full
-//! gives up a victim. An array thus pays memory for the ways its sets
-//! have filled, not for its capacity.
+//! gives up a victim. In such a set every way has been filled, and so
+//! promoted, so its stack is ordered by last promotion alone, wherever
+//! a growth put the ways that were still unused. An array thus pays
+//! memory for the ways its sets have filled, not for its capacity.
 //!
 //! A free way carries a sentinel tag, so a lookup or a free-way search
 //! scans its set's tags alone, which for eight ways fill one host cache
@@ -38,8 +41,8 @@
 // chunk indices are below `chunks.len()` and chunk-local sets below the
 // chunk's set count; way indices come from `way_of`/`vacancy`/the LRU
 // stack, all below the chunk's `cap`, or from a chooser whose contract
-// bounds them by `ways`; a chunk's tag and line slices hold `sets × cap`
-// entries and its LRU stacks `sets × ways`.
+// bounds them by `ways`; a chunk's tag, line and LRU slices each hold
+// `sets × cap` entries.
 
 use stashdir_common::BlockAddr;
 use std::ops::Range;
@@ -54,7 +57,7 @@ const EMPTY: u64 = u64::MAX;
 
 /// The storage of consecutive sets, set-major: ways `0..cap` of set `s`
 /// are `tags[s * cap..(s + 1) * cap]` and the same range of `lines`, and
-/// its LRU stack is `lru[s * ways..(s + 1) * ways]`.
+/// its LRU stack is the same range of `lru`.
 struct Chunk<L> {
     /// Way slots stored per set. No way at or above `cap` has held a
     /// block.
@@ -63,21 +66,19 @@ struct Chunk<L> {
     tags: Box<[u64]>,
     /// Payloads, `Some` exactly where the tag is not [`EMPTY`].
     lines: Box<[Option<L>]>,
-    /// Per set, its way numbers ordered least- to most-recently used.
+    /// Per set, its stored way numbers ordered least- to most-recently
+    /// used.
     lru: Box<[u8]>,
 }
 
 impl<L> Chunk<L> {
-    /// A chunk of `sets` empty sets of `ways` ways, one slot each, every
-    /// LRU stack in way order: the state a flat array starts every set
-    /// in.
-    fn new(sets: usize, ways: usize) -> Self {
+    /// A chunk of `sets` empty sets, one slot each.
+    fn new(sets: usize) -> Self {
         Chunk {
             cap: 1,
             tags: vec![EMPTY; sets].into_boxed_slice(),
             lines: std::iter::repeat_with(|| None).take(sets).collect(),
-            // Way numbers fit a byte: `SetAssoc::new` caps `ways` at 256.
-            lru: (0..sets * ways).map(|i| (i % ways) as u8).collect(),
+            lru: vec![0; sets].into_boxed_slice(),
         }
     }
 
@@ -114,38 +115,45 @@ impl<L> Chunk<L> {
         free
     }
 
+    /// Moves `way` to the most-recently-used end of chunk-local set
+    /// `set`'s stack: rotating the tail from its position equals removing
+    /// it and pushing it again.
+    fn promote(&mut self, set: usize, way: usize) {
+        let slots = self.slots(set);
+        let stack = &mut self.lru[slots];
+        let pos = stack.iter().position(|&w| w as usize == way);
+        debug_assert!(pos.is_some(), "way {way} tracked by the stack");
+        if let Some(pos) = pos {
+            stack[pos..].rotate_left(1);
+        }
+    }
+
     /// Lays the chunk out again at `cap` slots per set, every way of
-    /// every set staying where it is.
+    /// every set staying where it is. Each LRU stack takes the new ways,
+    /// never used, in way order in front of its old stack.
     fn grow(&mut self, cap: usize) {
         let len = self.tags.len() / self.cap * cap;
         let mut tags = Vec::with_capacity(len);
         let mut lines = Vec::with_capacity(len);
+        let mut lru = Vec::with_capacity(len);
         let mut old_lines = Vec::from(std::mem::take(&mut self.lines)).into_iter();
-        for set in self.tags.chunks_exact(self.cap) {
+        for (set, stack) in self
+            .tags
+            .chunks_exact(self.cap)
+            .zip(self.lru.chunks_exact(self.cap))
+        {
             tags.extend_from_slice(set);
             tags.resize(tags.len() + cap - self.cap, EMPTY);
             lines.extend(old_lines.by_ref().take(self.cap));
             lines.resize_with(lines.len() + cap - self.cap, || None);
+            // Way numbers fit a byte: `SetAssoc::new` caps `ways` at 256.
+            lru.extend((self.cap..cap).map(|w| w as u8));
+            lru.extend_from_slice(stack);
         }
         self.tags = tags.into_boxed_slice();
         self.lines = lines.into_boxed_slice();
+        self.lru = lru.into_boxed_slice();
         self.cap = cap;
-    }
-}
-
-/// The index range of chunk-local set `set`'s LRU stack in its chunk's
-/// `lru`, for sets of `ways` ways.
-fn stack(set: usize, ways: usize) -> Range<usize> {
-    set * ways..(set + 1) * ways
-}
-
-/// Moves `way` to the most-recently-used end of `stack`: rotating the
-/// tail from its position equals removing it and pushing it again.
-fn promote(stack: &mut [u8], way: usize) {
-    let pos = stack.iter().position(|&w| w as usize == way);
-    debug_assert!(pos.is_some(), "way {way} tracked by the stack");
-    if let Some(pos) = pos {
-        stack[pos..].rotate_left(1);
     }
 }
 
@@ -279,9 +287,8 @@ impl<L> SetAssoc<L> {
 
     /// Returns the payload mutably and promotes the block (hit semantics).
     pub fn access_mut(&mut self, block: BlockAddr) -> Option<&mut L> {
-        let ways = self.ways;
         let (chunk, set, w) = self.find_mut(block)?;
-        promote(&mut chunk.lru[stack(set, ways)], w);
+        chunk.promote(set, w);
         chunk.lines[set * chunk.cap + w].as_mut()
     }
 
@@ -320,7 +327,7 @@ impl<L> SetAssoc<L> {
         assert!(block.get() != EMPTY, "block {block} is the free-way tag");
         let (c, set) = self.place(block);
         let (ways, chunk_sets) = (self.ways, 1 << self.chunk_bits);
-        let chunk = self.chunks[c].get_or_insert_with(|| Chunk::new(chunk_sets, ways));
+        let chunk = self.chunks[c].get_or_insert_with(|| Chunk::new(chunk_sets));
         let way = match chunk.vacancy(set, block) {
             Some(w) => w,
             // Every stored way is full but the set has more: the first
@@ -331,9 +338,10 @@ impl<L> SetAssoc<L> {
                 w
             }
             None => {
-                let lines = &chunk.lines[chunk.slots(set)];
+                let slots = chunk.slots(set);
+                let lines = &chunk.lines[slots.clone()];
                 let w = choose(
-                    &mut chunk.lru[stack(set, ways)]
+                    &mut chunk.lru[slots]
                         .iter()
                         .filter_map(|&w| Some((w as usize, lines[w as usize].as_ref()?))),
                 );
@@ -345,7 +353,7 @@ impl<L> SetAssoc<L> {
         let slot = set * chunk.cap + way;
         let old_tag = std::mem::replace(&mut chunk.tags[slot], block.get());
         let evicted = chunk.lines[slot].replace(payload);
-        promote(&mut chunk.lru[stack(set, ways)], way);
+        chunk.promote(set, way);
         if evicted.is_none() {
             self.len += 1;
         }
@@ -367,7 +375,7 @@ impl<L> SetAssoc<L> {
             return None;
         }
         // The set is full, so its least recently used way holds a block.
-        let w = chunk.lru[stack(set, self.ways).start] as usize;
+        let w = chunk.lru[slots.start] as usize;
         Some(BlockAddr::new(chunk.tags[slots.start + w]))
     }
 
@@ -626,6 +634,63 @@ mod tests {
         assert_eq!(victim, flat.victim_for(b(18)));
         assert_eq!(victim, Some(b(0)), "0 was touched before the last fills");
         assert_eq!(chunked.insert(b(18), 18), flat.insert(b(18), 18));
+        assert!(chunked.iter().eq(flat.iter()));
+    }
+
+    #[test]
+    fn a_set_grown_to_sixteen_ways_evicts_as_the_flat_array() {
+        enum Step {
+            Insert(u64),
+            Touch(u64),
+            Remove(u64),
+        }
+        use Step::*;
+        let b = BlockAddr::new;
+        let mut chunked: SetAssoc<u64> = SetAssoc::new(1, 16);
+        let mut flat: reference::SetAssoc<u64> = reference::SetAssoc::new(1, 16);
+        // One set grows from one slot to 16, with hits and removals at
+        // every size, so each growth extends a stack out of way order.
+        let steps = [Insert(0), Insert(1), Touch(0), Insert(2), Insert(3)]
+            .into_iter()
+            .chain([Touch(1), Remove(0), Insert(4)])
+            .chain((5..9).map(Insert))
+            .chain([Touch(2), Remove(6), Touch(4), Insert(9)])
+            .chain((10..18).map(Insert))
+            .chain([Touch(3)]);
+        let mut caps = Vec::new();
+        for step in steps {
+            match step {
+                Insert(tag) => assert_eq!(chunked.insert(b(tag), tag), flat.insert(b(tag), tag)),
+                Touch(tag) => assert_eq!(chunked.touch(b(tag)), flat.touch(b(tag))),
+                Remove(tag) => assert_eq!(chunked.remove(b(tag)), flat.remove(b(tag))),
+            }
+            let cap = cap_of(&chunked, b(0));
+            if caps.last() != Some(&cap) {
+                caps.push(cap);
+            }
+        }
+        assert_eq!(caps, [1, 2, 4, 8, 16]);
+        assert!(chunked.iter().eq(flat.iter()));
+        // The whole stack, as a chooser sees it.
+        let (mut mine, mut theirs) = (Vec::new(), Vec::new());
+        let evicted = chunked.insert_with(b(18), 18, |lru| {
+            mine.extend(lru.map(|(w, &l)| (w, l)));
+            mine[0].0
+        });
+        let expected = flat.insert_with(b(18), 18, |lru| {
+            theirs.extend(lru.iter().map(|&(w, &l)| (w, l)));
+            lru[0].0
+        });
+        assert_eq!(mine, theirs, "LRU order of the full set");
+        assert_eq!(evicted, expected);
+        // Then every victim, with hits between the fills.
+        for tag in 19..51 {
+            assert_eq!(chunked.victim_for(b(tag)), flat.victim_for(b(tag)));
+            assert_eq!(chunked.insert(b(tag), tag), flat.insert(b(tag), tag));
+            if tag % 3 == 0 {
+                assert_eq!(chunked.touch(b(tag - 2)), flat.touch(b(tag - 2)));
+            }
+        }
         assert!(chunked.iter().eq(flat.iter()));
     }
 

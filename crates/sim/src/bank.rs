@@ -12,7 +12,12 @@ use stashdir_mem::{CacheConfig, CacheStats, SetAssoc};
 use stashdir_protocol::DirView;
 
 /// One LLC line's bank-side metadata.
+///
+/// Packed, so an `Option<LlcLine>` slot takes 10 bytes. Fields
+/// are read and written by value: a reference to `version` would be
+/// unaligned, which the compiler refuses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed)]
 pub struct LlcLine {
     /// Version of the data held (see [`crate::values`]).
     pub version: u64,
@@ -422,7 +427,7 @@ mod tests {
         }
         // 8 sets x 2 ways = 16 lines; all 16 distinct blocks fit exactly.
         assert_eq!(b.llc_entries().len(), 16);
-        assert_eq!(b.llc_peek(blk(3)).unwrap().version, 3);
+        assert_eq!({ b.llc_peek(blk(3)).unwrap().version }, 3);
     }
 
     #[test]

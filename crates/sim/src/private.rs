@@ -18,7 +18,12 @@ use stashdir_protocol::{
 };
 
 /// An L2 line: coherence state plus the data version it holds.
+///
+/// Packed, so an `Option<L2Line>` slot takes 9 bytes. Fields are
+/// read and written by value: a reference to `version` would be
+/// unaligned, which the compiler refuses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed)]
 pub struct L2Line {
     /// MESI state.
     pub state: PrivState,
