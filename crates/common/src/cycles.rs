@@ -41,6 +41,7 @@ impl Cycle {
     }
 
     /// Returns the later of two timestamps.
+    #[inline]
     pub fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))
     }

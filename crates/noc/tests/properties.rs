@@ -91,6 +91,33 @@ fn run_indices(mesh: Mesh, src: NodeId, dst: NodeId) -> Vec<usize> {
     indices
 }
 
+/// A tile-local packet crosses no link, so nothing orders two of them:
+/// one sent later at an earlier time arrives first. The simulator keeps
+/// its FIFO clamp on tile-local channels for this reason.
+#[test]
+fn tile_local_packets_can_overtake() {
+    let mut net = Network::new(Mesh::new(4, 4), cfg(true));
+    let node = NodeId::new(5);
+    let first = net.send(node, node, 1, "data", Cycle::new(10));
+    let second = net.send(node, node, 1, "data", Cycle::new(3));
+    assert!(second < first, "{second} after {first}");
+}
+
+/// Without contention a packet reserves no link, so a short packet sent
+/// after a long one at the same time overtakes it, and so does one sent
+/// later at an earlier time. The simulator keeps its per-pair FIFO clamp
+/// on a contention-free NoC for this reason.
+#[test]
+fn contention_free_packets_can_overtake() {
+    let mut net = Network::new(Mesh::new(4, 4), cfg(false));
+    let (src, dst) = (NodeId::new(0), NodeId::new(15));
+    let long = net.send(src, dst, 5, "data", Cycle::new(10));
+    let short = net.send(src, dst, 1, "req", Cycle::new(10));
+    assert!(short < long, "{short} after {long}");
+    let earlier = net.send(src, dst, 5, "data", Cycle::ZERO);
+    assert!(earlier < short, "{earlier} after {short}");
+}
+
 /// On every mesh from 1×1 to 8×8, square or not, the link runs of every
 /// route are that route's links mapped through `link_index`.
 #[test]
@@ -218,6 +245,46 @@ proptest! {
             let arrival = net.send(NodeId::new(0), NodeId::new(15), f, "data", Cycle::ZERO);
             prop_assert!(arrival > last, "overtaking on an identical path");
             last = arrival;
+        }
+    }
+
+    /// With contention on, packets on one `(src, dst)` route arrive in
+    /// strictly increasing order of their `send` calls, whatever their
+    /// send times and lengths and whatever other routes carry in between:
+    /// each packet reserves every link of the fixed XY route, so a later
+    /// one leaves each link after the earlier one has. This is why the
+    /// simulator's per-channel FIFO clamp cannot bind on remote channels
+    /// of a contended NoC.
+    #[test]
+    fn one_route_arrives_in_send_order_under_contention(
+        w in 2u16..7,
+        h in 1u16..7,
+        route in (any::<u16>(), any::<u16>()),
+        steps in prop::collection::vec(
+            (any::<bool>(), 0u64..300, 1u32..6, any::<u16>(), any::<u16>()),
+            1..80,
+        ),
+    ) {
+        let mesh = Mesh::new(w, h);
+        let src = NodeId::new(route.0 % mesh.nodes());
+        let dst = NodeId::new((src.get() + 1 + route.1 % (mesh.nodes() - 1)) % mesh.nodes());
+        let mut net = Network::new(mesh, cfg(true));
+        let mut last = None;
+        for (on_route, t, flits, s, d) in steps {
+            let now = Cycle::new(t);
+            if on_route {
+                let arrival = net.send(src, dst, flits, "data", now);
+                if let Some(previous) = last {
+                    prop_assert!(
+                        arrival > previous,
+                        "{} -> {} on {}: {} after {}", src, dst, mesh, arrival, previous
+                    );
+                }
+                last = Some(arrival);
+            } else {
+                let (s, d) = (NodeId::new(s % mesh.nodes()), NodeId::new(d % mesh.nodes()));
+                net.send(s, d, flits, "req", now);
+            }
         }
     }
 

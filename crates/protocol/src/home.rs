@@ -33,11 +33,13 @@ pub enum DirView {
 impl DirView {
     /// `true` when exactly one core is known to hold the block — the
     /// *private block* predicate that decides stash-eviction safety.
+    #[inline]
     pub fn is_private(&self) -> bool {
         self.sole_holder().is_some()
     }
 
     /// Every core the view names, in ascending core order.
+    #[inline]
     pub fn holders(&self) -> impl Iterator<Item = CoreId> + '_ {
         let (owner, sharers) = match self {
             DirView::Untracked => (None, None),
@@ -48,6 +50,7 @@ impl DirView {
     }
 
     /// How many cores the view names.
+    #[inline]
     pub fn holder_count(&self) -> usize {
         match self {
             DirView::Untracked => 0,
@@ -57,6 +60,7 @@ impl DirView {
     }
 
     /// The one core the view names, if it names exactly one.
+    #[inline]
     pub fn sole_holder(&self) -> Option<CoreId> {
         match self {
             DirView::Untracked => None,

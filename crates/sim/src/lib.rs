@@ -19,9 +19,22 @@
 //! applies all state changes immediately, in event order. Per-block
 //! busy-windows at the home enforce transaction serialization in *time*,
 //! while event order enforces it in *program order*. Point-to-point
-//! channels are FIFO (arrival times are clamped monotonic per
-//! source/destination pair), which closes the classic
-//! writeback-overtaken-by-refetch race.
+//! channels are FIFO, which closes the classic
+//! writeback-overtaken-by-refetch race: a message on a source/destination
+//! pair arrives strictly after the one sent before it there.
+//!
+//! Only some channels need a clamp to keep that order. On a contended
+//! NoC, a remote packet reserves every link of its fixed XY route from
+//! `max(head, link_free)`, so a packet sent later on the same route
+//! leaves each link at least the earlier one's flit count after it and
+//! arrives at least a cycle later: link reservation orders every remote
+//! channel, and its raw arrival is delivered. Arrivals are clamped
+//! monotonic per node on tile-local channels, which cross no link, and
+//! per source/destination pair on a contention-free NoC, where packets
+//! reserve nothing, and under a threaded fault plan, whose `NocDelay`
+//! moves an arrival after its links were reserved. A zero hop latency
+//! keeps the per-pair clamp too: there a first packet could arrive at
+//! cycle 0, which the clamp moves to 1.
 //!
 //! This discipline trades a small amount of timing fidelity (probes take
 //! effect in program order slightly before their modeled arrival) for a

@@ -107,19 +107,38 @@ struct BankMsg {
 /// order (the order sends are made), which is the causal order of the
 /// simulation. Every delivery, discovery's probe legs included, passes
 /// its raw NoC arrival through [`Channels::fifo`].
+///
+/// Only channels whose order the NoC does not already imply keep a last
+/// arrival. A tile-local message (`src == dst`) crosses no link, so each
+/// node keeps one. A remote packet on a contended NoC reserves every link
+/// of its fixed XY route from `max(head, link_free)`, so a later send on
+/// the same route leaves each link at least the earlier packet's flit
+/// count after it and arrives at least a cycle later: the clamp cannot
+/// bind, and the raw arrival is delivered. A contention-free NoC, a zero
+/// hop latency (a first packet could arrive at cycle 0, which the clamp
+/// moves to 1), or a threaded fault plan (`NocDelay` moves an arrival
+/// after its links were reserved) keeps the per-pair clamp.
 #[derive(Debug)]
 struct Channels {
-    /// Dense `nodes × nodes` last-arrival matrix, flat-indexed
-    /// `src * nodes + dst`: a hot per-message lookup with a statically
-    /// known key space, so no hashing.
-    last: Vec<Cycle>,
+    /// Last tile-local arrival at each node.
+    local: Vec<Cycle>,
+    /// Dense `nodes × nodes` last-arrival matrix of the remote channels,
+    /// flat-indexed `src * nodes + dst`; empty when link reservation
+    /// orders them.
+    remote: Vec<Cycle>,
     nodes: usize,
 }
 
 impl Channels {
-    fn new(nodes: usize) -> Self {
+    /// Channels for `nodes` nodes; `remote` keeps the per-pair clamp.
+    fn new(nodes: usize, remote: bool) -> Self {
         Channels {
-            last: vec![Cycle::ZERO; nodes * nodes],
+            local: vec![Cycle::ZERO; nodes],
+            remote: if remote {
+                vec![Cycle::ZERO; nodes * nodes]
+            } else {
+                Vec::new()
+            },
             nodes,
         }
     }
@@ -127,7 +146,13 @@ impl Channels {
     /// Clamps a message's `raw` arrival on the `src → dst` channel to
     /// after the previous one's, and returns the delivered arrival.
     fn fifo(&mut self, src: NodeId, dst: NodeId, raw: Cycle) -> Cycle {
-        let slot = &mut self.last[src.index() * self.nodes + dst.index()];
+        let slot = if src == dst {
+            &mut self.local[src.index()]
+        } else if self.remote.is_empty() {
+            return raw;
+        } else {
+            &mut self.remote[src.index() * self.nodes + dst.index()]
+        };
         *slot = raw.max(*slot + 1);
         *slot
     }
@@ -226,9 +251,10 @@ impl Machine {
             })
             .collect();
         let nodes = config.cores as usize;
+        let noc = config.noc;
         Machine {
-            net: Network::new(mesh, config.noc),
-            chans: Channels::new(nodes),
+            net: Network::new(mesh, noc),
+            chans: Channels::new(nodes, !noc.model_contention || noc.hop_latency == 0),
             nodes,
             cores: CoreTable::default(),
             privs,
@@ -279,6 +305,8 @@ impl Machine {
             self.witness = Some(Box::default());
         }
         self.faults = Some(FaultPlan::new(cfg));
+        // A delayed arrival can fall behind a later send on its route.
+        self.chans = Channels::new(self.nodes, true);
         self
     }
 
@@ -777,7 +805,8 @@ mod tests {
     fn writeback_refetch_race_is_ordered() {
         // A dirty block is evicted and immediately re-read; per-channel
         // FIFO must deliver the PutM before the GetS, or the value
-        // tracker screams.
+        // tracker screams. A contention-free NoC orders no channel by
+        // itself, so it runs too.
         let hot = BlockAddr::new(0);
         let conflict: Vec<BlockAddr> = (1..3).map(|i| BlockAddr::new(i * 512)).collect();
         let mut traces = no_ops(4);
@@ -788,7 +817,11 @@ mod tests {
             }
             traces[0].push(MemOp::read(hot));
         }
-        run(tiny(DirSpec::FullMap), traces).assert_clean();
+        for contention in [true, false] {
+            let mut cfg = tiny(DirSpec::FullMap);
+            cfg.noc.model_contention = contention;
+            run(cfg, traces.clone()).assert_clean();
+        }
     }
 
     #[test]
@@ -817,8 +850,8 @@ mod tests {
 
     /// The soundness workhorse: random mixed traffic over a small, highly
     /// contended block pool, full invariant checking after every single
-    /// transaction, across every directory organization and both
-    /// clean-eviction modes.
+    /// transaction, across every directory organization, both
+    /// clean-eviction modes, and a NoC with and without contention.
     #[test]
     fn stress_all_directories_stay_coherent() {
         let specs = [
@@ -848,10 +881,12 @@ mod tests {
             },
         ];
         for spec in specs {
-            for notify in [true, false] {
+            for (notify, contention) in [(true, true), (false, true), (true, false), (false, false)]
+            {
                 for seed in [1u64, 2] {
                     let mut cfg = tiny(spec);
                     cfg.notify_clean_evictions = notify;
+                    cfg.noc.model_contention = contention;
                     cfg.seed = seed;
                     let mut rng = DetRng::seed_from(seed ^ 0xBEEF);
                     let mut traces = no_ops(4);
@@ -870,7 +905,7 @@ mod tests {
                     let report = Machine::new(cfg).run(traces);
                     assert!(
                         report.violations.is_empty(),
-                        "{spec} notify={notify} seed={seed}: {:?}",
+                        "{spec} notify={notify} contention={contention} seed={seed}: {:?}",
                         &report.violations[..report.violations.len().min(5)]
                     );
                     assert_eq!(report.completed_ops, 1600);
