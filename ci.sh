@@ -23,17 +23,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Protocol-aware static analysis: transition-matrix coverage against the
 # model checker, waits-for liveness, panic hygiene in hot crates,
 # artifact determinism, and stat registration. Prints per-pass timings,
-# writes results/lint/protocol_model.json (v2) plus the machine-readable
-# findings list, and fails on any finding. The model pins protocol
-# source lines and is committed, and the lint rewrites it in place, so
-# it is compared with the committed copy: a stale model fails here.
+# writes results/lint/protocol_model.json (v3) plus the machine-readable
+# findings list, and fails on any finding. The model is committed and
+# the lint rewrites it in place, so it is compared with the committed
+# copy: a change to the protocol's decisions or to the reachable set
+# that was not committed fails here.
 echo "== stashdir-lint"
 model_before=$(mktemp)
 cp results/lint/protocol_model.json "$model_before"
 cargo run -q -p stashdir-lint --offline -- --root . \
   --json results/lint/findings.json
 cmp "$model_before" results/lint/protocol_model.json \
-  || { rm -f "$model_before"; echo "stashdir-lint FAILED: results/lint/protocol_model.json is stale; commit the rewritten file"; exit 1; }
+  || { rm -f "$model_before"; echo "stashdir-lint FAILED: the protocol model changed and results/lint/protocol_model.json is stale; commit the rewritten file"; exit 1; }
 rm -f "$model_before"
 
 # Full default sweep: every experiment E1-E20 at the default ops and

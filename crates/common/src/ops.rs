@@ -16,6 +16,11 @@ pub enum MemOpKind {
     Write,
 }
 
+impl MemOpKind {
+    /// Both kinds, in declaration order.
+    pub const ALL: [MemOpKind; 2] = [MemOpKind::Read, MemOpKind::Write];
+}
+
 impl fmt::Display for MemOpKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {

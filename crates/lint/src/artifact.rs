@@ -1,9 +1,11 @@
 //! JSON artifact emission, via `stashdir-common::json` (no external
 //! serializers):
 //!
-//! * [`model_json`] — the v2 `stashdir/protocol-model/v2` artifact:
-//!   transition-matrix `sections` and `findings` plus a `model` object
-//!   carrying the waits-for graph.
+//! * [`model_json`] — the `stashdir/protocol-model/v3` artifact
+//!   ([`MODEL_SCHEMA_V3`]): transition-matrix `sections` and `findings`
+//!   plus a `model` object carrying the waits-for graph. It holds labels
+//!   only, no source positions, so it changes only when the protocol
+//!   does.
 //! * [`findings_json`] — the machine-readable findings list for
 //!   `lint --json`.
 //! * [`verify_chaos_coverage`] — checks the shape of the harness
@@ -14,9 +16,7 @@ use crate::directives::SUPPRESSIBLE;
 use crate::waitsfor::WaitsForModel;
 use crate::Finding;
 use stashdir_common::json::Value;
-
-/// Schema identifier of the v2 protocol-model artifact.
-pub const SCHEMA_V2: &str = "stashdir/protocol-model/v2";
+use stashdir_protocol::model::MODEL_SCHEMA_V3;
 /// Schema identifier of the findings artifact.
 pub const SCHEMA_FINDINGS: &str = "stashdir-lint/findings/v1";
 /// Schema identifier of the chaos-campaign coverage artifact (written
@@ -38,23 +38,17 @@ fn label_array(labels: &[String]) -> Value {
 
 /// Renders one matrix section, including the computed diff sets.
 fn section_json(s: &Section) -> Value {
-    let uncovered: Vec<(String, String)> = s
-        .reachable
-        .iter()
-        .filter(|p| !s.source.contains_key(*p))
-        .cloned()
-        .collect();
-    let dead: Vec<(String, String)> = s
+    let uncovered = s.reachable.difference(&s.source).cloned();
+    let dead = s
         .source
-        .keys()
-        .filter(|p| !s.reachable.contains(*p) && !s.race_allowed.contains_key(*p))
-        .cloned()
-        .collect();
+        .difference(&s.reachable)
+        .filter(|p| !s.race_allowed.contains_key(*p))
+        .cloned();
     Value::object(vec![
         ("name".to_string(), Value::String(s.name.to_string())),
         ("rows".to_string(), label_array(&s.rows)),
         ("cols".to_string(), label_array(&s.cols)),
-        ("source".to_string(), pair_array(s.source.keys().cloned())),
+        ("source".to_string(), pair_array(s.source.iter().cloned())),
         (
             "reachable".to_string(),
             pair_array(s.reachable.iter().cloned()),
@@ -74,8 +68,8 @@ fn section_json(s: &Section) -> Value {
                     .collect(),
             ),
         ),
-        ("uncovered".to_string(), pair_array(uncovered.into_iter())),
-        ("dead".to_string(), pair_array(dead.into_iter())),
+        ("uncovered".to_string(), pair_array(uncovered)),
+        ("dead".to_string(), pair_array(dead)),
     ])
 }
 
@@ -102,12 +96,11 @@ fn waits_json(waits: &WaitsForModel) -> Value {
                 ("op".to_string(), Value::String(r.op.clone())),
                 (
                     "blocks_on".to_string(),
-                    match &r.request {
+                    match &r.blocks_on {
                         Some(req) => Value::String(req.clone()),
                         None => Value::Null,
                     },
                 ),
-                ("line".to_string(), Value::Number(r.line as f64)),
             ])
         })
         .collect();
@@ -118,20 +111,11 @@ fn waits_json(waits: &WaitsForModel) -> Value {
             Value::object(vec![
                 ("request".to_string(), Value::String(h.request.clone())),
                 ("view".to_string(), Value::String(h.view.clone())),
-                (
-                    "emits".to_string(),
-                    Value::array(
-                        h.emits
-                            .iter()
-                            .map(|(p, _)| Value::String(p.clone()))
-                            .collect(),
-                    ),
-                ),
+                ("emits".to_string(), label_array(&h.emits)),
                 ("grants".to_string(), label_array(&h.grants)),
                 ("model_emits".to_string(), label_array(&h.model_emits)),
                 ("model_grants".to_string(), label_array(&h.model_grants)),
                 ("reachable".to_string(), Value::Bool(h.reachable)),
-                ("line".to_string(), Value::Number(h.line as f64)),
             ])
         })
         .collect();
@@ -153,11 +137,14 @@ fn waits_json(waits: &WaitsForModel) -> Value {
     ])
 }
 
-/// Renders the v2 protocol-model artifact: the transition-matrix
+/// Renders the v3 protocol-model artifact: the transition-matrix
 /// sections and findings, plus the waits-for graph under `model`.
 pub fn model_json(sections: &[Section], waits: &WaitsForModel, findings: &[Finding]) -> Value {
     Value::object(vec![
-        ("schema".to_string(), Value::String(SCHEMA_V2.to_string())),
+        (
+            "schema".to_string(),
+            Value::String(MODEL_SCHEMA_V3.to_string()),
+        ),
         (
             "sections".to_string(),
             Value::array(sections.iter().map(section_json).collect()),
@@ -208,9 +195,7 @@ pub fn findings_json(findings: &[Finding]) -> Value {
 /// The pass a rule belongs to, as surfaced in the findings artifact.
 pub fn pass_of(rule: &str) -> &'static str {
     match rule {
-        crate::RULE_COVERAGE_UNCOVERED | crate::RULE_COVERAGE_DEAD | crate::RULE_COVERAGE_PARSE => {
-            "coverage"
-        }
+        crate::RULE_COVERAGE_UNCOVERED | crate::RULE_COVERAGE_DEAD => "coverage",
         crate::RULE_WAITSFOR_UNSATISFIABLE | crate::RULE_WAITSFOR_CYCLE => "waitsfor",
         crate::RULE_UNWRAP | crate::RULE_EXPECT | crate::RULE_INDEXING => "panics",
         crate::RULE_DETERMINISM => "determinism",

@@ -7,7 +7,7 @@
 //!        lint --verify-coverage FILE
 //! ```
 //!
-//! Defaults: `--root .`, protocol model (v2) at
+//! Defaults: `--root .`, protocol model (v3) at
 //! `<root>/results/lint/protocol_model.json`. `--json FILE` additionally
 //! writes the machine-readable findings artifact. All artifact writes go
 //! through the shared atomic temp+rename discipline

@@ -1,29 +1,21 @@
 //! Protocol transition-coverage analysis.
 //!
-//! Extracts the `(state × incoming-message)` transition matrix from the
-//! protocol crate's `match` arms and diffs it against the reachable
-//! transition set recorded by the model-check explorer
-//! ([`stashdir_protocol::reachability`]). A reachable transition with no
-//! handling arm is an **uncovered** finding; a handled pair that is
+//! Diffs the keys the decision functions handle ([`Decisions`]) against
+//! the reachable transition set recorded by the model-check explorer
+//! ([`stashdir_protocol::reachability`]). A reachable transition the
+//! function rejects is an **uncovered** finding; a handled pair that is
 //! neither reachable nor on the documented race allowlist is a **dead**
 //! finding. The race allowlist holds the pairs that only arise with
 //! in-flight messages — the atomic-transaction model cannot reach them,
-//! but the timed simulator can, so the handler arms are load-bearing.
+//! but the timed simulator can, so the handling is load-bearing.
 //!
-//! The same machinery covers a fourth decision layer: the chaos
-//! taxonomy's `(fault class × detector)` matrix, diffed between the
-//! `expected_detector` match arms and the compiled
-//! [`stashdir_sim::TAXONOMY`] table.
+//! A fourth section records the chaos layer's fault-response matrix:
+//! every fault class mapped through `expected_detector`, which is both
+//! what is handled and what the chaos campaign must witness.
 
-use crate::arms::{
-    extract_enum, find_fn_body, matches_in, normalize_pattern, split_alternatives, split_tuple,
-    MatchArm, Variant,
-};
-use crate::lexer::{code_only, lex, Tok};
-use crate::{Finding, RULE_COVERAGE_DEAD, RULE_COVERAGE_PARSE, RULE_COVERAGE_UNCOVERED};
+use crate::decisions::{self, Decisions, Pair};
+use crate::{Finding, RULE_COVERAGE_DEAD, RULE_COVERAGE_UNCOVERED};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
-use std::path::Path;
 
 /// `(state, probe)` pairs handled in `probe()` that are reachable only
 /// through in-flight races, with their justification. The atomic model
@@ -85,224 +77,88 @@ pub const RACE_ALLOWED_HOME: &[(&str, &str, &str)] = &[
 /// reachable.
 pub const RACE_ALLOWED_LOCAL: &[(&str, &str, &str)] = &[];
 
-/// No fault-response pairs are exceptional: the taxonomy is the complete
-/// truth about which detector owns which fault class.
+/// No fault-response pairs are exceptional: `expected_detector` is the
+/// complete truth about which detector owns which fault class.
 pub const RACE_ALLOWED_FAULT: &[(&str, &str, &str)] = &[];
-
-/// One axis of a transition matrix: the ordered universe of canonical
-/// labels, extracted from the enum definitions in the scanned source.
-#[derive(Debug, Clone)]
-pub struct Axis {
-    /// Axis name, for diagnostics.
-    pub name: &'static str,
-    /// All canonical labels, in declaration order.
-    pub labels: Vec<String>,
-}
-
-impl Axis {
-    /// Builds an axis from extracted enum variants. A tuple variant whose
-    /// payload type appears in `payload_enums` is expanded per payload
-    /// variant (`Discovery(Share)`); any other payload is dropped from
-    /// the label (`Exclusive(CoreId)` → `Exclusive`).
-    fn from_variants(
-        name: &'static str,
-        variants: &[Variant],
-        payload_enums: &BTreeMap<String, Vec<String>>,
-    ) -> Axis {
-        let mut labels = Vec::new();
-        for v in variants {
-            match v.payload.as_ref().and_then(|p| payload_enums.get(p)) {
-                Some(inner) => {
-                    for iv in inner {
-                        labels.push(format!("{}({})", v.name, iv));
-                    }
-                }
-                None => labels.push(v.name.clone()),
-            }
-        }
-        Axis { name, labels }
-    }
-
-    /// Expands one normalized pattern alternative to the axis labels it
-    /// covers. `Err` carries a description of an unrecognized pattern.
-    fn expand(&self, alt: &str) -> Result<Vec<String>, String> {
-        let is_binding = |s: &str| {
-            s == "_"
-                || s == ".."
-                || s.chars()
-                    .next()
-                    .is_some_and(|c| c.is_lowercase() || c == '_')
-        };
-        if is_binding(alt) {
-            return Ok(self.labels.clone());
-        }
-        if self.labels.iter().any(|l| l == alt) {
-            return Ok(vec![alt.to_string()]);
-        }
-        if let Some(open) = alt.find('(') {
-            let head = &alt[..open];
-            let inner = alt[open + 1..].trim_end_matches(')');
-            // Payload-insensitive axis: `Exclusive(owner)` covers the
-            // `Exclusive` kind.
-            if self.labels.iter().any(|l| l == head) {
-                return Ok(vec![head.to_string()]);
-            }
-            let prefixed: Vec<String> = self
-                .labels
-                .iter()
-                .filter(|l| l.starts_with(&format!("{head}(")))
-                .cloned()
-                .collect();
-            if !prefixed.is_empty() {
-                if is_binding(inner) {
-                    return Ok(prefixed);
-                }
-                let exact = format!("{head}({inner})");
-                if prefixed.contains(&exact) {
-                    return Ok(vec![exact]);
-                }
-            }
-        }
-        Err(format!(
-            "pattern alternative `{alt}` matches nothing on axis {} ({:?})",
-            self.name, self.labels
-        ))
-    }
-}
-
-/// A label pair with its source attribution.
-pub type PairMap = BTreeMap<(String, String), (String, u32)>;
 
 /// One transition-matrix section plus its diff against the model.
 #[derive(Debug, Clone)]
 pub struct Section {
-    /// Section name (`private_probe`, `local_access`, `home`).
+    /// Section name (`private_probe`, `local_access`, `home`,
+    /// `fault_response`).
     pub name: &'static str,
+    /// Repo-relative file of the decision function, for findings.
+    pub file: &'static str,
     /// Row labels (first axis).
     pub rows: Vec<String>,
     /// Column labels (second axis).
     pub cols: Vec<String>,
-    /// Pairs handled in source, with `(file, line)` of the covering arm.
-    pub source: PairMap,
+    /// Pairs the decision function handles.
+    pub source: BTreeSet<Pair>,
     /// Pairs the model-check explorer reaches.
-    pub reachable: BTreeSet<(String, String)>,
+    pub reachable: BTreeSet<Pair>,
     /// Race-only pairs: allowed in source despite being model-unreachable.
-    pub race_allowed: BTreeMap<(String, String), &'static str>,
+    pub race_allowed: BTreeMap<Pair, &'static str>,
 }
 
 impl Section {
     /// Diffs source coverage against reachability, appending findings.
     pub fn diff(&self, findings: &mut Vec<Finding>) {
-        for pair in &self.reachable {
-            if !self.source.contains_key(pair) {
-                findings.push(Finding {
-                    rule: RULE_COVERAGE_UNCOVERED.to_string(),
-                    file: self.attribution_file(),
-                    line: 0,
-                    message: format!(
-                        "[{}] transition ({}, {}) is reachable in the model but no match arm handles it",
-                        self.name, pair.0, pair.1
-                    ),
-                });
+        let mut push = |rule: &str, what: String| {
+            findings.push(Finding {
+                rule: rule.to_string(),
+                file: self.file.to_string(),
+                line: 0,
+                message: format!("[{}] {what}", self.name),
+            });
+        };
+        for (a, b) in self.reachable.difference(&self.source) {
+            push(
+                RULE_COVERAGE_UNCOVERED,
+                format!("transition ({a}, {b}) is reachable in the model but the decision function rejects it"),
+            );
+        }
+        for pair @ (a, b) in self.source.difference(&self.reachable) {
+            if !self.race_allowed.contains_key(pair) {
+                push(
+                    RULE_COVERAGE_DEAD,
+                    format!("handled transition ({a}, {b}) is neither model-reachable nor on the race allowlist (dead handling?)"),
+                );
             }
         }
-        for (pair, (file, line)) in &self.source {
-            if !self.reachable.contains(pair) && !self.race_allowed.contains_key(pair) {
-                findings.push(Finding {
-                    rule: RULE_COVERAGE_DEAD.to_string(),
-                    file: file.clone(),
-                    line: *line,
-                    message: format!(
-                        "[{}] handled transition ({}, {}) is neither model-reachable nor on the race allowlist (dead arm?)",
-                        self.name, pair.0, pair.1
-                    ),
-                });
-            }
-        }
-        for pair in self.race_allowed.keys() {
+        for pair @ (a, b) in self.race_allowed.keys() {
             if self.reachable.contains(pair) {
-                findings.push(Finding {
-                    rule: RULE_COVERAGE_DEAD.to_string(),
-                    file: self.attribution_file(),
-                    line: 0,
-                    message: format!(
-                        "[{}] race-allowlist entry ({}, {}) is now model-reachable; remove it from the allowlist",
-                        self.name, pair.0, pair.1
-                    ),
-                });
+                push(
+                    RULE_COVERAGE_DEAD,
+                    format!("race-allowlist entry ({a}, {b}) is now model-reachable; remove it from the allowlist"),
+                );
             }
-            if !self.source.contains_key(pair) {
-                findings.push(Finding {
-                    rule: RULE_COVERAGE_UNCOVERED.to_string(),
-                    file: self.attribution_file(),
-                    line: 0,
-                    message: format!(
-                        "[{}] race-allowlist transition ({}, {}) has no handling arm in source",
-                        self.name, pair.0, pair.1
+            if !self.source.contains(pair) {
+                push(
+                    RULE_COVERAGE_UNCOVERED,
+                    format!(
+                        "race-allowlist transition ({a}, {b}) is rejected by the decision function"
                     ),
-                });
+                );
             }
         }
     }
-
-    fn attribution_file(&self) -> String {
-        self.source
-            .values()
-            .next()
-            .map(|(f, _)| f.clone())
-            .unwrap_or_else(|| self.name.to_string())
-    }
 }
 
-/// The protocol source files the coverage pass reads.
-#[derive(Debug, Clone)]
-pub struct CoverageSources {
-    /// `crates/protocol/src/msg.rs` (Probe, DiscoveryIntent, Request).
-    pub msg: String,
-    /// `crates/protocol/src/private.rs` (PrivState, `probe`,
-    /// `local_access`).
-    pub private: String,
-    /// `crates/protocol/src/home.rs` (DirView, `decide*`).
-    pub home: String,
-    /// `crates/common/src/ops.rs` (MemOpKind).
-    pub ops: String,
-    /// `crates/sim/src/fault.rs` (FaultClass, Detector,
-    /// `expected_detector`).
-    pub fault: String,
-}
-
-impl CoverageSources {
-    /// Reads the five files from a repo root.
-    pub fn load(root: &Path) -> io::Result<CoverageSources> {
-        Ok(CoverageSources {
-            msg: std::fs::read_to_string(root.join("crates/protocol/src/msg.rs"))?,
-            private: std::fs::read_to_string(root.join("crates/protocol/src/private.rs"))?,
-            home: std::fs::read_to_string(root.join("crates/protocol/src/home.rs"))?,
-            ops: std::fs::read_to_string(root.join("crates/common/src/ops.rs"))?,
-            fault: std::fs::read_to_string(root.join("crates/sim/src/fault.rs"))?,
-        })
-    }
-}
-
-/// The reachable pairs the sections are diffed against, as label pairs.
+/// The reachable pairs the protocol sections are diffed against, as
+/// label pairs.
 #[derive(Debug, Clone, Default)]
 pub struct ReachablePairs {
     /// `(PrivState, Probe)` pairs.
-    pub probe: BTreeSet<(String, String)>,
+    pub probe: BTreeSet<Pair>,
     /// `(PrivState, MemOpKind)` pairs.
-    pub local: BTreeSet<(String, String)>,
+    pub local: BTreeSet<Pair>,
     /// `(Request, DirView-kind)` pairs.
-    pub home: BTreeSet<(String, String)>,
-    /// `(FaultClass, Detector)` pairs (the chaos taxonomy).
-    pub fault: BTreeSet<(String, String)>,
+    pub home: BTreeSet<Pair>,
 }
 
 impl ReachablePairs {
-    /// Converts the protocol crate's recorded transition set, plus the
-    /// sim crate's compiled fault taxonomy: just as the first three
-    /// sections diff source arms against the model checker, the
-    /// `fault_response` section diffs `expected_detector`'s arms against
-    /// [`stashdir_sim::TAXONOMY`].
+    /// Converts the protocol crate's recorded transition set.
     pub fn from_model(set: &stashdir_protocol::reachability::TransitionSet) -> ReachablePairs {
         let own = |it: &mut dyn Iterator<Item = (&'static str, &'static str)>| {
             it.map(|(a, b)| (a.to_string(), b.to_string())).collect()
@@ -311,388 +167,64 @@ impl ReachablePairs {
             probe: own(&mut set.probe_pairs()),
             local: own(&mut set.local_pairs()),
             home: own(&mut set.home_pairs()),
-            fault: stashdir_sim::TAXONOMY
-                .iter()
-                .map(|&(class, det)| (format!("{class:?}"), format!("{det:?}")))
-                .collect(),
         }
     }
 }
 
-fn allowlist(entries: &'static [(&str, &str, &str)]) -> BTreeMap<(String, String), &'static str> {
+fn allowlist(entries: &'static [(&str, &str, &str)]) -> BTreeMap<Pair, &'static str> {
     entries
         .iter()
         .map(|&(a, b, why)| ((a.to_string(), b.to_string()), why))
         .collect()
 }
 
-struct Extractor<'a> {
-    findings: &'a mut Vec<Finding>,
-    file: String,
-}
-
-impl Extractor<'_> {
-    fn parse_error(&mut self, line: u32, msg: String) {
-        self.findings.push(Finding {
-            rule: RULE_COVERAGE_PARSE.to_string(),
-            file: self.file.clone(),
-            line,
-            message: msg,
-        });
-    }
-
-    /// Expands a tuple-pattern arm `(a, b)` against two axes into pairs.
-    fn tuple_arm_pairs(&mut self, arm: &MatchArm, ax_a: &Axis, ax_b: &Axis, out: &mut PairMap) {
-        let Some(elems) = split_tuple(&arm.pattern) else {
-            // A bare `_` arm covers the full product.
-            let norm = normalize_pattern(&arm.pattern);
-            if norm == "_" {
-                for a in &ax_a.labels {
-                    for b in &ax_b.labels {
-                        out.entry((a.clone(), b.clone()))
-                            .or_insert_with(|| (self.file.clone(), arm.line));
-                    }
-                }
-            } else {
-                self.parse_error(arm.line, format!("expected tuple pattern, got `{norm}`"));
-            }
-            return;
-        };
-        if elems.len() != 2 {
-            self.parse_error(arm.line, "expected a 2-tuple pattern".to_string());
-            return;
-        }
-        let expand_elem = |ex: &mut Extractor<'_>, toks: &[Tok], ax: &Axis| -> Vec<String> {
-            let mut labels = Vec::new();
-            for alt in split_alternatives(toks) {
-                match ax.expand(&normalize_pattern(&alt)) {
-                    Ok(mut l) => labels.append(&mut l),
-                    Err(e) => ex.parse_error(arm.line, e),
-                }
-            }
-            labels
-        };
-        let a_labels = expand_elem(self, &elems[0], ax_a);
-        let b_labels = expand_elem(self, &elems[1], ax_b);
-        for a in &a_labels {
-            for b in &b_labels {
-                out.entry((a.clone(), b.clone()))
-                    .or_insert_with(|| (self.file.clone(), arm.line));
-            }
-        }
-    }
-
-    /// Expands a single-axis arm pattern into the labels it covers.
-    fn arm_labels(&mut self, arm: &MatchArm, ax: &Axis) -> Vec<String> {
-        let mut labels = Vec::new();
-        for alt in split_alternatives(&arm.pattern) {
-            match ax.expand(&normalize_pattern(&alt)) {
-                Ok(mut l) => labels.append(&mut l),
-                Err(e) => self.parse_error(arm.line, e),
-            }
-        }
-        labels
-    }
-}
-
-/// Finds a `match` in `fn name` whose scrutinee mentions `needle`.
-fn fn_match(toks: &[Tok], fn_name: &str, needle: &str) -> Option<crate::arms::MatchExpr> {
-    let body = find_fn_body(toks, fn_name)?;
-    matches_in(body)
-        .into_iter()
-        .find(|m| m.scrutinee.contains(needle))
-}
-
-/// Runs the full coverage analysis: three matrix sections plus any parse
-/// or diff findings.
-pub fn analyze(src: &CoverageSources, reachable: &ReachablePairs) -> (Vec<Section>, Vec<Finding>) {
-    let mut findings = Vec::new();
-    let msg_toks = code_only(&lex(&src.msg));
-    let private_toks = code_only(&lex(&src.private));
-    let home_toks = code_only(&lex(&src.home));
-    let ops_toks = code_only(&lex(&src.ops));
-    let fault_toks = code_only(&lex(&src.fault));
-
-    // Axes from the enum definitions.
-    let mut payloads: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    if let Some(v) = extract_enum(&msg_toks, "DiscoveryIntent") {
-        payloads.insert(
-            "DiscoveryIntent".to_string(),
-            v.into_iter().map(|x| x.name).collect(),
-        );
-    }
-    let axis = |toks: &[Tok],
-                enum_name: &str,
-                axis_name: &'static str,
-                file: &str,
-                expand_payloads: bool,
-                findings: &mut Vec<Finding>|
-     -> Axis {
-        match extract_enum(toks, enum_name) {
-            Some(v) => {
-                let empty = BTreeMap::new();
-                let table = if expand_payloads { &payloads } else { &empty };
-                Axis::from_variants(axis_name, &v, table)
-            }
-            None => {
-                findings.push(Finding {
-                    rule: RULE_COVERAGE_PARSE.to_string(),
-                    file: file.to_string(),
-                    line: 0,
-                    message: format!("enum {enum_name} not found"),
-                });
-                Axis {
-                    name: axis_name,
-                    labels: Vec::new(),
-                }
-            }
-        }
-    };
-    let ax_state = axis(
-        &private_toks,
-        "PrivState",
-        "PrivState",
-        "crates/protocol/src/private.rs",
-        false,
-        &mut findings,
-    );
-    let ax_probe = axis(
-        &msg_toks,
-        "Probe",
-        "Probe",
-        "crates/protocol/src/msg.rs",
-        true,
-        &mut findings,
-    );
-    let ax_req = axis(
-        &msg_toks,
-        "Request",
-        "Request",
-        "crates/protocol/src/msg.rs",
-        false,
-        &mut findings,
-    );
-    let ax_view = axis(
-        &home_toks,
-        "DirView",
-        "DirView",
-        "crates/protocol/src/home.rs",
-        false,
-        &mut findings,
-    );
-    let ax_op = axis(
-        &ops_toks,
-        "MemOpKind",
-        "MemOpKind",
-        "crates/common/src/ops.rs",
-        false,
-        &mut findings,
-    );
-    let ax_fault = axis(
-        &fault_toks,
-        "FaultClass",
-        "FaultClass",
-        "crates/sim/src/fault.rs",
-        false,
-        &mut findings,
-    );
-    let ax_detector = axis(
-        &fault_toks,
-        "Detector",
-        "Detector",
-        "crates/sim/src/fault.rs",
-        false,
-        &mut findings,
-    );
-
-    // Section 1: the probe table in `probe()`.
-    let mut probe_source = PairMap::new();
-    {
-        let mut ex = Extractor {
-            findings: &mut findings,
-            file: "crates/protocol/src/private.rs".to_string(),
-        };
-        match fn_match(&private_toks, "probe", "state") {
-            Some(m) => {
-                for arm in m.arms.iter().filter(|a| !a.is_rejection()) {
-                    ex.tuple_arm_pairs(arm, &ax_state, &ax_probe, &mut probe_source);
-                }
-            }
-            None => ex.parse_error(0, "fn probe: match on (state, probe) not found".to_string()),
-        }
-    }
-
-    // Section 2: the local-access table in `local_access()`.
-    let mut local_source = PairMap::new();
-    {
-        let mut ex = Extractor {
-            findings: &mut findings,
-            file: "crates/protocol/src/private.rs".to_string(),
-        };
-        match fn_match(&private_toks, "local_access", "state") {
-            Some(m) => {
-                for arm in m.arms.iter().filter(|a| !a.is_rejection()) {
-                    ex.tuple_arm_pairs(arm, &ax_state, &ax_op, &mut local_source);
-                }
-            }
-            None => ex.parse_error(
-                0,
-                "fn local_access: match on (state, op) not found".to_string(),
-            ),
-        }
-    }
-
-    // Section 3: the home tables. `decide` routes demand requests to a
-    // per-request handler whose match on the view supplies the kinds;
-    // `decide_put` nests a view match inside each request arm.
-    let mut home_source = PairMap::new();
-    {
-        let mut ex = Extractor {
-            findings: &mut findings,
-            file: "crates/protocol/src/home.rs".to_string(),
-        };
-        let handler_names = ["decide_gets", "decide_getm"];
-        match fn_match(&home_toks, "decide", "req") {
-            Some(m) => {
-                for arm in m.arms.iter().filter(|a| !a.is_rejection()) {
-                    let reqs = ex.arm_labels(arm, &ax_req);
-                    let callee = arm
-                        .body
-                        .iter()
-                        .find(|t| handler_names.contains(&t.text.as_str()))
-                        .map(|t| t.text.clone());
-                    let Some(callee) = callee else {
-                        ex.parse_error(
-                            arm.line,
-                            "decide arm routes to no known handler function".to_string(),
-                        );
-                        continue;
-                    };
-                    match fn_match(&home_toks, &callee, "view") {
-                        Some(vm) => {
-                            for varm in vm.arms.iter().filter(|a| !a.is_rejection()) {
-                                for kind in ex.arm_labels(varm, &ax_view) {
-                                    for r in &reqs {
-                                        home_source
-                                            .entry((r.clone(), kind.clone()))
-                                            .or_insert_with(|| (ex.file.clone(), varm.line));
-                                    }
-                                }
-                            }
-                        }
-                        None => ex.parse_error(
-                            arm.line,
-                            format!("handler {callee}: match on view not found"),
-                        ),
-                    }
-                }
-            }
-            None => ex.parse_error(0, "fn decide: match on req not found".to_string()),
-        }
-        match fn_match(&home_toks, "decide_put", "req") {
-            Some(m) => {
-                for arm in m.arms.iter().filter(|a| !a.is_rejection()) {
-                    let reqs = ex.arm_labels(arm, &ax_req);
-                    let inner = matches_in(&arm.body)
-                        .into_iter()
-                        .find(|im| im.scrutinee.contains("view"));
-                    match inner {
-                        Some(vm) => {
-                            for varm in vm.arms.iter().filter(|a| !a.is_rejection()) {
-                                for kind in ex.arm_labels(varm, &ax_view) {
-                                    for r in &reqs {
-                                        home_source
-                                            .entry((r.clone(), kind.clone()))
-                                            .or_insert_with(|| (ex.file.clone(), varm.line));
-                                    }
-                                }
-                            }
-                        }
-                        None => ex.parse_error(
-                            arm.line,
-                            "decide_put arm has no nested match on view".to_string(),
-                        ),
-                    }
-                }
-            }
-            None => ex.parse_error(0, "fn decide_put: match on req not found".to_string()),
-        }
-    }
-
-    // Section 4: the fault-response layer. `expected_detector` matches on
-    // the fault class and names the owning detector in each arm body;
-    // the pairs are diffed against the compiled chaos taxonomy exactly
-    // like the protocol sections are diffed against the model checker.
-    let mut fault_source = PairMap::new();
-    {
-        let mut ex = Extractor {
-            findings: &mut findings,
-            file: "crates/sim/src/fault.rs".to_string(),
-        };
-        match fn_match(&fault_toks, "expected_detector", "class") {
-            Some(m) => {
-                for arm in m.arms.iter().filter(|a| !a.is_rejection()) {
-                    let classes = ex.arm_labels(arm, &ax_fault);
-                    let detector = arm
-                        .body
-                        .iter()
-                        .find(|t| ax_detector.labels.iter().any(|l| t.is_ident(l)))
-                        .map(|t| t.text.clone());
-                    let Some(detector) = detector else {
-                        ex.parse_error(
-                            arm.line,
-                            "expected_detector arm names no Detector variant".to_string(),
-                        );
-                        continue;
-                    };
-                    for class in classes {
-                        fault_source
-                            .entry((class, detector.clone()))
-                            .or_insert_with(|| (ex.file.clone(), arm.line));
-                    }
-                }
-            }
-            None => ex.parse_error(
-                0,
-                "fn expected_detector: match on class not found".to_string(),
-            ),
-        }
-    }
-
+/// Builds the four matrix sections from the decision data and diffs
+/// each against the model.
+pub fn analyze(d: &Decisions, reachable: &ReachablePairs) -> (Vec<Section>, Vec<Finding>) {
+    let private = "crates/protocol/src/private.rs";
     let sections = vec![
         Section {
             name: "private_probe",
-            rows: ax_state.labels.clone(),
-            cols: ax_probe.labels.clone(),
-            source: probe_source,
+            file: private,
+            rows: decisions::states(),
+            cols: decisions::probes(),
+            source: d.probe.clone(),
             reachable: reachable.probe.clone(),
             race_allowed: allowlist(RACE_ALLOWED_PROBE),
         },
         Section {
             name: "local_access",
-            rows: ax_state.labels.clone(),
-            cols: ax_op.labels.clone(),
-            source: local_source,
+            file: private,
+            rows: decisions::states(),
+            cols: decisions::ops(),
+            source: d
+                .local
+                .iter()
+                .map(|a| (a.state.clone(), a.op.clone()))
+                .collect(),
             reachable: reachable.local.clone(),
             race_allowed: allowlist(RACE_ALLOWED_LOCAL),
         },
         Section {
             name: "home",
-            rows: ax_req.labels.clone(),
-            cols: ax_view.labels.clone(),
-            source: home_source,
+            file: "crates/protocol/src/home.rs",
+            rows: decisions::requests(),
+            cols: decisions::views(),
+            source: d.home.keys().cloned().collect(),
             reachable: reachable.home.clone(),
             race_allowed: allowlist(RACE_ALLOWED_HOME),
         },
         Section {
             name: "fault_response",
-            rows: ax_fault.labels.clone(),
-            cols: ax_detector.labels.clone(),
-            source: fault_source,
-            reachable: reachable.fault.clone(),
+            file: "crates/sim/src/fault.rs",
+            rows: decisions::fault_classes(),
+            cols: decisions::detectors(),
+            source: d.fault.clone(),
+            reachable: d.fault.clone(),
             race_allowed: allowlist(RACE_ALLOWED_FAULT),
         },
     ];
+    let mut findings = Vec::new();
     for s in &sections {
         s.diff(&mut findings);
     }

@@ -1,24 +1,24 @@
 //! `stashdir-lint`: repo-specific static analysis for the stash-directory
 //! reproduction.
 //!
-//! Five passes, all built on a hand-rolled lexer (no `syn`, no network —
-//! consistent with the offline `stubs/` policy):
+//! Five passes. The two protocol passes read the decision tables by
+//! calling the compiled protocol functions ([`decisions`]); the other
+//! three scan the repo's sources with a hand-rolled lexer (no `syn`, no
+//! network — consistent with the offline `stubs/` policy):
 //!
-//! 1. **Transition coverage** ([`coverage`]): extracts the
-//!    `(state × incoming-message)` transition matrix from the protocol
-//!    crate's `match` arms and diffs it against the reachable-transition
-//!    set recorded by the model-check explorer
-//!    (`stashdir_protocol::reachability`). Uncovered reachable
-//!    transitions and dead handler arms both fail the lint; pairs that
-//!    only arise through in-flight races live on a documented allowlist.
-//!    A fourth section diffs the chaos layer's `expected_detector` arms
-//!    against the compiled `(FaultClass × Detector)` taxonomy the same
-//!    way.
-//! 2. **Waits-for liveness** ([`waitsfor`]): extracts which messages
-//!    each transient state blocks on and which each home arm emits,
-//!    builds the waits-for graph, and cross-checks every blocking edge
-//!    against the model — waits no reachable peer can satisfy and probe
-//!    cycles with no escape edge are hard findings.
+//! 1. **Transition coverage** ([`coverage`]): the
+//!    `(state × incoming-message)` keys the decision functions handle,
+//!    diffed against the reachable-transition set recorded by the
+//!    model-check explorer (`stashdir_protocol::reachability`).
+//!    Uncovered reachable transitions and dead handled keys both fail the
+//!    lint; pairs that only arise through in-flight races live on a
+//!    documented allowlist. A fourth section records the chaos layer's
+//!    `(FaultClass × Detector)` map, `expected_detector`.
+//! 2. **Waits-for liveness** ([`waitsfor`]): which request each
+//!    transient state blocks on and which probes each home decision
+//!    emits, as a waits-for graph whose every blocking edge is
+//!    cross-checked against the model — waits no reachable peer can
+//!    satisfy and probe cycles with no escape edge are hard findings.
 //! 3. **Hot-path panics** ([`panics`]): no `unwrap()` / `expect()` /
 //!    panicking indexing in the hot crates (`core`, `protocol`, `sim`,
 //!    `mem`) outside an explicit `// lint: allow(...)` directive.
@@ -34,16 +34,16 @@
 //! ([`directives`]): one that suppresses nothing is itself a finding.
 //!
 //! The `lint` binary runs all passes over a repo root, prints findings
-//! and per-pass timings, writes the v2 protocol-model JSON artifact,
+//! and per-pass timings, writes the v3 protocol-model JSON artifact,
 //! and exits non-zero on any finding —
 //! `ci.sh` runs it as a hard gate between clippy and tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arms;
 pub mod artifact;
 pub mod coverage;
+pub mod decisions;
 pub mod determinism;
 pub mod directives;
 pub mod files;
@@ -57,13 +57,11 @@ use std::io;
 use std::path::Path;
 use std::time::Instant;
 
-/// Rule name: reachable transition with no handling arm.
+/// Rule name: reachable transition the decision function rejects.
 pub const RULE_COVERAGE_UNCOVERED: &str = "transition-uncovered";
 /// Rule name: handled transition that is neither reachable nor
 /// race-allowlisted.
 pub const RULE_COVERAGE_DEAD: &str = "transition-dead";
-/// Rule name: the coverage extractor could not parse what it expected.
-pub const RULE_COVERAGE_PARSE: &str = "coverage-parse";
 /// Rule name: a blocking wait no reachable peer can satisfy.
 pub const RULE_WAITSFOR_UNSATISFIABLE: &str = "waitsfor-unsatisfiable";
 /// Rule name: a probe wait with no escape edge — a deadlockable cycle.
@@ -120,7 +118,7 @@ pub struct PassTiming {
 pub struct LintReport {
     /// All findings, sorted by file, line, then rule.
     pub findings: Vec<Finding>,
-    /// The v2 protocol-model artifact: the transition-matrix sections,
+    /// The v3 protocol-model artifact: the transition-matrix sections,
     /// the waits-for graph and the findings.
     pub model: Value,
     /// Per-pass wall-clock timings, in run order.
@@ -135,13 +133,14 @@ fn lap(timings: &mut Vec<PassTiming>, clock: &mut Instant, name: &str) {
     *clock = Instant::now();
 }
 
-/// Runs all passes over the repo at `root`.
+/// Runs all passes over the repo at `root`. The protocol passes read
+/// the compiled protocol, not `root`, so the `sections` and `model` of
+/// the artifact are the same for every tree.
 pub fn run(root: &Path) -> io::Result<LintReport> {
     let mut findings = Vec::new();
     let mut timings = Vec::new();
     let mut clock = Instant::now();
 
-    let sources = coverage::CoverageSources::load(root)?;
     let loaded = files::load(root, files::SCANNED_CRATES)?;
     let mut directives = directives::DirectiveIndex::collect(&loaded);
     lap(&mut timings, &mut clock, "load");
@@ -150,11 +149,12 @@ pub fn run(root: &Path) -> io::Result<LintReport> {
     let reachable = coverage::ReachablePairs::from_model(&model);
     lap(&mut timings, &mut clock, "model-check");
 
-    let (sections, cov_findings) = coverage::analyze(&sources, &reachable);
+    let decisions = decisions::Decisions::tabulate();
+    let (sections, cov_findings) = coverage::analyze(&decisions, &reachable);
     findings.extend(cov_findings);
     lap(&mut timings, &mut clock, "coverage");
 
-    let (waits, wf_findings) = waitsfor::analyze(&sources, &reachable, &model);
+    let (waits, wf_findings) = waitsfor::analyze(&decisions, &reachable, &model);
     findings.extend(wf_findings);
     lap(&mut timings, &mut clock, "waitsfor");
 

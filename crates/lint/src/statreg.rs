@@ -10,9 +10,8 @@
 //! textual on purpose: a field is "registered" when its identifier
 //! occurs in the registry function's body.
 
-use crate::arms::{extract_struct_fields, find_fn_body, matching_close};
 use crate::lexer::{code_only, lex, Tok, TokKind};
-use crate::{Finding, RULE_COVERAGE_PARSE, RULE_STAT_UNREGISTERED};
+use crate::{Finding, RULE_STAT_UNREGISTERED};
 use std::io;
 use std::path::Path;
 
@@ -155,6 +154,114 @@ pub const RULES: &[RegRule] = &[
     },
 ];
 
+/// Index of the delimiter closing the one opened at `open_idx`.
+fn matching_close(toks: &[Tok], open_idx: usize) -> Option<usize> {
+    let (open, close) = match toks[open_idx].text.as_str() {
+        "{" => ("{", "}"),
+        "(" => ("(", ")"),
+        "[" => ("[", "]"),
+        _ => return None,
+    };
+    let mut depth = 0usize;
+    for (i, t) in toks.iter().enumerate().skip(open_idx) {
+        if t.is_punct(open) {
+            depth += 1;
+        } else if t.is_punct(close) {
+            depth -= 1;
+            if depth == 0 {
+                return Some(i);
+            }
+        }
+    }
+    None
+}
+
+/// Finds `fn name` and returns the tokens inside its body braces.
+fn find_fn_body<'a>(toks: &'a [Tok], name: &str) -> Option<&'a [Tok]> {
+    let mut i = 0;
+    while i + 1 < toks.len() {
+        if toks[i].is_ident("fn") && toks[i + 1].is_ident(name) {
+            let mut j = i + 2;
+            while j < toks.len() && !toks[j].is_punct("{") {
+                j += 1;
+            }
+            if j < toks.len() {
+                let close = matching_close(toks, j)?;
+                return Some(&toks[j + 1..close]);
+            }
+        }
+        i += 1;
+    }
+    None
+}
+
+/// Extracts `(field name, line)` pairs of `struct name`'s named fields.
+fn extract_struct_fields(toks: &[Tok], name: &str) -> Option<Vec<(String, u32)>> {
+    let mut i = 0;
+    while i + 1 < toks.len() {
+        if toks[i].is_ident("struct") && toks[i + 1].is_ident(name) {
+            let mut j = i + 2;
+            while j < toks.len() && !toks[j].is_punct("{") {
+                if toks[j].is_punct(";") || toks[j].is_punct("(") {
+                    return Some(Vec::new()); // unit or tuple struct
+                }
+                j += 1;
+            }
+            let close = matching_close(toks, j)?;
+            return Some(parse_fields(&toks[j + 1..close]));
+        }
+        i += 1;
+    }
+    None
+}
+
+fn parse_fields(toks: &[Tok]) -> Vec<(String, u32)> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        if toks[i].is_punct("#") {
+            if i + 1 < toks.len() && toks[i + 1].is_punct("[") {
+                if let Some(close) = matching_close(toks, i + 1) {
+                    i = close + 1;
+                    continue;
+                }
+            }
+            i += 1;
+            continue;
+        }
+        if toks[i].is_punct(",") || toks[i].is_ident("pub") {
+            i += 1;
+            continue;
+        }
+        if toks[i].is_punct("(") {
+            // pub(crate) visibility group.
+            if let Some(close) = matching_close(toks, i) {
+                i = close + 1;
+                continue;
+            }
+        }
+        if toks[i].kind == TokKind::Ident && i + 1 < toks.len() && toks[i + 1].is_punct(":") {
+            out.push((toks[i].text.clone(), toks[i].line));
+            i += 2;
+            // Skip the type to the next top-level comma.
+            let mut depth = 0i32;
+            while i < toks.len() && !(depth == 0 && toks[i].is_punct(",")) {
+                if toks[i].kind == TokKind::Punct {
+                    match toks[i].text.as_str() {
+                        "(" | "[" | "{" => depth += 1,
+                        ")" | "]" | "}" => depth -= 1,
+                        _ => {}
+                    }
+                }
+                i += 1;
+            }
+        } else {
+            i += 1;
+        }
+    }
+    out
+}
+
 /// Resolves a registry function name to its body tokens.
 ///
 /// A plain `name` matches the first `fn name` in the file. A qualified
@@ -205,19 +312,21 @@ pub fn check_registration(
     let mut findings = Vec::new();
     let Some(fields) = extract_struct_fields(struct_toks, struct_name) else {
         findings.push(Finding {
-            rule: RULE_COVERAGE_PARSE.to_string(),
+            rule: RULE_STAT_UNREGISTERED.to_string(),
             file: struct_file.to_string(),
             line: 0,
-            message: format!("struct {struct_name} not found"),
+            message: format!("struct {struct_name} not found, so none of its fields is checked"),
         });
         return findings;
     };
     let Some(body) = find_registry_fn_body(registry_toks, registry_fn) else {
         findings.push(Finding {
-            rule: RULE_COVERAGE_PARSE.to_string(),
+            rule: RULE_STAT_UNREGISTERED.to_string(),
             file: registry_file.to_string(),
             line: 0,
-            message: format!("registry function {registry_fn} not found"),
+            message: format!(
+                "registry function {registry_fn} not found, so it registers none of {struct_name}'s fields"
+            ),
         });
         return findings;
     };
@@ -315,12 +424,23 @@ mod tests {
     }
 
     #[test]
-    fn qualified_name_missing_method_is_a_parse_finding() {
+    fn qualified_name_missing_method_is_a_finding() {
         let toks = code_only(&lex(
             "pub struct A { x: u64 } impl A { fn other(&self) {} }",
         ));
         let f = check_registration(&toks, "A", "s.rs", &toks, "s.rs", "A::merge");
         assert_eq!(f.len(), 1);
-        assert!(f[0].rule == crate::RULE_COVERAGE_PARSE);
+        assert!(f[0].rule == RULE_STAT_UNREGISTERED);
+        assert!(f[0].message.contains("A::merge not found"));
+    }
+
+    #[test]
+    fn extracts_struct_fields() {
+        let toks = code_only(&lex(
+            "pub struct Pair {\n    /// doc\n    pub left: u64,\n    right: Vec<(String, u32)>,\n}",
+        ));
+        let f = extract_struct_fields(&toks, "Pair").unwrap();
+        let names: Vec<&str> = f.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["left", "right"]);
     }
 }

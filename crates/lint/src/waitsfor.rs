@@ -4,69 +4,52 @@
 //! misses blocks on a grant, a home that probes blocks on the probe
 //! replies. The protocol stays live only because every blocking edge has
 //! a sender that can still emit the awaited message, and every potential
-//! cycle has an *escape edge* — a peer in `Invalid` (or a NACK/retry
-//! path) that answers a probe even while its own request is in flight.
+//! cycle has an *escape edge* — a peer in `Invalid` that answers a probe
+//! even while its own request is in flight.
 //!
-//! This pass extracts, per match arm:
+//! This pass builds the waits-for graph from the decision data
+//! ([`Decisions`]):
 //!
-//! * the requests each `local_access` miss arm **blocks on** (the grant
-//!   for `GetS`/`GetM`/`Upgrade` — the requester's transient states),
-//! * the probes each home decision arm **emits** (and therefore blocks
+//! * the request each `local_access` miss **blocks on** (the grant for
+//!   `GetS`/`GetM`/`Upgrade` — the requester's transient states),
+//! * the probes each home decision key **emits** (and therefore blocks
 //!   on the replies to), and the grants it issues,
-//! * the `(state, probe)` pairs the private-cache `probe()` table
-//!   handles, with `(Invalid, P)` handling (or a NACK/retry/refill
-//!   marker in the arm body) counting as probe `P`'s escape edge,
+//! * the states that handle each probe kind, with `probe(Invalid, P)`
+//!   not being rejected counting as probe `P`'s escape edge,
 //!
 //! then cross-checks each blocking edge against the BFS model
 //! ([`stashdir_protocol::reachability`]):
 //!
 //! * **`waitsfor-unsatisfiable`** — a wait on a message no peer can
-//!   send or receive: a miss request no home arm (or no reachable home
-//!   transition) consumes, or an emitted probe no probe-table arm (or no
+//!   send or receive: a miss request no home decision (or no reachable
+//!   home transition) consumes, or an emitted probe no state (or no
 //!   reachable peer transition) handles.
 //! * **`waitsfor-cycle`** — an emitted probe with no escape edge whose
-//!   emitting arm serves an in-flight (transient) request: the probed
+//!   emitting key serves an in-flight (transient) request: the probed
 //!   core may itself be that requester, waiting on the very transaction
 //!   that is waiting on it.
-//! * **`coverage-parse`** — the model emitted a probe for a reachable
-//!   `(request, view)` pair that extraction did not find in the arm: the
-//!   waits-for graph is out of sync with the source.
 
-use crate::arms::{find_fn_body, matches_in, normalize_pattern, split_alternatives, split_tuple};
-use crate::coverage::{CoverageSources, ReachablePairs};
-use crate::lexer::{code_only, lex, Tok};
-use crate::{Finding, RULE_COVERAGE_PARSE, RULE_WAITSFOR_CYCLE, RULE_WAITSFOR_UNSATISFIABLE};
+use crate::coverage::ReachablePairs;
+use crate::decisions::{self, Access, Decisions};
+use crate::{Finding, RULE_WAITSFOR_CYCLE, RULE_WAITSFOR_UNSATISFIABLE};
 use stashdir_protocol::reachability::TransitionSet;
 use std::collections::{BTreeMap, BTreeSet};
 
 const PRIVATE_FILE: &str = "crates/protocol/src/private.rs";
 const HOME_FILE: &str = "crates/protocol/src/home.rs";
 
-/// One `local_access` table entry: what the requester does at
-/// `(state, op)`, and the request it blocks on when it misses.
-#[derive(Debug, Clone)]
-pub struct RequesterArm {
-    /// Private-cache state label.
-    pub state: String,
-    /// Memory operation label.
-    pub op: String,
-    /// `Some(request)` when the arm misses and blocks on a grant.
-    pub request: Option<String>,
-    /// Arm line in `private.rs`.
-    pub line: u32,
-}
-
-/// One home decision entry: the messages a `(request, view)` pair emits
-/// (and thus blocks on the replies to), statically and in the model.
+/// One home decision key: the messages a `(request, view)` pair emits
+/// (and thus blocks on the replies to), from the decision function and
+/// in the model.
 #[derive(Debug, Clone)]
 pub struct HomeArm {
     /// Request label.
     pub request: String,
     /// Directory-view kind label.
     pub view: String,
-    /// Probes the arm body emits, with the emit-site line.
-    pub emits: Vec<(String, u32)>,
-    /// Grants the arm body issues.
+    /// Probe kinds the decision emits.
+    pub emits: Vec<String>,
+    /// Grants the decision issues.
     pub grants: Vec<String>,
     /// Probes the model emitted for this pair (empty when unreachable).
     pub model_emits: Vec<String>,
@@ -74,8 +57,6 @@ pub struct HomeArm {
     pub model_grants: Vec<String>,
     /// Whether the model reaches this pair at all.
     pub reachable: bool,
-    /// Arm line in `home.rs`.
-    pub line: u32,
 }
 
 /// One probe's receive side: which states handle it, and whether it has
@@ -84,61 +65,22 @@ pub struct HomeArm {
 pub struct ProbeRow {
     /// Probe kind label (base, payload ignored).
     pub probe: String,
-    /// States with a handling arm.
+    /// States that handle the probe.
     pub handled_states: Vec<String>,
-    /// `true` when `(Invalid, probe)` is handled or an arm body carries
-    /// a NACK/retry/refill marker: a transient peer can still answer.
+    /// `true` when `(Invalid, probe)` is handled: a transient peer can
+    /// still answer.
     pub escape: bool,
 }
 
-/// The extracted waits-for graph, embedded in the v2 protocol-model
-/// artifact.
+/// The waits-for graph, embedded in the v3 protocol-model artifact.
 #[derive(Debug, Clone, Default)]
 pub struct WaitsForModel {
-    /// `local_access` entries.
-    pub requesters: Vec<RequesterArm>,
-    /// Home decision entries (demand and put).
+    /// `local_access` keys.
+    pub requesters: Vec<Access>,
+    /// Home decision keys (demand and put).
     pub home: Vec<HomeArm>,
     /// Probe receive rows.
     pub probes: Vec<ProbeRow>,
-}
-
-/// A simple single-level axis: enum variant base names in declaration
-/// order (payloads dropped — `Discovery(Share)` and `Discovery` are the
-/// same node in the waits-for graph).
-struct BaseAxis {
-    labels: Vec<String>,
-}
-
-impl BaseAxis {
-    fn from_enum(toks: &[Tok], name: &str) -> BaseAxis {
-        let labels = crate::arms::extract_enum(toks, name)
-            .unwrap_or_default()
-            .into_iter()
-            .map(|v| v.name)
-            .collect();
-        BaseAxis { labels }
-    }
-
-    /// Labels one normalized pattern alternative covers; bindings and
-    /// `_` cover all, payloads are stripped.
-    fn expand(&self, alt: &str) -> Vec<String> {
-        let is_binding = |s: &str| {
-            s == "_"
-                || s == ".."
-                || s.chars()
-                    .next()
-                    .is_some_and(|c| c.is_lowercase() || c == '_')
-        };
-        if is_binding(alt) {
-            return self.labels.clone();
-        }
-        let head = alt.split('(').next().unwrap_or(alt);
-        if self.labels.iter().any(|l| l == head) {
-            return vec![head.to_string()];
-        }
-        Vec::new()
-    }
 }
 
 /// Base name of a possibly payload-expanded label (`Discovery(Share)` →
@@ -147,344 +89,138 @@ fn base_of(label: &str) -> &str {
     label.split('(').next().unwrap_or(label)
 }
 
-/// `Enum :: Variant` references in an arm body, with their lines.
-fn variant_refs(body: &[Tok], enum_name: &str, axis: &BaseAxis) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    for i in 0..body.len() {
-        if body[i].is_ident(enum_name)
-            && body.get(i + 1).is_some_and(|t| t.is_punct("::"))
-            && body
-                .get(i + 2)
-                .is_some_and(|t| axis.labels.iter().any(|l| t.is_ident(l)))
-        {
-            out.push((body[i + 2].text.clone(), body[i + 2].line));
-        }
-    }
-    out
-}
-
-/// Tuple-pattern alternatives of an arm, expanded against two base axes.
-fn tuple_pairs(pattern: &[Tok], ax_a: &BaseAxis, ax_b: &BaseAxis) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let Some(elems) = split_tuple(pattern) else {
-        if normalize_pattern(pattern) == "_" {
-            for a in &ax_a.labels {
-                for b in &ax_b.labels {
-                    out.push((a.clone(), b.clone()));
-                }
-            }
-        }
-        return out;
-    };
-    if elems.len() != 2 {
-        return out;
-    }
-    let expand = |toks: &[Tok], ax: &BaseAxis| -> Vec<String> {
-        split_alternatives(toks)
-            .iter()
-            .flat_map(|alt| ax.expand(&normalize_pattern(alt)))
-            .collect()
-    };
-    for a in expand(&elems[0], ax_a) {
-        for b in expand(&elems[1], ax_b) {
-            out.push((a.clone(), b));
-        }
-    }
-    out
-}
-
-fn find_match(toks: &[Tok], fn_name: &str, needle: &str) -> Option<crate::arms::MatchExpr> {
-    let body = find_fn_body(toks, fn_name)?;
-    matches_in(body)
-        .into_iter()
-        .find(|m| m.scrutinee.contains(needle))
-}
-
-/// Runs the waits-for analysis: extracts the graph from the protocol
-/// source and diffs its blocking edges against the model.
+/// Builds the waits-for graph from the decision data and diffs its
+/// blocking edges against the model.
 pub fn analyze(
-    src: &CoverageSources,
+    d: &Decisions,
     reachable: &ReachablePairs,
     model: &TransitionSet,
 ) -> (WaitsForModel, Vec<Finding>) {
     let mut findings = Vec::new();
-    let msg_toks = code_only(&lex(&src.msg));
-    let private_toks = code_only(&lex(&src.private));
-    let home_toks = code_only(&lex(&src.home));
-    let ops_toks = code_only(&lex(&src.ops));
-
-    let ax_state = BaseAxis::from_enum(&private_toks, "PrivState");
-    let ax_probe = BaseAxis::from_enum(&msg_toks, "Probe");
-    let ax_req = BaseAxis::from_enum(&msg_toks, "Request");
-    let ax_grant = BaseAxis::from_enum(&msg_toks, "Grant");
-    let ax_view = BaseAxis::from_enum(&home_toks, "DirView");
-    let ax_op = BaseAxis::from_enum(&ops_toks, "MemOpKind");
-
-    let mut out = WaitsForModel::default();
-
-    // Requester side: the `local_access` miss table.
-    if let Some(m) = find_match(&private_toks, "local_access", "state") {
-        for arm in m.arms.iter().filter(|a| !a.is_rejection()) {
-            let misses = arm.body.iter().any(|t| t.is_ident("Miss"));
-            let request = if misses {
-                variant_refs(&arm.body, "Request", &ax_req)
-                    .first()
-                    .map(|(r, _)| r.clone())
-            } else {
-                None
-            };
-            for (state, op) in tuple_pairs(&arm.pattern, &ax_state, &ax_op) {
-                out.requesters.push(RequesterArm {
-                    state,
-                    op,
-                    request: request.clone(),
-                    line: arm.line,
-                });
+    let mut handled: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for (state, p) in &d.probe {
+        handled.entry(base_of(p)).or_default().insert(state.clone());
+    }
+    let probes = decisions::probe_kinds()
+        .into_iter()
+        .map(|probe| {
+            let states = handled.remove(probe.as_str()).unwrap_or_default();
+            ProbeRow {
+                escape: states.contains("Invalid"),
+                handled_states: states.into_iter().collect(),
+                probe,
             }
-        }
-    }
-
-    // Probe receive side: which states handle each probe kind, and the
-    // escape edges. A NACK/retry/refill marker in an arm body makes its
-    // probes escapable even without an `(Invalid, P)` arm.
-    let mut handled: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut marker_escape: BTreeSet<String> = BTreeSet::new();
-    if let Some(m) = find_match(&private_toks, "probe", "state") {
-        for arm in m.arms.iter().filter(|a| !a.is_rejection()) {
-            let pairs = tuple_pairs(&arm.pattern, &ax_state, &ax_probe);
-            let marker = arm.body.iter().any(|t| {
-                let low = t.text.to_ascii_lowercase();
-                low.contains("nack") || low.contains("retry") || low.contains("refill")
-            });
-            for (state, probe) in pairs {
-                handled.entry(probe.clone()).or_default().insert(state);
-                if marker {
-                    marker_escape.insert(probe);
-                }
-            }
-        }
-    }
-    for probe in &ax_probe.labels {
-        let states = handled.get(probe).cloned().unwrap_or_default();
-        let escape = states.contains("Invalid") || marker_escape.contains(probe.as_str());
-        out.probes.push(ProbeRow {
-            probe: probe.clone(),
-            handled_states: states.into_iter().collect(),
-            escape,
-        });
-    }
-
-    // Home side: demand routing (`decide` → per-request handler) and the
-    // put table, with per-arm emissions.
-    let model_emissions: BTreeMap<(String, String), (Vec<String>, Vec<String>)> = model
-        .home_emissions()
-        .map(|((r, v), e)| {
-            (
-                (r.to_string(), v.to_string()),
-                (
-                    e.probes().map(str::to_string).collect(),
-                    e.grants().map(str::to_string).collect(),
-                ),
-            )
         })
         .collect();
-    let mut home_arms: BTreeMap<(String, String), HomeArm> = BTreeMap::new();
-    let mut add_home = |reqs: &[String], views: &[(String, u32)], body: &[Tok]| {
-        let emits = variant_refs(body, "Probe", &ax_probe);
-        let grants: Vec<String> = variant_refs(body, "Grant", &ax_grant)
-            .into_iter()
-            .map(|(g, _)| g)
-            .collect();
-        for r in reqs {
-            for (v, line) in views {
-                let key = (r.clone(), v.clone());
-                let (model_emits, model_grants) =
-                    model_emissions.get(&key).cloned().unwrap_or_default();
-                let entry = home_arms.entry(key).or_insert_with(|| HomeArm {
-                    request: r.clone(),
-                    view: v.clone(),
-                    emits: Vec::new(),
-                    grants: Vec::new(),
-                    model_emits,
-                    model_grants,
-                    reachable: reachable.home.contains(&(r.clone(), v.clone())),
-                    line: *line,
-                });
-                for e in &emits {
-                    if !entry.emits.contains(e) {
-                        entry.emits.push(e.clone());
-                    }
-                }
-                for g in &grants {
-                    if !entry.grants.contains(g) {
-                        entry.grants.push(g.clone());
-                    }
-                }
+
+    let home = d
+        .home
+        .iter()
+        .map(|(key @ (request, view), e)| {
+            let model_emission = model
+                .home_emissions()
+                .find(|&((r, v), _)| (r, v) == (request.as_str(), view.as_str()))
+                .map(|(_, m)| m);
+            HomeArm {
+                request: request.clone(),
+                view: view.clone(),
+                emits: e.probes.iter().cloned().collect(),
+                grants: e.grants.iter().cloned().collect(),
+                model_emits: model_emission
+                    .map(|m| m.probes().map(str::to_string).collect())
+                    .unwrap_or_default(),
+                model_grants: model_emission
+                    .map(|m| m.grants().map(str::to_string).collect())
+                    .unwrap_or_default(),
+                reachable: reachable.home.contains(key),
             }
-        }
+        })
+        .collect();
+    let out = WaitsForModel {
+        requesters: d.local.clone(),
+        home,
+        probes,
     };
-    if let Some(m) = find_match(&home_toks, "decide", "req") {
-        let handler_names = ["decide_gets", "decide_getm"];
-        for arm in m.arms.iter().filter(|a| !a.is_rejection()) {
-            let reqs: Vec<String> = split_alternatives(&arm.pattern)
-                .iter()
-                .flat_map(|alt| ax_req.expand(&normalize_pattern(alt)))
-                .collect();
-            let callee = arm
-                .body
-                .iter()
-                .find(|t| handler_names.contains(&t.text.as_str()))
-                .map(|t| t.text.clone());
-            if let Some(callee) = callee {
-                if let Some(vm) = find_match(&home_toks, &callee, "view") {
-                    for varm in vm.arms.iter().filter(|a| !a.is_rejection()) {
-                        let views: Vec<(String, u32)> = split_alternatives(&varm.pattern)
-                            .iter()
-                            .flat_map(|alt| ax_view.expand(&normalize_pattern(alt)))
-                            .map(|v| (v, varm.line))
-                            .collect();
-                        add_home(&reqs, &views, &varm.body);
-                    }
-                }
-            }
-        }
-    }
-    if let Some(m) = find_match(&home_toks, "decide_put", "req") {
-        for arm in m.arms.iter().filter(|a| !a.is_rejection()) {
-            let reqs: Vec<String> = split_alternatives(&arm.pattern)
-                .iter()
-                .flat_map(|alt| ax_req.expand(&normalize_pattern(alt)))
-                .collect();
-            if let Some(vm) = matches_in(&arm.body)
-                .into_iter()
-                .find(|im| im.scrutinee.contains("view"))
-            {
-                for varm in vm.arms.iter().filter(|a| !a.is_rejection()) {
-                    let views: Vec<(String, u32)> = split_alternatives(&varm.pattern)
-                        .iter()
-                        .flat_map(|alt| ax_view.expand(&normalize_pattern(alt)))
-                        .map(|v| (v, varm.line))
-                        .collect();
-                    add_home(&reqs, &views, &varm.body);
-                }
-            }
-        }
-    }
-    out.home = home_arms.into_values().collect();
 
     // The transient requests: what an in-flight requester blocks on.
     let transient: BTreeSet<&str> = out
         .requesters
         .iter()
-        .filter_map(|r| r.request.as_deref())
+        .filter_map(|r| r.blocks_on.as_deref())
         .collect();
 
-    // Check 1: every miss request must have a consumer, in source and in
-    // the model.
-    let mut flagged_requests: BTreeSet<String> = BTreeSet::new();
+    // Check 1: every miss request must have a consumer, in the decision
+    // functions and in the model.
+    let mut flagged_requests: BTreeSet<&str> = BTreeSet::new();
     for r in &out.requesters {
-        let Some(req) = &r.request else { continue };
-        if !flagged_requests.insert(req.clone()) {
+        let Some(req) = r.blocks_on.as_deref() else {
+            continue;
+        };
+        if !flagged_requests.insert(req) {
             continue;
         }
-        if !out.home.iter().any(|h| &h.request == req) {
-            findings.push(Finding {
-                rule: RULE_WAITSFOR_UNSATISFIABLE.to_string(),
-                file: PRIVATE_FILE.to_string(),
-                line: r.line,
-                message: format!(
-                    "requester transient ({}, {}) blocks on a grant for {req}, but no home \
-                     decision arm consumes {req}",
-                    r.state, r.op
-                ),
-            });
+        let why = if !out.home.iter().any(|h| h.request == req) {
+            "no home decision handles"
         } else if !reachable.home.iter().any(|(hr, _)| hr == req) {
-            findings.push(Finding {
-                rule: RULE_WAITSFOR_UNSATISFIABLE.to_string(),
-                file: PRIVATE_FILE.to_string(),
-                line: r.line,
-                message: format!(
-                    "requester transient ({}, {}) blocks on a grant for {req}, but the model \
-                     reaches no ({req}, *) home transition",
-                    r.state, r.op
-                ),
-            });
-        }
+            "the model reaches no home transition for"
+        } else {
+            continue;
+        };
+        findings.push(Finding {
+            rule: RULE_WAITSFOR_UNSATISFIABLE.to_string(),
+            file: PRIVATE_FILE.to_string(),
+            line: 0,
+            message: format!(
+                "requester transient ({}, {}) blocks on a grant for {req}, but {why} {req}",
+                r.state, r.op
+            ),
+        });
     }
 
-    // Checks 2–4, per emitted probe: the receive side must exist in the
-    // probe table and in the model; the model's emissions must all have
-    // been extracted; inescapable probes serving transient requests form
-    // waits-for cycles.
-    let probe_row = |p: &str| out.probes.iter().find(|row| row.probe == p);
+    // Checks 2–3, per emitted probe: the receive side must exist in the
+    // probe table and in the model; inescapable probes serving transient
+    // requests form waits-for cycles.
     let model_receives = |p: &str| reachable.probe.iter().any(|(_, col)| base_of(col) == p);
-    let mut reported: BTreeSet<(u32, String)> = BTreeSet::new();
     for h in &out.home {
-        for (p, line) in &h.emits {
-            if !reported.insert((*line, p.clone())) {
-                continue;
-            }
-            let row = probe_row(p);
-            let handled_somewhere = row.is_some_and(|r| !r.handled_states.is_empty());
-            if !handled_somewhere {
-                findings.push(Finding {
-                    rule: RULE_WAITSFOR_UNSATISFIABLE.to_string(),
-                    file: HOME_FILE.to_string(),
-                    line: *line,
-                    message: format!(
-                        "home arm ({}, {}) emits {p} and blocks on its reply, but no \
-                         private-cache probe arm handles {p} at any state — the wait can \
-                         never be satisfied",
+        for p in &h.emits {
+            let row = out.probes.iter().find(|row| &row.probe == p);
+            let finding = if row.is_none_or(|r| r.handled_states.is_empty()) {
+                Some((
+                    RULE_WAITSFOR_UNSATISFIABLE,
+                    format!(
+                        "home decision ({}, {}) emits {p} and blocks on its reply, but no \
+                         private-cache state handles {p} — the wait can never be satisfied",
                         h.request, h.view
                     ),
-                });
-                continue;
-            }
-            if !model_receives(p) {
-                findings.push(Finding {
-                    rule: RULE_WAITSFOR_UNSATISFIABLE.to_string(),
-                    file: HOME_FILE.to_string(),
-                    line: *line,
-                    message: format!(
-                        "home arm ({}, {}) emits {p}, but no reachable peer transition \
+                ))
+            } else if !model_receives(p) {
+                Some((
+                    RULE_WAITSFOR_UNSATISFIABLE,
+                    format!(
+                        "home decision ({}, {}) emits {p}, but no reachable peer transition \
                          receives {p} in the model — the wait cannot be satisfied",
                         h.request, h.view
                     ),
-                });
-                continue;
-            }
-            let escape = row.is_some_and(|r| r.escape);
-            if !escape && transient.contains(h.request.as_str()) {
-                findings.push(Finding {
-                    rule: RULE_WAITSFOR_CYCLE.to_string(),
-                    file: HOME_FILE.to_string(),
-                    line: *line,
-                    message: format!(
+                ))
+            } else if !row.is_some_and(|r| r.escape) && transient.contains(h.request.as_str()) {
+                Some((
+                    RULE_WAITSFOR_CYCLE,
+                    format!(
                         "waits-for cycle: ({}, {}) emits {p} while a {} requester is in \
-                         flight, and {p} has no escape edge (no (Invalid, {p}) handler and \
-                         no NACK/retry/refill path) — the probed core can itself be the \
-                         blocked requester",
+                         flight, and {p} has no escape edge (probe(Invalid, {p}) is rejected) \
+                         — the probed core can itself be the blocked requester",
                         h.request, h.view, h.request
                     ),
-                });
-            }
-        }
-    }
-    for h in &out.home {
-        if !h.reachable {
-            continue;
-        }
-        for p in &h.model_emits {
-            if !h.emits.iter().any(|(e, _)| e == p) {
+                ))
+            } else {
+                None
+            };
+            if let Some((rule, message)) = finding {
                 findings.push(Finding {
-                    rule: RULE_COVERAGE_PARSE.to_string(),
+                    rule: rule.to_string(),
                     file: HOME_FILE.to_string(),
-                    line: h.line,
-                    message: format!(
-                        "model emits {p} for ({}, {}) but no `Probe::{p}` was extracted \
-                         from the handling arm — waits-for extraction out of sync",
-                        h.request, h.view
-                    ),
+                    line: 0,
+                    message,
                 });
             }
         }

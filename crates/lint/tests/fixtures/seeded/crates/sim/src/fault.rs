@@ -1,33 +1,5 @@
-//! Fixture fault taxonomy. `expected_detector` omits the
-//! `StuckTransient` arm, seeding an uncovered fault-response transition
-//! against the compiled taxonomy. `FaultSummary` is fully registered in
-//! the fixture artifact module.
-
-pub enum FaultClass {
-    NocDelay,
-    NocDuplicate,
-    SharerFlip,
-    StashClear,
-    StashSpurious,
-    DropGrant,
-    StuckTransient,
-}
-
-pub enum Detector {
-    Invariant,
-    Watchdog,
-}
-
-pub fn expected_detector(class: FaultClass) -> Detector {
-    match class {
-        FaultClass::NocDelay => Detector::Watchdog,
-        FaultClass::NocDuplicate => Detector::Invariant,
-        FaultClass::SharerFlip => Detector::Invariant,
-        FaultClass::StashClear => Detector::Invariant,
-        FaultClass::StashSpurious => Detector::Invariant,
-        FaultClass::DropGrant => Detector::Invariant,
-    }
-}
+//! Fixture fault summary, fully registered in the fixture artifact
+//! module — this file stays clean.
 
 pub struct FaultSummary {
     pub injected: u64,

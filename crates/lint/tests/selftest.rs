@@ -1,22 +1,26 @@
 //! End-to-end self-tests for `stashdir-lint`.
 //!
-//! Two directions: the lint must be **clean on this repository** (the CI
-//! gate), and it must **fire on the seeded fixture tree** under
-//! `tests/fixtures/seeded/`, which plants one violation per rule family:
-//! two uncovered reachable probe transitions, an uncovered
-//! fault-response transition, an unsatisfiable waits-for edge (the
-//! `Nudge` probe no arm handles), a waits-for cycle (`Recall` with its
-//! escape edge removed), a disallowed `unwrap()` / `expect()` /
-//! panicking index, an unordered-map CSV export, a stale allow
-//! directive, and an unregistered stat field — each caught at its exact
-//! `file:line`.
+//! Three directions: the lint must be **clean on this repository** (the
+//! CI gate); it must **fire on the seeded fixture tree** under
+//! `tests/fixtures/seeded/`, which plants one violation per source-scanning
+//! rule (a disallowed `unwrap()` / `expect()` / panicking index, an
+//! unordered-map CSV export, a stale allow directive, and two
+//! unregistered stat fields); and each protocol rule must fire on a
+//! **mutation of the decision data** it reads: two uncovered reachable
+//! probe transitions, an unsatisfiable waits-for edge (a `Nudge` probe no
+//! state handles), a waits-for cycle (`Recall` with its escape edge
+//! removed), and a dead handled transition. The protocol passes call the
+//! compiled protocol, so the fixture tree carries no protocol sources:
+//! a `match` with a missing arm would not compile (E0004).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use stashdir_common::json::Value;
+use stashdir_lint::coverage::{self, ReachablePairs};
+use stashdir_lint::decisions::Decisions;
 use stashdir_lint::{
-    artifact, coverage, RULE_ALLOW_UNUSED, RULE_COVERAGE_PARSE, RULE_COVERAGE_UNCOVERED,
+    artifact, waitsfor, Finding, RULE_ALLOW_UNUSED, RULE_COVERAGE_DEAD, RULE_COVERAGE_UNCOVERED,
     RULE_DETERMINISM, RULE_EXPECT, RULE_INDEXING, RULE_STAT_UNREGISTERED, RULE_UNWRAP,
     RULE_WAITSFOR_CYCLE, RULE_WAITSFOR_UNSATISFIABLE,
 };
@@ -43,12 +47,43 @@ fn marker_line(rel: &str, marker: &str) -> u32 {
     panic!("marker `{marker}` not found in {rel}");
 }
 
-fn render_findings(findings: &[stashdir_lint::Finding]) -> String {
+fn render_findings(findings: &[Finding]) -> String {
     findings
         .iter()
         .map(ToString::to_string)
         .collect::<Vec<_>>()
         .join("\n")
+}
+
+fn pair(a: &str, b: &str) -> (String, String) {
+    (a.to_string(), b.to_string())
+}
+
+/// Runs both protocol passes over (possibly mutated) decision data and
+/// reachable pairs, returning the sections, the waits-for graph and
+/// every finding.
+fn protocol_passes(
+    d: &Decisions,
+    reachable: &ReachablePairs,
+) -> (
+    Vec<coverage::Section>,
+    waitsfor::WaitsForModel,
+    Vec<Finding>,
+) {
+    let (sections, mut findings) = coverage::analyze(d, reachable);
+    let (waits, wf) = waitsfor::analyze(d, reachable, &reachable_transitions());
+    findings.extend(wf);
+    (sections, waits, findings)
+}
+
+fn real_reachable() -> ReachablePairs {
+    ReachablePairs::from_model(&reachable_transitions())
+}
+
+fn fires(findings: &[Finding], rule: &str, frag: &str) -> bool {
+    findings
+        .iter()
+        .any(|f| f.rule == rule && f.message.contains(frag))
 }
 
 /// The CI gate in test form: zero findings on the repository itself.
@@ -78,21 +113,6 @@ fn seeded_fixture_fires_each_rule() {
             .iter()
             .any(|f| f.rule == rule && f.file == file && f.line == line)
     };
-    assert!(
-        has(RULE_COVERAGE_UNCOVERED, "(Modified, FwdGetS)"),
-        "missing uncovered-transition finding:\n{}",
-        render_findings(&report.findings)
-    );
-    assert!(
-        has(RULE_COVERAGE_UNCOVERED, "(Invalid, Recall)"),
-        "missing second uncovered-transition finding:\n{}",
-        render_findings(&report.findings)
-    );
-    assert!(
-        has(RULE_COVERAGE_UNCOVERED, "(StuckTransient, Watchdog)"),
-        "missing uncovered fault-response finding:\n{}",
-        render_findings(&report.findings)
-    );
     assert!(has(RULE_UNWRAP, "bad.rs"), "missing unwrap finding");
     assert!(has(RULE_EXPECT, "bad.rs"), "missing expect finding");
     assert!(has(RULE_INDEXING, "bad.rs"), "missing indexing finding");
@@ -104,26 +124,6 @@ fn seeded_fixture_fires_each_rule() {
     assert!(
         has(RULE_STAT_UNREGISTERED, "BackendStats.indirection_hops"),
         "missing backend-stats registration finding:\n{}",
-        render_findings(&report.findings)
-    );
-
-    // The four new-pass seeds, each at its exact file:line.
-    assert!(
-        has_at(
-            RULE_WAITSFOR_UNSATISFIABLE,
-            "crates/protocol/src/home.rs",
-            marker_line("crates/protocol/src/home.rs", "Probe::Nudge"),
-        ),
-        "missing waitsfor-unsatisfiable finding at the Nudge emit site:\n{}",
-        render_findings(&report.findings)
-    );
-    assert!(
-        has_at(
-            RULE_WAITSFOR_CYCLE,
-            "crates/protocol/src/home.rs",
-            marker_line("crates/protocol/src/home.rs", "Probe::Recall"),
-        ),
-        "missing waitsfor-cycle finding at the Recall emit site:\n{}",
         render_findings(&report.findings)
     );
     assert!(
@@ -144,30 +144,19 @@ fn seeded_fixture_fires_each_rule() {
         "missing unused-directive finding:\n{}",
         render_findings(&report.findings)
     );
-
-    assert!(
-        !report
-            .findings
-            .iter()
-            .any(|f| f.rule == RULE_COVERAGE_PARSE),
-        "fixture must parse cleanly:\n{}",
-        render_findings(&report.findings)
-    );
     assert_eq!(
         report.findings.len(),
-        12,
-        "exactly the twelve seeded violations:\n{}",
+        7,
+        "exactly the seven seeded violations:\n{}",
         render_findings(&report.findings)
     );
 }
 
-/// The repo's match arms cover exactly the model's reachable set plus the
-/// documented race allowlist — no more, no less.
+/// The decision functions handle exactly the model's reachable set plus
+/// the documented race allowlist — no more, no less.
 #[test]
 fn repo_matrix_matches_model_reachable_set() {
-    let src = coverage::CoverageSources::load(&repo_root()).expect("protocol sources readable");
-    let reachable = coverage::ReachablePairs::from_model(&reachable_transitions());
-    let (sections, findings) = coverage::analyze(&src, &reachable);
+    let (sections, findings) = coverage::analyze(&Decisions::tabulate(), &real_reachable());
     assert!(
         findings.is_empty(),
         "coverage findings:\n{}",
@@ -178,14 +167,12 @@ fn repo_matrix_matches_model_reachable_set() {
         ["private_probe", "local_access", "home", "fault_response"]
     );
     for s in &sections {
-        for pair in &s.reachable {
-            assert!(
-                s.source.contains_key(pair),
-                "[{}] reachable {pair:?} not in source",
-                s.name
-            );
-        }
-        for pair in s.source.keys() {
+        assert!(
+            s.reachable.is_subset(&s.source),
+            "[{}] reachable pairs the decision function rejects",
+            s.name
+        );
+        for pair in &s.source {
             assert!(
                 s.reachable.contains(pair) || s.race_allowed.contains_key(pair),
                 "[{}] source {pair:?} neither reachable nor race-allowed",
@@ -200,20 +187,17 @@ fn repo_matrix_matches_model_reachable_set() {
 /// every blocking edge has a reachable satisfier.
 #[test]
 fn repo_waits_for_graph_is_live() {
-    let src = coverage::CoverageSources::load(&repo_root()).expect("protocol sources readable");
-    let model = reachable_transitions();
-    let reachable = coverage::ReachablePairs::from_model(&model);
-    let (waits, findings) = stashdir_lint::waitsfor::analyze(&src, &reachable, &model);
+    let (_, waits, findings) = protocol_passes(&Decisions::tabulate(), &real_reachable());
     assert!(
         findings.is_empty(),
-        "waits-for findings:\n{}",
+        "protocol findings:\n{}",
         render_findings(&findings)
     );
     assert!(
-        waits.requesters.iter().any(|r| r.request.is_some()),
-        "no miss arms extracted"
+        waits.requesters.iter().any(|r| r.blocks_on.is_some()),
+        "no misses tabulated"
     );
-    assert!(!waits.home.is_empty(), "no home arms extracted");
+    assert!(!waits.home.is_empty(), "no home decisions tabulated");
     for p in &waits.probes {
         assert!(
             p.escape,
@@ -229,70 +213,157 @@ fn repo_waits_for_graph_is_live() {
             .home
             .iter()
             .find(|h| h.request == req && h.view == view)
-            .map(|h| h.emits.iter().map(|(p, _)| p.clone()).collect())
+            .map(|h| h.emits.clone())
             .unwrap_or_default()
     };
-    assert!(emits_of("GetS", "Exclusive").contains(&"FwdGetS".to_string()));
-    assert!(emits_of("GetM", "Exclusive").contains(&"FwdGetM".to_string()));
-    assert!(emits_of("GetM", "Shared").contains(&"Inv".to_string()));
+    assert_eq!(emits_of("GetS", "Exclusive"), ["FwdGetS"]);
+    assert_eq!(emits_of("GetM", "Exclusive"), ["FwdGetM"]);
+    assert_eq!(emits_of("GetM", "Shared"), ["Inv"]);
 }
 
-/// The protocol-model artifact parses back and records the seeded
-/// coverage holes in the fixture's `uncovered` set.
+/// A probe table that rejects two reachable transitions fires
+/// `transition-uncovered` for each, and the artifact records both in
+/// the section's `uncovered` set.
 #[test]
 fn artifact_records_the_seeded_holes() {
-    let report = stashdir_lint::run(&fixture_root()).expect("fixture sources readable");
-    let parsed = Value::parse(&report.model.render()).expect("artifact renders valid JSON");
-    assert_eq!(
-        parsed.get("schema").and_then(Value::as_str),
-        Some("stashdir/protocol-model/v2")
+    let mut d = Decisions::tabulate();
+    for hole in [pair("Modified", "FwdGetS"), pair("Invalid", "Recall")] {
+        assert!(d.probe.remove(&hole), "{hole:?} is handled before mutation");
+    }
+    let (sections, waits, findings) = protocol_passes(&d, &real_reachable());
+    assert!(
+        fires(&findings, RULE_COVERAGE_UNCOVERED, "(Modified, FwdGetS)")
+            && fires(&findings, RULE_COVERAGE_UNCOVERED, "(Invalid, Recall)"),
+        "missing uncovered-transition findings:\n{}",
+        render_findings(&findings)
     );
-    let sections = parsed
+    assert_eq!(findings.len(), 2, "{}", render_findings(&findings));
+
+    let parsed = Value::parse(&artifact::model_json(&sections, &waits, &findings).render())
+        .expect("artifact renders valid JSON");
+    let probe = parsed
         .get("sections")
         .and_then(Value::as_array)
-        .expect("sections array");
-    let probe = sections
-        .iter()
-        .find(|s| s.get("name").and_then(Value::as_str) == Some("private_probe"))
+        .and_then(|s| s.first())
         .expect("private_probe section");
+    assert_eq!(
+        probe.get("name").and_then(Value::as_str),
+        Some("private_probe")
+    );
+    let as_pair = |v: &Value| -> Option<(String, String)> {
+        let a = v.as_array()?;
+        Some(pair(a.first()?.as_str()?, a.get(1)?.as_str()?))
+    };
     let uncovered = probe
         .get("uncovered")
         .and_then(Value::as_array)
         .expect("uncovered array");
-    let as_pair = |v: &Value| -> Option<(String, String)> {
-        let a = v.as_array()?;
-        Some((
-            a.first()?.as_str()?.to_string(),
-            a.get(1)?.as_str()?.to_string(),
-        ))
-    };
     assert_eq!(
         uncovered.iter().filter_map(as_pair).collect::<Vec<_>>(),
-        [
-            ("Invalid".to_string(), "Recall".to_string()),
-            ("Modified".to_string(), "FwdGetS".to_string()),
-        ]
+        [pair("Invalid", "Recall"), pair("Modified", "FwdGetS")]
     );
-    assert!(!parsed
-        .get("findings")
-        .and_then(Value::as_array)
-        .expect("findings array")
-        .is_empty());
 }
 
-/// The v2 protocol-model artifact carries the waits-for graph and
+/// A home decision that emits a probe no state handles blocks on a
+/// reply that can never come.
+#[test]
+fn unsatisfiable_emission_seed_fires() {
+    let mut d = Decisions::tabulate();
+    let gets_owned = d
+        .home
+        .get_mut(&pair("GetS", "Exclusive"))
+        .expect("GetS/Exclusive is handled");
+    gets_owned.probes.insert("Nudge".to_string());
+    let (_, _, findings) = protocol_passes(&d, &real_reachable());
+    assert!(
+        fires(
+            &findings,
+            RULE_WAITSFOR_UNSATISFIABLE,
+            "(GetS, Exclusive) emits Nudge"
+        ),
+        "missing waitsfor-unsatisfiable finding:\n{}",
+        render_findings(&findings)
+    );
+    assert_eq!(findings.len(), 1, "{}", render_findings(&findings));
+}
+
+/// A transient request whose home decision emits `Recall`, with
+/// `probe(Invalid, Recall)` rejected, can wait on itself.
+#[test]
+fn recall_cycle_seed_fires() {
+    let mut d = Decisions::tabulate();
+    d.home
+        .get_mut(&pair("GetM", "Exclusive"))
+        .expect("GetM/Exclusive is handled")
+        .probes
+        .insert("Recall".to_string());
+    assert!(d.probe.remove(&pair("Invalid", "Recall")));
+    let (_, waits, findings) = protocol_passes(&d, &real_reachable());
+    assert!(
+        fires(
+            &findings,
+            RULE_WAITSFOR_CYCLE,
+            "(GetM, Exclusive) emits Recall"
+        ),
+        "missing waitsfor-cycle finding:\n{}",
+        render_findings(&findings)
+    );
+    let recall = waits.probes.iter().find(|p| p.probe == "Recall").unwrap();
+    assert!(!recall.escape, "Recall lost its escape edge");
+}
+
+/// A handled transition the model stops reaching, with no race
+/// allowlist entry, is dead.
+#[test]
+fn dead_pair_seed_fires() {
+    let mut reachable = real_reachable();
+    assert!(reachable.probe.remove(&pair("Shared", "Inv")));
+    let (_, _, findings) = protocol_passes(&Decisions::tabulate(), &reachable);
+    assert!(
+        fires(&findings, RULE_COVERAGE_DEAD, "(Shared, Inv)"),
+        "missing transition-dead finding:\n{}",
+        render_findings(&findings)
+    );
+    assert_eq!(findings.len(), 1, "{}", render_findings(&findings));
+}
+
+/// The protocol model comes from the compiled protocol, not the scanned
+/// tree: the fixture and the repo give the same `sections` and `model`,
+/// and neither records a source line.
+#[test]
+fn model_does_not_depend_on_the_scanned_tree() {
+    fn has_line_member(v: &Value) -> bool {
+        match v {
+            Value::Object(fields) => fields
+                .iter()
+                .any(|(k, v)| k == "line" || has_line_member(v)),
+            Value::Array(items) => items.iter().any(has_line_member),
+            _ => false,
+        }
+    }
+    let repo = stashdir_lint::run(&repo_root()).expect("repo sources readable");
+    let fixture = stashdir_lint::run(&fixture_root()).expect("fixture sources readable");
+    for key in ["sections", "model"] {
+        let a = repo.model.get(key).expect("repo artifact member");
+        let b = fixture.model.get(key).expect("fixture artifact member");
+        assert_eq!(a, b, "`{key}` differs between the repo and the fixture");
+        assert!(!has_line_member(a), "`{key}` records a source line");
+    }
+}
+
+/// The v3 protocol-model artifact carries the waits-for graph and
 /// parses under the campaign's model reader, and the findings artifact
 /// is well-formed.
 #[test]
-fn v2_model_artifact_is_well_formed() {
+fn v3_model_artifact_is_well_formed() {
     let report = stashdir_lint::run(&repo_root()).expect("repo sources readable");
     let model = Value::parse(&report.model.render()).expect("model renders valid JSON");
     assert_eq!(
         model.get("schema").and_then(Value::as_str),
-        Some("stashdir/protocol-model/v2")
+        Some("stashdir/protocol-model/v3")
     );
     stashdir_protocol::model::ReachableModel::parse(&model.render())
-        .expect("v2 model readable by the campaign reader");
+        .expect("v3 model readable by the campaign reader");
 
     let graph = model.get("model").expect("model object");
     for key in ["requesters", "home", "probes"] {
@@ -319,7 +390,7 @@ fn v2_model_artifact_is_well_formed() {
         .get("findings")
         .and_then(Value::as_array)
         .expect("findings array");
-    assert_eq!(rows.len(), 12);
+    assert_eq!(rows.len(), 7);
     for row in rows {
         let pass = row.get("pass").and_then(Value::as_str).expect("pass");
         assert_ne!(pass, "unknown");
@@ -346,6 +417,11 @@ fn binary_exit_codes_gate_ci() {
         String::from_utf8_lossy(&clean.stdout),
         String::from_utf8_lossy(&clean.stderr)
     );
+    assert!(
+        clean.stderr.is_empty(),
+        "rejected keys print nothing:\n{}",
+        String::from_utf8_lossy(&clean.stderr)
+    );
 
     let tmp = std::env::temp_dir().join(format!("stashdir_lint_selftest_{}", std::process::id()));
     std::fs::create_dir_all(&tmp).expect("create temp dir");
@@ -362,7 +438,7 @@ fn binary_exit_codes_gate_ci() {
         .expect("run lint binary");
     assert_eq!(seeded.status.code(), Some(1));
     let out = String::from_utf8_lossy(&seeded.stdout);
-    assert!(out.contains("12 finding(s)"), "stdout:\n{out}");
+    assert!(out.contains("7 finding(s)"), "stdout:\n{out}");
     assert!(out.contains("lint: passes:"), "stdout:\n{out}");
     for path in [&model, &findings] {
         let text = std::fs::read_to_string(path).expect("artifact written");

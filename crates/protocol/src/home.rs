@@ -31,6 +31,17 @@ pub enum DirView {
 }
 
 impl DirView {
+    /// One view of each kind, in declaration order (the column order of
+    /// the protocol model's `home` section), naming `holder` as the only
+    /// holder wherever the kind names one.
+    pub fn each_kind(holder: CoreId, capacity: u16) -> [DirView; 3] {
+        [
+            DirView::Untracked,
+            DirView::Exclusive(holder),
+            DirView::Shared(SharerSet::singleton(capacity, holder)),
+        ]
+    }
+
     /// `true` when exactly one core is known to hold the block — the
     /// *private block* predicate that decides stash-eviction safety.
     #[inline]

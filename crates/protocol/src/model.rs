@@ -1,5 +1,5 @@
 //! Reader for the lint protocol-model artifact
-//! (`stashdir/protocol-model/v2`): the per-section reachable
+//! (`stashdir/protocol-model/v3`): the per-section reachable
 //! (row × column) transition sets the chaos-campaign driver diffs its
 //! witnessed coverage against.
 //!
@@ -13,8 +13,10 @@ use crate::reachability;
 use stashdir_common::json::Value;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Schema id of the v2 protocol-model artifact this reader targets.
-pub const MODEL_SCHEMA_V2: &str = "stashdir/protocol-model/v2";
+/// Schema id of the v3 protocol-model artifact this reader targets.
+/// v3 is v2 without the source line numbers of the decision functions'
+/// arms, so it changes only when the protocol does.
+pub const MODEL_SCHEMA_V3: &str = "stashdir/protocol-model/v3";
 
 /// Per-section reachable transition sets, keyed by section name
 /// (`private_probe`, `local_access`, `home`, `fault_response`).
@@ -40,7 +42,7 @@ impl ReachableModel {
             .get("schema")
             .and_then(Value::as_str)
             .ok_or("missing `schema` string")?;
-        if schema != MODEL_SCHEMA_V2 {
+        if schema != MODEL_SCHEMA_V3 {
             return Err(format!("unknown schema `{schema}`"));
         }
         let sections = value
@@ -126,9 +128,9 @@ mod tests {
     }
 
     #[test]
-    fn parses_a_minimal_v2_artifact() {
+    fn parses_a_minimal_v3_artifact() {
         let text = r#"{
-            "schema": "stashdir/protocol-model/v2",
+            "schema": "stashdir/protocol-model/v3",
             "sections": [
                 {"name": "home", "reachable": [["GetS", "Untracked"], ["GetM", "Shared"]]}
             ]
@@ -145,14 +147,20 @@ mod tests {
     fn rejects_unknown_schemas_and_malformed_pairs() {
         assert!(ReachableModel::parse("{").is_err());
         assert!(ReachableModel::parse(r#"{"schema": "bogus/v9", "sections": []}"#).is_err());
-        // The retired v1 transition-matrix schema is no longer accepted.
-        let v1 = r#"{"schema": "stashdir-lint/transition-matrix/v1", "sections": []}"#;
-        assert_eq!(
-            ReachableModel::parse(v1),
-            Err("unknown schema `stashdir-lint/transition-matrix/v1`".to_string())
-        );
+        // The retired v1 transition-matrix and v2 line-pinned schemas are
+        // no longer accepted.
+        for old in [
+            "stashdir-lint/transition-matrix/v1",
+            "stashdir/protocol-model/v2",
+        ] {
+            let text = format!(r#"{{"schema": "{old}", "sections": []}}"#);
+            assert_eq!(
+                ReachableModel::parse(&text),
+                Err(format!("unknown schema `{old}`"))
+            );
+        }
         let bad_pair = r#"{
-            "schema": "stashdir/protocol-model/v2",
+            "schema": "stashdir/protocol-model/v3",
             "sections": [{"name": "home", "reachable": [["GetS"]]}]
         }"#;
         assert!(ReachableModel::parse(bad_pair).is_err());

@@ -31,6 +31,17 @@ pub enum Request {
 }
 
 impl Request {
+    /// Every request, in declaration order: the row order of the
+    /// protocol model's `home` section.
+    pub const ALL: [Request; 6] = [
+        Request::GetS,
+        Request::GetM,
+        Request::Upgrade,
+        Request::PutS,
+        Request::PutE,
+        Request::PutM,
+    ];
+
     /// NoC size of the request message.
     pub const fn flits(self) -> u32 {
         match self {
@@ -101,6 +112,18 @@ pub enum DiscoveryIntent {
 }
 
 impl Probe {
+    /// Every probe, in declaration order with each discovery intent in
+    /// its own declaration order: the column order of the protocol
+    /// model's `private_probe` section.
+    pub const ALL: [Probe; 6] = [
+        Probe::FwdGetS,
+        Probe::FwdGetM,
+        Probe::Inv,
+        Probe::Recall,
+        Probe::Discovery(DiscoveryIntent::Share),
+        Probe::Discovery(DiscoveryIntent::Invalidate),
+    ];
+
     /// NoC size of the probe message.
     pub const fn flits(self) -> u32 {
         CONTROL_FLITS
@@ -237,14 +260,7 @@ mod tests {
 
     #[test]
     fn demand_and_put_are_complementary() {
-        for req in [
-            Request::GetS,
-            Request::GetM,
-            Request::Upgrade,
-            Request::PutS,
-            Request::PutE,
-            Request::PutM,
-        ] {
+        for req in Request::ALL {
             assert_ne!(req.is_demand(), req.is_put(), "{req}");
         }
     }

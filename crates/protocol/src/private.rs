@@ -21,6 +21,15 @@ pub enum PrivState {
 }
 
 impl PrivState {
+    /// Every state, in declaration order: the row order of the protocol
+    /// model's `private_probe` and `local_access` sections.
+    pub const ALL: [PrivState; 4] = [
+        PrivState::Modified,
+        PrivState::Exclusive,
+        PrivState::Shared,
+        PrivState::Invalid,
+    ];
+
     /// `true` when a local load can be served without a transaction.
     pub const fn can_read(self) -> bool {
         !matches!(self, PrivState::Invalid)
@@ -185,22 +194,6 @@ pub fn probe(state: PrivState, probe: Probe) -> ProbeEffect {
 mod tests {
     use super::*;
 
-    const ALL_STATES: [PrivState; 4] = [
-        PrivState::Modified,
-        PrivState::Exclusive,
-        PrivState::Shared,
-        PrivState::Invalid,
-    ];
-
-    const ALL_PROBES: [Probe; 6] = [
-        Probe::FwdGetS,
-        Probe::FwdGetM,
-        Probe::Inv,
-        Probe::Recall,
-        Probe::Discovery(DiscoveryIntent::Share),
-        Probe::Discovery(DiscoveryIntent::Invalidate),
-    ];
-
     #[test]
     fn reads_hit_in_any_valid_state() {
         for s in [PrivState::Modified, PrivState::Exclusive, PrivState::Shared] {
@@ -238,7 +231,7 @@ mod tests {
 
     #[test]
     fn invalidating_probes_always_leave_invalid() {
-        for s in ALL_STATES {
+        for s in PrivState::ALL {
             for p in [Probe::FwdGetM, Probe::Inv, Probe::Recall] {
                 // Shared + FwdGetM is a race case but still invalidates.
                 assert_eq!(probe(s, p).next, PrivState::Invalid, "{s} {p}");
@@ -248,7 +241,7 @@ mod tests {
 
     #[test]
     fn dirty_owners_always_surrender_data() {
-        for p in ALL_PROBES {
+        for p in Probe::ALL {
             let eff = probe(PrivState::Modified, p);
             assert_eq!(eff.reply, ProbeReply::AckDirtyData, "{p}");
         }
@@ -333,8 +326,8 @@ mod tests {
 
     #[test]
     fn probe_table_is_total() {
-        for s in ALL_STATES {
-            for p in ALL_PROBES {
+        for s in PrivState::ALL {
+            for p in Probe::ALL {
                 let eff = probe(s, p);
                 // No probe may ever *upgrade* a copy.
                 let rank = |st: PrivState| match st {

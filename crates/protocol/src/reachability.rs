@@ -30,9 +30,10 @@
 //! [`probe`], each `(PrivState, MemOpKind)` pair fed to [`local_access`],
 //! and each `(Request, DirView-kind)` pair fed to [`decide`] /
 //! [`decide_put`] — as a [`TransitionSet`] of canonical labels. The
-//! `stashdir-lint` static-analysis pass diffs this *reachable* set
-//! against the match arms it extracts from this crate's source, flagging
-//! both uncovered reachable transitions and dead handler arms.
+//! `stashdir-lint` coverage pass diffs this *reachable* set against the
+//! keys those same functions handle (every key it calls them with that
+//! does not panic), flagging both uncovered reachable transitions and
+//! dead handled ones.
 
 // lint: allow-file(indexing) — the abstract machine is a fixed [CoreSt; 3]
 // array indexed by core numbers from `0..CORES` loops, in bounds by
@@ -102,8 +103,8 @@ pub fn probe_label(p: Probe) -> &'static str {
 }
 
 /// Canonical label for a probe's *kind* with the discovery payload
-/// ignored — the identifier that appears at an emit site in the home
-/// decision source (`Probe::FwdGetS`, `Probe::Recall`, ...).
+/// ignored (`FwdGetS`, `Discovery`, ...): one node of the lint's
+/// waits-for graph.
 pub fn probe_base_label(p: Probe) -> &'static str {
     match p {
         Probe::FwdGetS => "FwdGetS",
@@ -154,8 +155,8 @@ pub fn op_label(op: MemOpKind) -> &'static str {
 
 /// Messages the home emitted while handling one `(request, view-kind)`
 /// pair, unioned over every abstract state in which the model exercised
-/// the pair. Consumed by the lint waits-for pass to cross-check the
-/// blocking edges it extracts from the home decision source.
+/// the pair. The lint's waits-for artifact records them beside the
+/// emissions it tabulates from the home decision functions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HomeEmission {
     probes: BTreeSet<&'static str>,
@@ -706,7 +707,8 @@ pub fn explore(mode: Mode) -> Exploration {
 }
 
 /// The union of transitions reachable under all four [`ALL_MODES`]: the
-/// ground truth `stashdir-lint` diffs source match arms against.
+/// ground truth `stashdir-lint` diffs the handled keys of the decision
+/// functions against.
 pub fn reachable_transitions() -> TransitionSet {
     let mut all = TransitionSet::new();
     for mode in ALL_MODES {

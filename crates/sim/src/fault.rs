@@ -3,9 +3,10 @@
 //!
 //! The chaos layer exists to prove the invariant checker and the
 //! liveness watchdog *detect* protocol damage, not merely to tolerate
-//! it. Every fault class in [`TAXONOMY`] names the layer it perturbs and
-//! the detector expected to catch it; the chaos smoke suite (E17) and
-//! the mutation-gate test assert the mapping holds for every class.
+//! it. Every fault class names the layer it perturbs, and
+//! [`expected_detector`] names the detector expected to catch it; the
+//! chaos smoke suite (E17) and the mutation-gate test assert the mapping
+//! holds for every class.
 //!
 //! Injection is seeded from the case RNG via [`FaultConfig::seed`], so a
 //! faulty run is exactly reproducible and resume-stable: the same case
@@ -99,6 +100,9 @@ pub enum Detector {
 }
 
 impl Detector {
+    /// Every detector, in declaration order.
+    pub const ALL: [Detector; 2] = [Detector::Invariant, Detector::Watchdog];
+
     /// Stable lowercase label.
     pub fn label(self) -> &'static str {
         match self {
@@ -108,21 +112,10 @@ impl Detector {
     }
 }
 
-/// The fault-response matrix: every enabled fault class paired with the
-/// detector that must catch it. The lint's fourth decision layer diffs
-/// [`expected_detector`]'s match arms against this table, and the
-/// mutation gate asserts each row detects in practice.
-pub const TAXONOMY: &[(FaultClass, Detector)] = &[
-    (FaultClass::NocDelay, Detector::Watchdog),
-    (FaultClass::NocDuplicate, Detector::Invariant),
-    (FaultClass::SharerFlip, Detector::Invariant),
-    (FaultClass::StashClear, Detector::Invariant),
-    (FaultClass::StashSpurious, Detector::Invariant),
-    (FaultClass::DropGrant, Detector::Invariant),
-    (FaultClass::StuckTransient, Detector::Watchdog),
-];
-
-/// The detector responsible for `class`.
+/// The detector responsible for `class`: the fault-response matrix.
+/// [`FaultClass::ALL`] mapped through it is the lint's `fault_response`
+/// section, and the mutation gate asserts each class is caught by its
+/// detector in practice.
 ///
 /// Delay and stuck-transient faults starve forward progress without
 /// corrupting state, so only the watchdog can see them; everything else
@@ -674,16 +667,6 @@ pub fn validate_snapshot(v: &Value) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn taxonomy_covers_every_class_once() {
-        assert_eq!(TAXONOMY.len(), FaultClass::ALL.len());
-        for &class in FaultClass::ALL {
-            let rows: Vec<_> = TAXONOMY.iter().filter(|(c, _)| *c == class).collect();
-            assert_eq!(rows.len(), 1, "{class:?} appears exactly once");
-            assert_eq!(rows[0].1, expected_detector(class));
-        }
-    }
 
     #[test]
     fn labels_round_trip() {

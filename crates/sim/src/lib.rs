@@ -76,7 +76,6 @@ pub mod values;
 pub use config::{CoverageRatio, DirSpec, SystemConfig};
 pub use fault::{
     expected_detector, Detector, FaultBurst, FaultClass, FaultConfig, FaultPlan, FaultSummary,
-    TAXONOMY,
 };
 pub use machine::Machine;
 pub use report::{SimReport, TransitionHits};

@@ -10,30 +10,30 @@ use super::Machine;
 use crate::private::ProbeAnswer;
 use crate::report::TransitionHits;
 use stashdir_common::{BlockAddr, CoreId, MemOp, MemOpKind};
+use stashdir_protocol::reachability as reach;
 use stashdir_protocol::{DirView, DiscoveryIntent, PrivState, Probe, Request};
 
 /// Transition-label domain sizes for the interned witness counters.
-const N_STATES: usize = 4;
-const N_PROBES: usize = 6;
-const N_OPS: usize = 2;
-const N_REQUESTS: usize = 6;
+const N_STATES: usize = PrivState::ALL.len();
+const N_PROBES: usize = Probe::ALL.len();
+const N_OPS: usize = MemOpKind::ALL.len();
+const N_REQUESTS: usize = Request::ALL.len();
 const N_VIEWS: usize = 3;
 
-/// Interned row/column index of each label domain. Every `*_idx`
-/// function is the inverse of the matching `*_LABELS` table, and the
-/// tables carry exactly the canonical labels of
-/// `stashdir_protocol::reachability` (asserted in tests), so campaign
-/// coverage still diffs against the lint protocol-model artifact with
-/// no label translation.
+/// Interned row/column index of each label domain: the position in the
+/// protocol's declaration-order list (`PrivState::ALL`, `Probe::ALL`,
+/// `MemOpKind::ALL`, `Request::ALL`, `DirView::each_kind`), asserted in
+/// tests. Export labels each index through
+/// `stashdir_protocol::reachability`, so campaign coverage diffs
+/// against the lint protocol-model artifact with no label translation.
 fn state_idx(s: PrivState) -> usize {
     match s {
-        PrivState::Invalid => 0,
-        PrivState::Shared => 1,
-        PrivState::Exclusive => 2,
-        PrivState::Modified => 3,
+        PrivState::Modified => 0,
+        PrivState::Exclusive => 1,
+        PrivState::Shared => 2,
+        PrivState::Invalid => 3,
     }
 }
-const STATE_LABELS: [&str; N_STATES] = ["Invalid", "Shared", "Exclusive", "Modified"];
 
 fn probe_idx(p: Probe) -> usize {
     match p {
@@ -45,14 +45,6 @@ fn probe_idx(p: Probe) -> usize {
         Probe::Discovery(DiscoveryIntent::Invalidate) => 5,
     }
 }
-const PROBE_LABELS: [&str; N_PROBES] = [
-    "FwdGetS",
-    "FwdGetM",
-    "Inv",
-    "Recall",
-    "Discovery(Share)",
-    "Discovery(Invalidate)",
-];
 
 fn op_idx(k: MemOpKind) -> usize {
     match k {
@@ -60,7 +52,6 @@ fn op_idx(k: MemOpKind) -> usize {
         MemOpKind::Write => 1,
     }
 }
-const OP_LABELS: [&str; N_OPS] = ["Read", "Write"];
 
 fn request_idx(r: Request) -> usize {
     match r {
@@ -72,7 +63,6 @@ fn request_idx(r: Request) -> usize {
         Request::PutM => 5,
     }
 }
-const REQUEST_LABELS: [&str; N_REQUESTS] = ["GetS", "GetM", "Upgrade", "PutS", "PutE", "PutM"];
 
 fn view_idx(v: &DirView) -> usize {
     match v {
@@ -81,7 +71,6 @@ fn view_idx(v: &DirView) -> usize {
         DirView::Shared(_) => 2,
     }
 }
-const VIEW_LABELS: [&str; N_VIEWS] = ["Untracked", "Exclusive", "Shared"];
 
 /// Per-(row × column) transition hit counters over the small,
 /// statically known label spaces above, stored as flat arrays indexed
@@ -118,11 +107,16 @@ impl Default for WitnessSet {
 
 impl WitnessSet {
     pub(super) fn export(&self, coverage: &mut Vec<TransitionHits>) {
+        let states = PrivState::ALL.map(reach::state_label);
+        let probes = Probe::ALL.map(reach::probe_label);
+        let ops = MemOpKind::ALL.map(reach::op_label);
+        let requests = Request::ALL.map(reach::request_label);
+        let views = DirView::each_kind(CoreId::new(0), 1).map(|v| reach::view_label(&v));
         type Section<'a> = (&'a str, &'a [u64], &'a [&'static str], &'a [&'static str]);
         let sections: [Section; 3] = [
-            ("private_probe", &self.probe, &STATE_LABELS, &PROBE_LABELS),
-            ("local_access", &self.local, &STATE_LABELS, &OP_LABELS),
-            ("home", &self.home, &REQUEST_LABELS, &VIEW_LABELS),
+            ("private_probe", &self.probe, &states, &probes),
+            ("local_access", &self.local, &states, &ops),
+            ("home", &self.home, &requests, &views),
         ];
         for (name, cells, rows, cols) in sections {
             let mut hit: Vec<(&'static str, &'static str, u64)> = cells
@@ -186,50 +180,29 @@ impl Machine {
 mod tests {
     use super::*;
 
-    /// The interned witness tables must carry exactly the canonical
-    /// labels of `stashdir_protocol::reachability`, at exactly the
-    /// index each `*_idx` function assigns — otherwise campaign
-    /// coverage would diff garbage against the protocol-model artifact.
+    /// Each `*_idx` function inverts the declaration-order list it
+    /// indexes, and that list is as long as its counter domain —
+    /// otherwise export would label a hit with another transition's
+    /// name and campaign coverage would diff garbage against the
+    /// protocol-model artifact.
     #[test]
-    fn witness_label_tables_match_reachability_and_idx_functions() {
-        use stashdir_protocol::reachability as reach;
-        for s in [
-            PrivState::Invalid,
-            PrivState::Shared,
-            PrivState::Exclusive,
-            PrivState::Modified,
-        ] {
-            assert_eq!(STATE_LABELS[state_idx(s)], reach::state_label(s));
+    fn each_idx_inverts_the_list_it_indexes() {
+        for (i, s) in PrivState::ALL.into_iter().enumerate() {
+            assert_eq!(state_idx(s), i, "{s:?}");
         }
-        for p in [
-            Probe::FwdGetS,
-            Probe::FwdGetM,
-            Probe::Inv,
-            Probe::Recall,
-            Probe::Discovery(DiscoveryIntent::Share),
-            Probe::Discovery(DiscoveryIntent::Invalidate),
-        ] {
-            assert_eq!(PROBE_LABELS[probe_idx(p)], reach::probe_label(p));
+        for (i, p) in Probe::ALL.into_iter().enumerate() {
+            assert_eq!(probe_idx(p), i, "{p:?}");
         }
-        for k in [MemOpKind::Read, MemOpKind::Write] {
-            assert_eq!(OP_LABELS[op_idx(k)], reach::op_label(k));
+        for (i, k) in MemOpKind::ALL.into_iter().enumerate() {
+            assert_eq!(op_idx(k), i, "{k:?}");
         }
-        for r in [
-            Request::GetS,
-            Request::GetM,
-            Request::Upgrade,
-            Request::PutS,
-            Request::PutE,
-            Request::PutM,
-        ] {
-            assert_eq!(REQUEST_LABELS[request_idx(r)], reach::request_label(r));
+        for (i, r) in Request::ALL.into_iter().enumerate() {
+            assert_eq!(request_idx(r), i, "{r:?}");
         }
-        for v in [
-            DirView::Untracked,
-            DirView::Exclusive(CoreId::new(0)),
-            DirView::Shared(stashdir_common::SharerSet::new(1)),
-        ] {
-            assert_eq!(VIEW_LABELS[view_idx(&v)], reach::view_label(&v));
+        let views = DirView::each_kind(CoreId::new(0), 1);
+        assert_eq!(views.len(), N_VIEWS);
+        for (i, v) in views.iter().enumerate() {
+            assert_eq!(view_idx(v), i, "{v:?}");
         }
     }
 }

@@ -70,6 +70,6 @@ pub use stashdir_core::{
 };
 pub use stashdir_sim::{
     expected_detector, CoverageRatio, Detector, DirSpec, FaultBurst, FaultClass, FaultConfig,
-    FaultPlan, FaultSummary, Machine, SimReport, SystemConfig, TransitionHits, TAXONOMY,
+    FaultPlan, FaultSummary, Machine, SimReport, SystemConfig, TransitionHits,
 };
 pub use stashdir_workloads::{Characterization, Workload};
