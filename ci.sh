@@ -12,6 +12,9 @@ cargo fmt --check
 
 # --all-targets compiles tests, examples and benches too, so removing a
 # public API a bench still uses fails here rather than going unnoticed.
+# It also enforces panic hygiene in the hot crates (the clippy `deny` in
+# their lib.rs; test code is exempt via clippy.toml) and fails on an
+# `#[expect]` that no longer fires (unfulfilled_lint_expectations).
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -21,13 +24,12 @@ echo "== cargo doc --workspace --no-deps (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Protocol-aware static analysis: transition-matrix coverage against the
-# model checker, waits-for liveness, panic hygiene in hot crates,
-# artifact determinism, and stat registration. Prints per-pass timings,
-# writes results/lint/protocol_model.json (v3) plus the machine-readable
-# findings list, and fails on any finding. The model is committed and
-# the lint rewrites it in place, so it is compared with the committed
-# copy: a change to the protocol's decisions or to the reachable set
-# that was not committed fails here.
+# model checker, waits-for liveness, and artifact determinism. Prints
+# per-pass timings, writes results/lint/protocol_model.json (v3) plus
+# the machine-readable findings list, and fails on any finding. The
+# model is committed and the lint rewrites it in place, so it is
+# compared with the committed copy: a change to the protocol's decisions
+# or to the reachable set that was not committed fails here.
 echo "== stashdir-lint"
 model_before=$(mktemp)
 cp results/lint/protocol_model.json "$model_before"

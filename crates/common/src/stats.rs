@@ -53,6 +53,8 @@ impl fmt::Display for Counter {
 ///
 /// Bucket `i` holds samples in `[2^(i-1), 2^i)`, except bucket 0 which
 /// holds exactly the value 0. Tracks count, sum, min and max exactly.
+/// `merge` destructures every field, with no `..`, so a new field does
+/// not compile until the merge handles it.
 ///
 /// # Examples
 ///
@@ -162,17 +164,24 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
+        let Histogram {
+            buckets,
+            count,
+            sum,
+            min,
+            max,
+        } = other;
+        if buckets.len() > self.buckets.len() {
+            self.buckets.resize(buckets.len(), 0);
         }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(buckets) {
             *mine += theirs;
         }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
+        self.count += count;
+        self.sum += sum;
+        if *count > 0 {
+            self.min = self.min.min(*min);
+            self.max = self.max.max(*max);
         }
     }
 }

@@ -11,9 +11,12 @@
 //! of equal size — but, unlike the stash directory, every eviction still
 //! invalidates.
 
-// lint: allow-file(indexing) — tables/slots are fixed at construction and
-// every index comes from `hash()` (mod slots) or `position_of`, so the
-// bounds hold by construction.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "tables/slots are fixed at construction and every index comes \
+              from `hash()` (mod slots) or `position_of`, so the bounds hold \
+              by construction"
+)]
 
 use crate::cost::CostParams;
 use crate::model::{DirStats, DirectoryModel, EvictionAction};

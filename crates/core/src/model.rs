@@ -105,6 +105,9 @@ pub trait DirectoryModel: fmt::Debug {
 }
 
 /// Event counts every organization maintains.
+///
+/// `export` and `merge` destructure every field, with no `..`, so a new
+/// counter does not compile until both handle it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirStats {
     /// `install` calls: each looks its block up before storing the view.
@@ -131,37 +134,54 @@ pub struct DirStats {
 impl DirStats {
     /// Exports counters under `prefix.` into `sink`.
     pub fn export(&self, prefix: &str, sink: &mut StatSink) {
-        sink.put_counter(format!("{prefix}.lookups"), self.lookups);
-        sink.put_counter(format!("{prefix}.hits"), self.hits);
-        sink.put_counter(format!("{prefix}.allocations"), self.allocations);
-        sink.put_counter(format!("{prefix}.silent_evictions"), self.silent_evictions);
+        let DirStats {
+            lookups,
+            hits,
+            allocations,
+            silent_evictions,
+            invalidating_evictions,
+            copies_invalidated,
+            private_victims_invalidated,
+            relocations,
+        } = *self;
+        sink.put_counter(format!("{prefix}.lookups"), lookups);
+        sink.put_counter(format!("{prefix}.hits"), hits);
+        sink.put_counter(format!("{prefix}.allocations"), allocations);
+        sink.put_counter(format!("{prefix}.silent_evictions"), silent_evictions);
         sink.put_counter(
             format!("{prefix}.invalidating_evictions"),
-            self.invalidating_evictions,
+            invalidating_evictions,
         );
-        sink.put_counter(
-            format!("{prefix}.copies_invalidated"),
-            self.copies_invalidated,
-        );
+        sink.put_counter(format!("{prefix}.copies_invalidated"), copies_invalidated);
         sink.put_counter(
             format!("{prefix}.private_victims_invalidated"),
-            self.private_victims_invalidated,
+            private_victims_invalidated,
         );
-        sink.put_counter(format!("{prefix}.relocations"), self.relocations);
+        sink.put_counter(format!("{prefix}.relocations"), relocations);
     }
 
     /// Adds another stats block into this one.
     pub fn merge(&mut self, other: &DirStats) {
-        self.lookups.add(other.lookups.get());
-        self.hits.add(other.hits.get());
-        self.allocations.add(other.allocations.get());
-        self.silent_evictions.add(other.silent_evictions.get());
+        let DirStats {
+            lookups,
+            hits,
+            allocations,
+            silent_evictions,
+            invalidating_evictions,
+            copies_invalidated,
+            private_victims_invalidated,
+            relocations,
+        } = other;
+        self.lookups.add(lookups.get());
+        self.hits.add(hits.get());
+        self.allocations.add(allocations.get());
+        self.silent_evictions.add(silent_evictions.get());
         self.invalidating_evictions
-            .add(other.invalidating_evictions.get());
-        self.copies_invalidated.add(other.copies_invalidated.get());
+            .add(invalidating_evictions.get());
+        self.copies_invalidated.add(copies_invalidated.get());
         self.private_victims_invalidated
-            .add(other.private_victims_invalidated.get());
-        self.relocations.add(other.relocations.get());
+            .add(private_victims_invalidated.get());
+        self.relocations.add(relocations.get());
     }
 
     /// Total evictions of either kind.

@@ -14,25 +14,32 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Serializes a report to its canonical JSON tree.
+///
+/// The report is destructured without `..`, so a field added to
+/// [`SimReport`] fails to compile here until it is serialized (or
+/// explicitly dropped), and the same holds for the sample and fault
+/// serializers below.
 pub fn report_to_json(report: &SimReport) -> Value {
+    let SimReport {
+        cycles,
+        completed_ops,
+        violations,
+        sink,
+        timeline,
+        fault,
+        snapshot,
+        coverage,
+    } = report;
     let sink = Value::Object(
-        report
-            .sink
-            .iter()
+        sink.iter()
             .map(|(k, v)| (k.to_string(), Value::Number(v)))
             .collect(),
     );
-    let timeline = Value::array(report.timeline.iter().map(sample_to_json).collect());
-    let violations = Value::array(
-        report
-            .violations
-            .iter()
-            .map(|v| Value::from(v.as_str()))
-            .collect(),
-    );
+    let timeline = Value::array(timeline.iter().map(sample_to_json).collect());
+    let violations = Value::array(violations.iter().map(|v| Value::from(v.as_str())).collect());
     let mut fields = vec![
-        ("cycles".into(), Value::from(report.cycles)),
-        ("completed_ops".into(), Value::from(report.completed_ops)),
+        ("cycles".into(), Value::from(*cycles)),
+        ("completed_ops".into(), Value::from(*completed_ops)),
         ("violations".into(), violations),
         ("stats".into(), sink),
         ("timeline".into(), timeline),
@@ -40,17 +47,17 @@ pub fn report_to_json(report: &SimReport) -> Value {
     // Fault counters and the diagnostic snapshot appear only on runs
     // that actually injected or detected something, so fault-free
     // artifacts stay byte-identical to historical ones.
-    if report.fault != FaultSummary::default() {
-        fields.push(("fault".into(), fault_to_json(&report.fault)));
+    if *fault != FaultSummary::default() {
+        fields.push(("fault".into(), fault_to_json(fault)));
     }
-    if let Some(snapshot) = &report.snapshot {
+    if let Some(snapshot) = snapshot {
         fields.push(("snapshot".into(), Value::from(snapshot.as_str())));
     }
     // Transition coverage appears only on witnessing (campaign) runs.
-    if !report.coverage.is_empty() {
+    if !coverage.is_empty() {
         fields.push((
             "coverage".into(),
-            Value::array(report.coverage.iter().map(hits_to_json).collect()),
+            Value::array(coverage.iter().map(hits_to_json).collect()),
         ));
     }
     Value::object(fields)
@@ -128,41 +135,47 @@ pub fn report_from_json(value: &Value) -> Option<SimReport> {
 
 /// Serializes the fault/detection counters.
 pub fn fault_to_json(f: &FaultSummary) -> Value {
+    let FaultSummary {
+        injected_noc_delay,
+        injected_noc_duplicate,
+        injected_sharer_flip,
+        injected_stash_clear,
+        injected_stash_spurious,
+        injected_drop_grant,
+        injected_stuck_transient,
+        detected_invariant,
+        detected_watchdog,
+        quiesced,
+    } = *f;
     Value::object(vec![
-        (
-            "injected_noc_delay".into(),
-            Value::from(f.injected_noc_delay),
-        ),
+        ("injected_noc_delay".into(), Value::from(injected_noc_delay)),
         (
             "injected_noc_duplicate".into(),
-            Value::from(f.injected_noc_duplicate),
+            Value::from(injected_noc_duplicate),
         ),
         (
             "injected_sharer_flip".into(),
-            Value::from(f.injected_sharer_flip),
+            Value::from(injected_sharer_flip),
         ),
         (
             "injected_stash_clear".into(),
-            Value::from(f.injected_stash_clear),
+            Value::from(injected_stash_clear),
         ),
         (
             "injected_stash_spurious".into(),
-            Value::from(f.injected_stash_spurious),
+            Value::from(injected_stash_spurious),
         ),
         (
             "injected_drop_grant".into(),
-            Value::from(f.injected_drop_grant),
+            Value::from(injected_drop_grant),
         ),
         (
             "injected_stuck_transient".into(),
-            Value::from(f.injected_stuck_transient),
+            Value::from(injected_stuck_transient),
         ),
-        (
-            "detected_invariant".into(),
-            Value::from(f.detected_invariant),
-        ),
-        ("detected_watchdog".into(), Value::from(f.detected_watchdog)),
-        ("quiesced".into(), Value::from(f.quiesced)),
+        ("detected_invariant".into(), Value::from(detected_invariant)),
+        ("detected_watchdog".into(), Value::from(detected_watchdog)),
+        ("quiesced".into(), Value::from(quiesced)),
     ])
 }
 
@@ -183,16 +196,24 @@ pub fn fault_from_json(value: &Value) -> Option<FaultSummary> {
 }
 
 fn sample_to_json(s: &TimelineSample) -> Value {
+    let TimelineSample {
+        cycle,
+        dir_occupancy,
+        ops,
+        silent_evictions,
+        invalidating_evictions,
+        discoveries,
+    } = *s;
     Value::object(vec![
-        ("cycle".into(), Value::from(s.cycle)),
-        ("dir_occupancy".into(), Value::from(s.dir_occupancy)),
-        ("ops".into(), Value::from(s.ops)),
-        ("silent_evictions".into(), Value::from(s.silent_evictions)),
+        ("cycle".into(), Value::from(cycle)),
+        ("dir_occupancy".into(), Value::from(dir_occupancy)),
+        ("ops".into(), Value::from(ops)),
+        ("silent_evictions".into(), Value::from(silent_evictions)),
         (
             "invalidating_evictions".into(),
-            Value::from(s.invalidating_evictions),
+            Value::from(invalidating_evictions),
         ),
-        ("discoveries".into(), Value::from(s.discoveries)),
+        ("discoveries".into(), Value::from(discoveries)),
     ])
 }
 

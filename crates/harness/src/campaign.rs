@@ -31,6 +31,7 @@ use crate::pool::RunOptions;
 use crate::runner::execute_cases;
 use stashdir::common::json::Value;
 use stashdir::protocol::model::ReachableModel;
+use stashdir::sim::fault::fault_response_labels;
 use stashdir::{
     expected_detector, CoverageRatio, DirReplPolicy, DirSpec, FaultBurst, FaultClass, FaultConfig,
     Machine, SimReport, SystemConfig, Workload,
@@ -173,12 +174,7 @@ pub fn load_model(path: Option<&Path>) -> io::Result<(ReachableModel, String)> {
     model
         .sections
         .entry("fault_response".to_string())
-        .or_insert_with(|| {
-            FaultClass::ALL
-                .iter()
-                .map(|&c| (format!("{c:?}"), format!("{:?}", expected_detector(c))))
-                .collect()
-        });
+        .or_insert_with(fault_response_labels);
     Ok((model, origin))
 }
 

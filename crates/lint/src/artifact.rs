@@ -197,9 +197,7 @@ pub fn pass_of(rule: &str) -> &'static str {
     match rule {
         crate::RULE_COVERAGE_UNCOVERED | crate::RULE_COVERAGE_DEAD => "coverage",
         crate::RULE_WAITSFOR_UNSATISFIABLE | crate::RULE_WAITSFOR_CYCLE => "waitsfor",
-        crate::RULE_UNWRAP | crate::RULE_EXPECT | crate::RULE_INDEXING => "panics",
         crate::RULE_DETERMINISM => "determinism",
-        crate::RULE_STAT_UNREGISTERED => "statreg",
         crate::RULE_DIRECTIVE | crate::RULE_ALLOW_UNUSED => "directives",
         _ => "unknown",
     }

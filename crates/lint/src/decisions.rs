@@ -19,7 +19,8 @@ use stashdir_protocol::{
     decide, decide_put, local_access, probe, AccessOutcome, DirView, MemOpKind, PrivState, Probe,
     Request,
 };
-use stashdir_sim::{expected_detector, Detector, FaultClass};
+use stashdir_sim::fault::fault_response_labels;
+use stashdir_sim::{Detector, FaultClass};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{self, AssertUnwindSafe};
@@ -191,10 +192,7 @@ impl Decisions {
                 }
             }
         }
-        d.fault = FaultClass::ALL
-            .iter()
-            .map(|&c| (format!("{c:?}"), format!("{:?}", expected_detector(c))))
-            .collect();
+        d.fault = fault_response_labels();
         d
     }
 }

@@ -27,7 +27,6 @@
 use crate::directives::DirectiveIndex;
 use crate::files::SourceFile;
 use crate::lexer::{code_only, lex, Tok, TokKind};
-use crate::panics::skip_test_mod;
 use crate::{Finding, RULE_DETERMINISM};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -95,6 +94,73 @@ struct FnInfo {
     /// Token range of the body (inclusive braces) in the file's code
     /// tokens.
     body: (usize, usize),
+}
+
+/// Returns the index just past a `#[cfg(test)] mod … { }` block starting
+/// at `i` (which must point at `#`), or `None` when `i` starts no such
+/// block.
+fn skip_test_mod(toks: &[Tok], i: usize) -> Option<usize> {
+    if !(toks[i].is_punct("#") && toks.get(i + 1).is_some_and(|t| t.is_punct("["))) {
+        return None;
+    }
+    // Find the attribute's closing `]` and require cfg(test) inside.
+    let mut depth = 0usize;
+    let mut close = None;
+    for (j, t) in toks.iter().enumerate().skip(i + 1) {
+        if t.is_punct("[") {
+            depth += 1;
+        } else if t.is_punct("]") {
+            depth -= 1;
+            if depth == 0 {
+                close = Some(j);
+                break;
+            }
+        }
+    }
+    let close = close?;
+    let attr = &toks[i + 2..close];
+    let is_cfg_test =
+        attr.first().is_some_and(|t| t.is_ident("cfg")) && attr.iter().any(|t| t.is_ident("test"));
+    if !is_cfg_test {
+        return None;
+    }
+    // Skip further attributes, then require `mod name {`.
+    let mut j = close + 1;
+    while j + 1 < toks.len() && toks[j].is_punct("#") && toks[j + 1].is_punct("[") {
+        let mut depth = 0usize;
+        let mut k = j + 1;
+        while k < toks.len() {
+            if toks[k].is_punct("[") {
+                depth += 1;
+            } else if toks[k].is_punct("]") {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            k += 1;
+        }
+        j = k + 1;
+    }
+    if !toks.get(j).is_some_and(|t| t.is_ident("mod")) {
+        return None;
+    }
+    while j < toks.len() && !toks[j].is_punct("{") {
+        j += 1;
+    }
+    let mut depth = 0usize;
+    while j < toks.len() {
+        if toks[j].is_punct("{") {
+            depth += 1;
+        } else if toks[j].is_punct("}") {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j + 1);
+            }
+        }
+        j += 1;
+    }
+    Some(toks.len())
 }
 
 /// Finds every `fn name … { body }` outside test mods, as token ranges.
@@ -531,6 +597,17 @@ mod tests {
                    struct T { rows: HashMap<String, u64> }\n\
                    impl T { fn debug_dump(&self) {\n\
                    for (k, _) in self.rows.iter() { println!(\"{k}\"); } } }";
+        assert!(run_on(src).is_empty());
+    }
+
+    #[test]
+    fn test_mods_are_skipped() {
+        let src = "use std::collections::HashMap;\n\
+                   #[cfg(test)]\n\
+                   #[allow(dead_code)]\n\
+                   mod tests { struct T { rows: HashMap<String, u64> }\n\
+                   impl T { fn save_csv(&self) {\n\
+                   for (k, _) in self.rows.iter() { println!(\"{k}\"); } } } }";
         assert!(run_on(src).is_empty());
     }
 

@@ -3,11 +3,16 @@
 //!
 //! Directives are ordinary comments:
 //!
-//! * `// lint: allow(unwrap)` — allows the named rule(s) on the
+//! * `// lint: allow(determinism)` — allows the named rule(s) on the
 //!   directive's own line and the line below it (so it works both as a
 //!   trailing comment and as a comment above the call).
-//! * `// lint: allow-file(indexing)` — allows the rule(s) for the whole
-//!   file.
+//! * `// lint: allow-file(determinism)` — allows the rule(s) for the
+//!   whole file.
+//!
+//! The only suppressible rule is `determinism` ([`SUPPRESSIBLE`]); the
+//! hot crates' panic hygiene is clippy's, with `#[expect(…, reason)]`
+//! in place of a comment, so a leftover `// lint: allow(unwrap)` is an
+//! unknown-rule finding.
 //!
 //! Every directive is tracked: one that suppresses nothing by the end of
 //! the run is itself a finding ([`crate::RULE_ALLOW_UNUSED`]), so stale
@@ -17,14 +22,11 @@
 
 use crate::files::SourceFile;
 use crate::lexer::{lex, TokKind};
-use crate::{
-    Finding, RULE_ALLOW_UNUSED, RULE_DETERMINISM, RULE_DIRECTIVE, RULE_EXPECT, RULE_INDEXING,
-    RULE_UNWRAP,
-};
+use crate::{Finding, RULE_ALLOW_UNUSED, RULE_DETERMINISM, RULE_DIRECTIVE};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The rules an allow directive may name.
-pub const SUPPRESSIBLE: &[&str] = &[RULE_UNWRAP, RULE_EXPECT, RULE_INDEXING, RULE_DETERMINISM];
+pub const SUPPRESSIBLE: &[&str] = &[RULE_DETERMINISM];
 
 /// One parsed allow directive.
 #[derive(Debug, Clone)]
@@ -170,5 +172,50 @@ impl DirectiveIndex {
             }
         }
         findings
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn index(src: &str) -> DirectiveIndex {
+        let mut index = DirectiveIndex::default();
+        index.collect_file("t.rs", src);
+        index
+    }
+
+    #[test]
+    fn allow_covers_its_own_line_and_the_next() {
+        let mut d = index("fn f() {\n    // lint: allow(determinism)\n    a();\n    b();\n}");
+        assert!(d.allows("t.rs", RULE_DETERMINISM, 2));
+        assert!(d.allows("t.rs", RULE_DETERMINISM, 3));
+        assert!(!d.allows("t.rs", RULE_DETERMINISM, 4));
+        assert!(d.finish().is_empty());
+    }
+
+    #[test]
+    fn allow_file_covers_every_line() {
+        let mut d = index("// lint: allow-file(determinism)\nfn f() {}\n");
+        assert!(d.allows("t.rs", RULE_DETERMINISM, 40));
+        assert!(d.finish().is_empty());
+    }
+
+    #[test]
+    fn unknown_rules_and_retired_panic_rules_are_findings() {
+        let found = index(
+            "// lint: allow(unwrap)\n// lint: allow-file(indexing)\n// lint: allow(determinsm)\n",
+        )
+        .finish();
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(found.iter().all(|f| f.rule == RULE_DIRECTIVE));
+    }
+
+    #[test]
+    fn unused_allows_are_findings() {
+        let found = index("fn f() {\n    // lint: allow(determinism)\n    let x = 1;\n}").finish();
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].rule, RULE_ALLOW_UNUSED);
+        assert_eq!(found[0].line, 2);
     }
 }

@@ -1,13 +1,11 @@
-//! Shared source loading: the repo-wide passes (panics, determinism,
-//! directive accounting) scan the same file set, so it is read once and
-//! handed to each of them.
+//! Shared source loading: the repo-wide passes (determinism, directive
+//! accounting) scan the same file set, so it is read once and handed to
+//! each of them.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Every crate whose `src/` tree the repo-wide passes scan. The panic
-/// lint restricts itself to the hot subset ([`crate::panics::HOT_CRATES`]);
-/// the determinism pass and directive accounting cover all of these.
+/// Every crate whose `src/` tree the repo-wide passes scan.
 pub const SCANNED_CRATES: &[&str] = &["common", "core", "harness", "mem", "noc", "protocol", "sim"];
 
 /// One loaded source file.
@@ -17,13 +15,6 @@ pub struct SourceFile {
     pub label: String,
     /// File contents.
     pub src: String,
-}
-
-impl SourceFile {
-    /// The crate name a `crates/<name>/src/...` label belongs to, if any.
-    pub fn crate_name(&self) -> Option<&str> {
-        self.label.strip_prefix("crates/")?.split('/').next()
-    }
 }
 
 /// Recursively collects the `.rs` files under `dir`, sorted.

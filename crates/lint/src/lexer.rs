@@ -111,14 +111,13 @@ pub fn lex(src: &str) -> Vec<Tok> {
         }
         // Raw strings / raw identifiers: r"..." r#"..."# r#ident.
         if (c == 'r' || c == 'b') && i + 1 < n {
-            let (raw_at, is_byte) = if c == 'b' && i + 1 < n && chars[i + 1] == 'r' {
-                (i + 2, true)
+            let raw_at = if c == 'b' && i + 1 < n && chars[i + 1] == 'r' {
+                i + 2
             } else if c == 'r' {
-                (i + 1, false)
+                i + 1
             } else {
-                (usize::MAX, false)
+                usize::MAX
             };
-            let _ = is_byte;
             if raw_at != usize::MAX && raw_at < n {
                 let mut hashes = 0usize;
                 let mut j = raw_at;

@@ -95,6 +95,9 @@ impl fmt::Display for CacheConfig {
 
 /// Hit/miss/eviction accounting for one cache.
 ///
+/// `export` and `merge` destructure every field, with no `..`, so a new
+/// counter does not compile until both handle it.
+///
 /// # Examples
 ///
 /// ```
@@ -138,13 +141,20 @@ impl CacheStats {
 
     /// Exports the counters under `prefix.` into `sink`.
     pub fn export(&self, prefix: &str, sink: &mut StatSink) {
-        sink.put_counter(format!("{prefix}.hits"), self.hits);
-        sink.put_counter(format!("{prefix}.misses"), self.misses);
-        sink.put_counter(format!("{prefix}.evictions"), self.evictions);
-        sink.put_counter(format!("{prefix}.writebacks"), self.writebacks);
+        let CacheStats {
+            hits,
+            misses,
+            evictions,
+            writebacks,
+            coherence_invalidations,
+        } = *self;
+        sink.put_counter(format!("{prefix}.hits"), hits);
+        sink.put_counter(format!("{prefix}.misses"), misses);
+        sink.put_counter(format!("{prefix}.evictions"), evictions);
+        sink.put_counter(format!("{prefix}.writebacks"), writebacks);
         sink.put_counter(
             format!("{prefix}.coherence_invalidations"),
-            self.coherence_invalidations,
+            coherence_invalidations,
         );
         sink.put(format!("{prefix}.miss_rate"), self.miss_rate());
     }
@@ -152,12 +162,19 @@ impl CacheStats {
     /// Adds another stats block into this one (for aggregating per-core
     /// caches into a machine total).
     pub fn merge(&mut self, other: &CacheStats) {
-        self.hits.add(other.hits.get());
-        self.misses.add(other.misses.get());
-        self.evictions.add(other.evictions.get());
-        self.writebacks.add(other.writebacks.get());
+        let CacheStats {
+            hits,
+            misses,
+            evictions,
+            writebacks,
+            coherence_invalidations,
+        } = other;
+        self.hits.add(hits.get());
+        self.misses.add(misses.get());
+        self.evictions.add(evictions.get());
+        self.writebacks.add(writebacks.get());
         self.coherence_invalidations
-            .add(other.coherence_invalidations.get());
+            .add(coherence_invalidations.get());
     }
 }
 

@@ -79,12 +79,14 @@ impl DramModel {
 
     /// Issues an access to `block` at time `now`; returns the completion
     /// time (data available).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`ch` is `% channels`, always in bounds"
+    )]
     pub fn access(&mut self, block: BlockAddr, now: Cycle) -> Cycle {
         let ch = (block.get() % self.config.channels as u64) as usize;
-        // lint: allow(indexing) — `ch` is `% channels`, always in bounds.
         let start = now.max(self.busy_until[ch]);
         self.queue_cycles.add(start - now);
-        // lint: allow(indexing) — `ch` is `% channels`, always in bounds.
         self.busy_until[ch] = start + self.config.service_time;
         self.accesses.incr();
         start + self.config.latency

@@ -24,6 +24,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Panic hygiene: a justified site carries `#[expect(clippy::…, reason)]`;
+// test code is exempt through the root `clippy.toml`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 pub mod cache;
 pub mod dram;

@@ -37,12 +37,15 @@
 //! scans its set's tags alone, which for eight ways fill one host cache
 //! line, and reads a payload only on a tag match.
 
-// lint: allow-file(indexing) — set indices are masked by `set_mask`, so
-// chunk indices are below `chunks.len()` and chunk-local sets below the
-// chunk's set count; way indices come from `way_of`/`vacancy`/the LRU
-// stack, all below the chunk's `cap`, or from a chooser whose contract
-// bounds them by `ways`; a chunk's tag, line and LRU slices each hold
-// `sets × cap` entries.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "set indices are masked by `set_mask`, so chunk indices are \
+              below `chunks.len()` and chunk-local sets below the chunk's \
+              set count; way indices come from `way_of`/`vacancy`/the LRU \
+              stack, all below the chunk's `cap`, or from a chooser whose \
+              contract bounds them by `ways`; a chunk's tag, line and LRU \
+              slices each hold `sets × cap` entries"
+)]
 
 use stashdir_common::BlockAddr;
 use std::ops::Range;

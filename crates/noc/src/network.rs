@@ -248,7 +248,10 @@ impl Network {
                 head = depart + hop;
             };
             for run in [x, y] {
-                // lint: allow(indexing) — a run holds link indices of this mesh, all below `directed_links()`, the table's length.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "a run holds link indices of this mesh, all below `directed_links()`, the table's length"
+                )]
                 let links = &mut self.link_free[run.links];
                 if run.reversed {
                     links.iter_mut().rev().for_each(&mut step);

@@ -50,7 +50,10 @@ impl Mesh {
             }
             w += 1;
         }
-        // lint: allow(expect) — w = 1 divides every `nodes`, so the loop records a factorization.
+        #[expect(
+            clippy::expect_used,
+            reason = "w = 1 divides every `nodes`, so the loop records a factorization"
+        )]
         let (w, h) = best.expect("factorization exists");
         assert!(
             w <= h * 2,

@@ -136,7 +136,7 @@ pub struct RequestOutcome {
 pub fn decide(req: Request, requester: CoreId, view: &DirView, capacity: u16) -> RequestOutcome {
     match req {
         Request::GetS => decide_gets(requester, view, capacity),
-        Request::GetM | Request::Upgrade => decide_getm(req, requester, view, capacity),
+        Request::GetM | Request::Upgrade => decide_getm(req, requester, view),
         other => panic!("decide() only handles demand requests, got {other}"),
     }
 }
@@ -189,8 +189,7 @@ fn decide_gets(requester: CoreId, view: &DirView, capacity: u16) -> RequestOutco
     }
 }
 
-fn decide_getm(req: Request, requester: CoreId, view: &DirView, capacity: u16) -> RequestOutcome {
-    let _ = capacity;
+fn decide_getm(req: Request, requester: CoreId, view: &DirView) -> RequestOutcome {
     match view {
         DirView::Untracked => RequestOutcome {
             probes: Vec::new(),

@@ -35,9 +35,12 @@
 //! does not panic), flagging both uncovered reachable transitions and
 //! dead handled ones.
 
-// lint: allow-file(indexing) — the abstract machine is a fixed [CoreSt; 3]
-// array indexed by core numbers from `0..CORES` loops, in bounds by
-// construction; this module is model checking, not the simulator hot path.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "the abstract machine is a fixed [CoreSt; 3] array indexed by \
+              core numbers from `0..CORES` loops, in bounds by construction; \
+              this module is model checking, not the simulator hot path"
+)]
 
 use crate::home::{decide, decide_put, discovery_intent, needs_discovery, DirView, PutOutcome};
 use crate::msg::{DiscoveryIntent, Grant, Probe, Request};

@@ -29,6 +29,9 @@ pub struct LlcLine {
 }
 
 /// Per-bank event counters beyond the generic cache stats.
+///
+/// `export` and `merge` destructure every field, with no `..`, so a new
+/// counter does not compile until both handle it.
 #[derive(Debug, Default, Clone)]
 pub struct BankStats {
     /// Demand-triggered discovery rounds.
@@ -54,54 +57,63 @@ pub struct BankStats {
 impl BankStats {
     /// Exports the counters under `prefix.`.
     pub(crate) fn export(&self, prefix: &str, sink: &mut StatSink) {
-        sink.put_counter(format!("{prefix}.discoveries"), self.discoveries);
-        sink.put_counter(
-            format!("{prefix}.discoveries_found"),
-            self.discoveries_found,
-        );
-        sink.put_counter(
-            format!("{prefix}.discoveries_stale"),
-            self.discoveries_stale,
-        );
-        sink.put_counter(
-            format!("{prefix}.evict_discoveries"),
-            self.evict_discoveries,
-        );
-        sink.put_counter(format!("{prefix}.llc_recalls"), self.llc_recalls);
+        let BankStats {
+            discoveries,
+            discoveries_found,
+            discoveries_stale,
+            evict_discoveries,
+            llc_recalls,
+            inclusion_invalidations,
+            dir_eviction_probes,
+            stale_puts,
+            hidden_writebacks,
+        } = *self;
+        sink.put_counter(format!("{prefix}.discoveries"), discoveries);
+        sink.put_counter(format!("{prefix}.discoveries_found"), discoveries_found);
+        sink.put_counter(format!("{prefix}.discoveries_stale"), discoveries_stale);
+        sink.put_counter(format!("{prefix}.evict_discoveries"), evict_discoveries);
+        sink.put_counter(format!("{prefix}.llc_recalls"), llc_recalls);
         sink.put_counter(
             format!("{prefix}.inclusion_invalidations"),
-            self.inclusion_invalidations,
+            inclusion_invalidations,
         );
-        sink.put_counter(
-            format!("{prefix}.dir_eviction_probes"),
-            self.dir_eviction_probes,
-        );
-        sink.put_counter(format!("{prefix}.stale_puts"), self.stale_puts);
-        sink.put_counter(
-            format!("{prefix}.hidden_writebacks"),
-            self.hidden_writebacks,
-        );
+        sink.put_counter(format!("{prefix}.dir_eviction_probes"), dir_eviction_probes);
+        sink.put_counter(format!("{prefix}.stale_puts"), stale_puts);
+        sink.put_counter(format!("{prefix}.hidden_writebacks"), hidden_writebacks);
     }
 
     /// Adds another bank's counters into this one.
     pub fn merge(&mut self, other: &BankStats) {
-        self.discoveries.add(other.discoveries.get());
-        self.discoveries_found.add(other.discoveries_found.get());
-        self.discoveries_stale.add(other.discoveries_stale.get());
-        self.evict_discoveries.add(other.evict_discoveries.get());
-        self.llc_recalls.add(other.llc_recalls.get());
+        let BankStats {
+            discoveries,
+            discoveries_found,
+            discoveries_stale,
+            evict_discoveries,
+            llc_recalls,
+            inclusion_invalidations,
+            dir_eviction_probes,
+            stale_puts,
+            hidden_writebacks,
+        } = other;
+        self.discoveries.add(discoveries.get());
+        self.discoveries_found.add(discoveries_found.get());
+        self.discoveries_stale.add(discoveries_stale.get());
+        self.evict_discoveries.add(evict_discoveries.get());
+        self.llc_recalls.add(llc_recalls.get());
         self.inclusion_invalidations
-            .add(other.inclusion_invalidations.get());
-        self.dir_eviction_probes
-            .add(other.dir_eviction_probes.get());
-        self.stale_puts.add(other.stale_puts.get());
-        self.hidden_writebacks.add(other.hidden_writebacks.get());
+            .add(inclusion_invalidations.get());
+        self.dir_eviction_probes.add(dir_eviction_probes.get());
+        self.stale_puts.add(stale_puts.get());
+        self.hidden_writebacks.add(hidden_writebacks.get());
     }
 }
 
 /// Counters specific to the non-home directory backends (DLS and
 /// opaque-distributed). Zero — and unexported — for every other
 /// organization, so legacy artifacts are unchanged.
+///
+/// `export` and `merge` destructure every field, with no `..`, so a new
+/// counter does not compile until both handle it.
 #[derive(Debug, Default, Clone)]
 pub struct BackendStats {
     /// DLS: demand accesses to shared blocks served at the remote shared
@@ -121,29 +133,33 @@ pub struct BackendStats {
 impl BackendStats {
     /// Exports the backend counters under `prefix.`.
     pub(crate) fn export(&self, prefix: &str, sink: &mut StatSink) {
-        sink.put_counter(
-            format!("{prefix}.remote_llc_accesses"),
-            self.remote_llc_accesses,
-        );
+        let BackendStats {
+            remote_llc_accesses,
+            dls_reclassifications,
+            indirection_hops,
+            dir_bank_accesses,
+        } = *self;
+        sink.put_counter(format!("{prefix}.remote_llc_accesses"), remote_llc_accesses);
         sink.put_counter(
             format!("{prefix}.dls_reclassifications"),
-            self.dls_reclassifications,
+            dls_reclassifications,
         );
-        sink.put_counter(format!("{prefix}.indirection_hops"), self.indirection_hops);
-        sink.put_counter(
-            format!("{prefix}.dir_bank_accesses"),
-            self.dir_bank_accesses,
-        );
+        sink.put_counter(format!("{prefix}.indirection_hops"), indirection_hops);
+        sink.put_counter(format!("{prefix}.dir_bank_accesses"), dir_bank_accesses);
     }
 
     /// Adds another bank's counters into this one.
     pub fn merge(&mut self, other: &BackendStats) {
-        self.remote_llc_accesses
-            .add(other.remote_llc_accesses.get());
-        self.dls_reclassifications
-            .add(other.dls_reclassifications.get());
-        self.indirection_hops.add(other.indirection_hops.get());
-        self.dir_bank_accesses.add(other.dir_bank_accesses.get());
+        let BackendStats {
+            remote_llc_accesses,
+            dls_reclassifications,
+            indirection_hops,
+            dir_bank_accesses,
+        } = other;
+        self.remote_llc_accesses.add(remote_llc_accesses.get());
+        self.dls_reclassifications.add(dls_reclassifications.get());
+        self.indirection_hops.add(indirection_hops.get());
+        self.dir_bank_accesses.add(dir_bank_accesses.get());
     }
 }
 
@@ -235,9 +251,12 @@ impl Bank {
     /// Panics if the line is not resident: the LLC is inclusive, so a
     /// block with a private copy or a stash bit always is.
     pub(crate) fn write_through(&mut self, block: BlockAddr, version: u64) {
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state"
+        )]
         let line = self
             .llc_peek_mut(block)
-            // lint: allow(expect) — protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state.
             .expect("LLC inclusion: written-through block resident");
         line.version = version;
         line.dirty = true;

@@ -100,12 +100,18 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
         };
         let latest = written_latest.unwrap_or(0);
         let home = machine.home(block);
-        // lint: allow(indexing) — `home()` returns an in-range BankId.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`home()` returns an in-range BankId"
+        )]
         let llc = machine.banks[home.index()].llc_peek(block);
 
         if !holders.is_empty() {
             // The entry may live away from the home (opaque sharding).
-            // lint: allow(indexing) — `dir_bank_of()` returns an in-range BankId.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`dir_bank_of()` returns an in-range BankId"
+            )]
             let view = machine.banks[machine.dir_bank_of(block).index()]
                 .dir_lookup(block)
                 .unwrap_or(&untracked);
@@ -201,7 +207,10 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
                         "stash: {block} has a stash bit under a non-stash directory"
                     ));
                 }
-                // lint: allow(indexing) — `dir_bank_of()` returns an in-range BankId.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`dir_bank_of()` returns an in-range BankId"
+                )]
                 if machine.banks[machine.dir_bank_of(block).index()]
                     .dir_lookup(block)
                     .is_some()
@@ -216,7 +225,10 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
         // seen from the home side — an opaque shard tracks blocks homed at
         // *other* banks, so residence is checked at each block's home).
         for (block, _) in bank.dir_tracked() {
-            // lint: allow(indexing) — `home()` returns an in-range BankId.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`home()` returns an in-range BankId"
+            )]
             if machine.banks[machine.home(block).index()]
                 .llc_peek(block)
                 .is_none()

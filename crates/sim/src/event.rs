@@ -1,9 +1,12 @@
 //! The discrete-event queue.
 
-// lint: allow-file(indexing) — bucket indices are masked below `WINDOW`,
-// the length of `heads` and `tails` (and 64 times that of `occupied`);
-// node indices come from bucket lists and the free list, which hold only
-// indices below `nodes.len()`.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "bucket indices are masked below `WINDOW`, the length of \
+              `heads` and `tails` (and 64 times that of `occupied`); node \
+              indices come from bucket lists and the free list, which hold \
+              only indices below `nodes.len()`"
+)]
 
 use stashdir_common::Cycle;
 use std::cmp::Reverse;
@@ -159,7 +162,10 @@ impl<E> EventQueue<E> {
             self.occupied[bucket / 64] &= !(1 << (bucket % 64));
         }
         self.len -= 1;
-        // lint: allow(expect) — a node on a bucket list holds its event until popped.
+        #[expect(
+            clippy::expect_used,
+            reason = "a node on a bucket list holds its event until popped"
+        )]
         Some((time, event.expect("a listed node holds an event")))
     }
 

@@ -19,6 +19,7 @@
 
 use stashdir_common::json::Value;
 use stashdir_common::DetRng;
+use std::collections::BTreeSet;
 
 /// The kinds of damage the chaos layer can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +131,16 @@ pub fn expected_detector(class: FaultClass) -> Detector {
         FaultClass::DropGrant => Detector::Invariant,
         FaultClass::StuckTransient => Detector::Watchdog,
     }
+}
+
+/// [`FaultClass::ALL`] mapped through [`expected_detector`], as
+/// `(class, detector)` pairs spelled by `Debug`: the `fault_response`
+/// section of the lint's protocol model and of the campaign's model.
+pub fn fault_response_labels() -> BTreeSet<(String, String)> {
+    FaultClass::ALL
+        .iter()
+        .map(|&c| (format!("{c:?}"), format!("{:?}", expected_detector(c))))
+        .collect()
 }
 
 /// One scheduled injection window of a multi-fault campaign: `class`

@@ -2,9 +2,12 @@
 //! liveness watchdog, graceful quiesce, and the diagnostic snapshot
 //! rendered from the recent-event ring.
 
-// lint: allow-file(indexing) — `banks`, `privs` and the per-core
-// vectors are indexed by config-bounded ids or by their own ranges, and
-// the event ring by its head, always below its length.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "`banks`, `privs` and the per-core vectors are indexed by \
+              config-bounded ids or by their own ranges, and the event ring \
+              by its head, always below its length"
+)]
 
 use super::{Event, Machine};
 use crate::fault::{Detector, FaultClass};

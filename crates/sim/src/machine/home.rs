@@ -5,9 +5,12 @@
 //! round's: its candidates are probed first, then all its legs go out
 //! in one `Network::probe_round` pass (`Machine::run_discovery`).
 
-// lint: allow-file(indexing) — banks/bank_free/privs/cores are
-// fixed-size vectors indexed by CoreId/BankId produced by the
-// config-bounded topology, so the bounds hold by construction.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "banks/bank_free/privs/cores are fixed-size vectors indexed by \
+              CoreId/BankId produced by the config-bounded topology, so the \
+              bounds hold by construction"
+)]
 
 use super::{BankMsg, Machine};
 use crate::bank::LlcLine;
@@ -415,9 +418,12 @@ impl Machine {
                 .backend
                 .remote_llc_accesses
                 .incr();
+            #[expect(
+                clippy::expect_used,
+                reason = "protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state"
+            )]
             let op = self.cores.pending[requester.index()]
                 .take()
-                // lint: allow(expect) — protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state.
                 .expect("demand completion matches a pending op");
             debug_assert_eq!(op.block, block);
             let op_index = self.cores.current_op(requester);
@@ -487,7 +493,10 @@ impl Machine {
             },
         );
         // The fetched line is read as a hit once it is in.
-        // lint: allow(expect) — protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state.
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state"
+        )]
         let version = bank.llc_access(block).expect("just made resident").version;
         (ready.max(t_protocol), t_protocol, version)
     }
@@ -529,10 +538,11 @@ impl Machine {
             }
         }
         let bank = &mut self.banks[bank_id.index()];
-        let line = bank
-            .llc_remove(victim)
-            // lint: allow(expect) — protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state.
-            .expect("victim is resident");
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state"
+        )]
+        let line = bank.llc_remove(victim).expect("victim is resident");
         bank.llc_stats.evictions.incr();
         if let (true, Some(records)) = (line.stash, &mut self.hidden_owners) {
             records.remove(&victim);
@@ -899,10 +909,9 @@ mod tests {
         let mk_traces = || {
             let mut traces = no_ops(4);
             for (c, trace) in traces.iter_mut().enumerate() {
-                for round in 0..4 {
+                for _ in 0..4 {
                     for i in 0..32u64 {
                         let block = BlockAddr::new(1000 + c as u64 * 512 + i * 4);
-                        let _ = round;
                         trace.push(MemOp::read(block));
                     }
                 }

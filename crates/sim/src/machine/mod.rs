@@ -14,9 +14,12 @@
 //! snapshot; `witness` holds campaign-coverage witnessing; and `report`
 //! folds the run into a [`SimReport`].
 
-// lint: allow-file(indexing) — cores/privs/banks are fixed-size vectors
-// indexed by CoreId/BankId produced by the config-bounded topology, so
-// the bounds hold by construction.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "cores/privs/banks are fixed-size vectors indexed by \
+              CoreId/BankId produced by the config-bounded topology, so the \
+              bounds hold by construction"
+)]
 
 mod chaos;
 mod home;
@@ -614,9 +617,12 @@ impl Machine {
         data_version: u64,
         fill_done: Cycle,
     ) {
+        #[expect(
+            clippy::expect_used,
+            reason = "protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state"
+        )]
         let op = self.cores.pending[requester.index()]
             .take()
-            // lint: allow(expect) — protocol invariant; a miss here is a coherence bug the checker must surface, not a recoverable state.
             .expect("demand completion matches a pending op");
         debug_assert_eq!(op.kind == MemOpKind::Write, req != Request::GetS);
 

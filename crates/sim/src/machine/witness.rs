@@ -2,9 +2,12 @@
 //! tables and the (row × column) hit counters a witnessing run bumps at
 //! each private probe, core-local access and home decision.
 
-// lint: allow-file(indexing) — witness cells are indexed by
-// `row * cols + col` from the `*_idx` functions, each below its domain
-// size, and `privs` by a config-bounded `CoreId`.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "witness cells are indexed by `row * cols + col` from the \
+              `*_idx` functions, each below its domain size, and `privs` by \
+              a config-bounded `CoreId`"
+)]
 
 use super::Machine;
 use crate::private::ProbeAnswer;

@@ -315,10 +315,13 @@ impl PrivateHier {
     /// Panics if the block is absent from L2 — the home decided the copy
     /// was still live, so it must be.
     pub fn grant_permission(&mut self, block: BlockAddr) -> u64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic contract (doc comment)"
+        )]
         let line = self
             .l2
             .access_mut(block)
-            // lint: allow(expect) — documented panic contract (doc comment).
             .expect("data-less grant targets a live copy");
         line.state = PrivState::Modified;
         let version = line.version;
@@ -332,7 +335,10 @@ impl PrivateHier {
     ///
     /// Panics if the block is absent or not writable.
     pub fn record_write(&mut self, block: BlockAddr, version: u64) {
-        // lint: allow(expect) — documented panic contract (doc comment).
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic contract (doc comment)"
+        )]
         let line = self.l2.get_mut(block).expect("write target present");
         assert_eq!(line.state, PrivState::Modified, "write without ownership");
         line.version = version;

@@ -22,9 +22,12 @@
 //! keyed by block. The tracker reads no cache state, so it stays an
 //! independent oracle for the caches it checks.
 
-// lint: allow-file(indexing) — core and op indices come from the traces
-// the tracker was built from, and each op's slot indexes its core's
-// `seen`, which has one entry per slot by construction.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "core and op indices come from the traces the tracker was built \
+              from, and each op's slot indexes its core's `seen`, which has \
+              one entry per slot by construction"
+)]
 
 use stashdir_common::{BlockAddr, CoreId, FxHashMap, MemOp};
 
