@@ -1,13 +1,10 @@
 //! Centralized `// lint:` directive handling: parsing, validation, rule
 //! suppression, and staleness accounting.
 //!
-//! Directives are ordinary comments:
-//!
-//! * `// lint: allow(determinism)` — allows the named rule(s) on the
-//!   directive's own line and the line below it (so it works both as a
-//!   trailing comment and as a comment above the call).
-//! * `// lint: allow-file(determinism)` — allows the rule(s) for the
-//!   whole file.
+//! Directives are ordinary comments. `// lint: allow(determinism)`
+//! allows the named rule(s) on the directive's own line and the line
+//! below it, so it works both as a trailing comment and as a comment
+//! above the call. Any other `// lint:` form is a finding.
 //!
 //! The only suppressible rule is `determinism` ([`SUPPRESSIBLE`]); the
 //! hot crates' panic hygiene is clippy's, with `#[expect(…, reason)]`
@@ -34,14 +31,11 @@ struct Directive {
     rule: String,
     /// Line the comment sits on.
     line: u32,
-    file_wide: bool,
 }
 
 #[derive(Debug, Default)]
 struct FileDirectives {
     directives: Vec<Directive>,
-    /// rule → file-wide directive lines.
-    file_rules: BTreeMap<String, Vec<u32>>,
     /// rule → (covered line → directive line).
     line_rules: BTreeMap<String, BTreeMap<u32, u32>>,
     /// `(directive line, rule)` pairs that suppressed at least one site.
@@ -76,11 +70,7 @@ impl DirectiveIndex {
                 continue;
             };
             let rest = t.text[at + "lint:".len()..].trim_start();
-            let (file_wide, args) = if let Some(a) = rest.strip_prefix("allow-file(") {
-                (true, a)
-            } else if let Some(a) = rest.strip_prefix("allow(") {
-                (false, a)
-            } else {
+            let Some(args) = rest.strip_prefix("allow(") else {
                 self.findings.push(Finding {
                     rule: RULE_DIRECTIVE.to_string(),
                     file: file.to_string(),
@@ -113,41 +103,25 @@ impl DirectiveIndex {
                 entry.directives.push(Directive {
                     rule: rule.to_string(),
                     line: t.line,
-                    file_wide,
                 });
-                if file_wide {
-                    entry
-                        .file_rules
-                        .entry(rule.to_string())
-                        .or_default()
-                        .push(t.line);
-                } else {
-                    let lines = entry.line_rules.entry(rule.to_string()).or_default();
-                    lines.insert(t.line, t.line);
-                    lines.insert(t.line + 1, t.line);
-                }
+                let lines = entry.line_rules.entry(rule.to_string()).or_default();
+                lines.insert(t.line, t.line);
+                lines.insert(t.line + 1, t.line);
             }
         }
     }
 
     /// Whether `rule` is allowed at `file:line`, marking the covering
-    /// directive as used. Line directives take precedence over file-wide
-    /// ones so a redundant narrow allow still registers as exercised.
+    /// directive as used.
     pub fn allows(&mut self, file: &str, rule: &str, line: u32) -> bool {
         let Some(entry) = self.files.get_mut(file) else {
             return false;
         };
-        if let Some(&directive_line) = entry.line_rules.get(rule).and_then(|m| m.get(&line)) {
-            entry.used.insert((directive_line, rule.to_string()));
-            return true;
-        }
-        if let Some(lines) = entry.file_rules.get(rule) {
-            if let Some(&first) = lines.first() {
-                entry.used.insert((first, rule.to_string()));
-                return true;
-            }
-        }
-        false
+        let Some(&directive_line) = entry.line_rules.get(rule).and_then(|m| m.get(&line)) else {
+            return false;
+        };
+        entry.used.insert((directive_line, rule.to_string()));
+        true
     }
 
     /// Consumes the index: parse findings plus one finding per directive
@@ -159,13 +133,12 @@ impl DirectiveIndex {
                 if entry.used.contains(&(d.line, d.rule.clone())) {
                     continue;
                 }
-                let form = if d.file_wide { "allow-file" } else { "allow" };
                 findings.push(Finding {
                     rule: RULE_ALLOW_UNUSED.to_string(),
                     file: file.clone(),
                     line: d.line,
                     message: format!(
-                        "`// lint: {form}({})` suppresses nothing; remove the stale directive",
+                        "`// lint: allow({})` suppresses nothing; remove the stale directive",
                         d.rule
                     ),
                 });
@@ -195,10 +168,18 @@ mod tests {
     }
 
     #[test]
-    fn allow_file_covers_every_line() {
+    fn allow_file_is_an_unrecognized_directive() {
         let mut d = index("// lint: allow-file(determinism)\nfn f() {}\n");
-        assert!(d.allows("t.rs", RULE_DETERMINISM, 40));
-        assert!(d.finish().is_empty());
+        assert!(!d.allows("t.rs", RULE_DETERMINISM, 1));
+        assert!(!d.allows("t.rs", RULE_DETERMINISM, 2));
+        let found = d.finish();
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].rule, RULE_DIRECTIVE);
+        assert_eq!(found[0].line, 1);
+        assert!(
+            found[0].message.contains("unrecognized lint directive"),
+            "{found:?}"
+        );
     }
 
     #[test]

@@ -396,12 +396,34 @@ impl<L> SetAssoc<L> {
     /// Iterates every resident `(block, payload)` pair in set order, ways
     /// in order within a set. Sets that were never filled cost nothing.
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &L)> {
-        self.chunks.iter().flatten().flat_map(|chunk| {
-            chunk
-                .tags
-                .iter()
-                .zip(&chunk.lines)
-                .filter_map(|(&tag, line)| line.as_ref().map(|l| (BlockAddr::new(tag), l)))
+        self.iter_sets(std::iter::once(0..self.num_sets()))
+    }
+
+    /// Iterates the resident `(block, payload)` pairs of the listed
+    /// ranges of sets: range by range, in set order within a range and
+    /// way order within a set. Sets in chunks that were never allocated
+    /// cost nothing, and sets past the last yield nothing.
+    pub fn iter_sets(
+        &self,
+        sets: impl IntoIterator<Item = Range<usize>>,
+    ) -> impl Iterator<Item = (BlockAddr, &L)> {
+        let (bits, num_sets) = (self.chunk_bits, self.num_sets());
+        sets.into_iter().flat_map(move |range| {
+            let end = range.end.min(num_sets);
+            let start = range.start.min(end);
+            // The chunks holding sets `start..end`.
+            let chunks = start >> bits..(end + (1 << bits) - 1) >> bits;
+            chunks
+                .filter_map(move |c| Some((c << bits, self.chunks[c].as_ref()?)))
+                .flat_map(move |(first, chunk)| {
+                    let lo = start.max(first) - first;
+                    let hi = end.min(first + (1 << bits)) - first;
+                    let slots = lo * chunk.cap..hi * chunk.cap;
+                    chunk.tags[slots.clone()]
+                        .iter()
+                        .zip(&chunk.lines[slots])
+                        .filter_map(|(&tag, line)| line.as_ref().map(|l| (BlockAddr::new(tag), l)))
+                })
         })
     }
 }
@@ -1202,5 +1224,85 @@ mod tests {
                 run_differential(&ops[..len], (sets, ways))?;
             }
         }
+    }
+
+    /// `(sets, ways)` for the set-list walk: 1-, 3- and 12-way arrays of
+    /// one chunk (256, 64 and 16 sets) and of several.
+    const SET_LIST_GEOMETRIES: [(usize, usize); 6] =
+        [(256, 1), (1024, 1), (64, 3), (512, 3), (16, 12), (128, 12)];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// After random inserts and removes, confined to the chunks in
+        /// `live`, the sets of each batch of residues modulo `2^m_bits`,
+        /// `2^w_bits` residues a batch, yield only blocks of those sets,
+        /// and over all batches every pair of `iter()` exactly once. The
+        /// sets of a chunk never allocated yield nothing.
+        #[test]
+        fn residue_batches_partition_the_array(
+            ops in prop::collection::vec((prop::bool::ANY, 0usize..1 << 12, 0u64..16), 0..400),
+            live in any::<u8>(),
+            m_bits in 0u32..7,
+            w_bits in 0u32..4,
+        ) {
+            for (sets, ways) in SET_LIST_GEOMETRIES {
+                let mut a: SetAssoc<u64> = SetAssoc::new(sets, ways);
+                let chunk_sets = 1 << a.chunk_bits;
+                for (payload, &(insert, set, tag)) in (0u64..).zip(&ops) {
+                    let set = set % sets;
+                    if live & (1 << (set / chunk_sets % 8)) == 0 {
+                        continue;
+                    }
+                    let block = BlockAddr::new(set as u64 + sets as u64 * tag);
+                    if !insert {
+                        a.remove(block);
+                    } else if !a.contains(block) {
+                        a.insert(block, payload);
+                    }
+                }
+                let modulus = (1 << m_bits).min(sets);
+                let width = (1 << w_bits).min(modulus);
+                let mut seen = Vec::new();
+                for first in (0..modulus).step_by(width) {
+                    let ranges = (0..sets)
+                        .step_by(modulus)
+                        .map(|base| base + first..base + first + width);
+                    for (block, &payload) in a.iter_sets(ranges) {
+                        prop_assert!(
+                            (first..first + width).contains(&(a.set_index(block) % modulus)),
+                            "{sets}x{ways}: {block} outside residues {first}+{width} mod {modulus}"
+                        );
+                        seen.push((block, payload));
+                    }
+                }
+                let mut all: Vec<(BlockAddr, u64)> = a.iter().map(|(b, &l)| (b, l)).collect();
+                prop_assert_eq!(all.len(), a.occupancy());
+                seen.sort_unstable();
+                all.sort_unstable();
+                prop_assert_eq!(seen, all, "{}x{} mod {} by {}", sets, ways, modulus, width);
+                for (c, chunk) in a.chunks.iter().enumerate() {
+                    if chunk.is_none() {
+                        let first = c * chunk_sets;
+                        prop_assert_eq!(a.iter_sets(std::iter::once(first..first + chunk_sets)).count(), 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn iter_sets_clamps_and_skips_empty_ranges() {
+        let mut a = array(4, 2);
+        for i in 0..8 {
+            a.insert(BlockAddr::new(i), i as u32);
+        }
+        let blocks = |ranges: &[Range<usize>]| -> Vec<u64> {
+            a.iter_sets(ranges.iter().cloned())
+                .map(|(b, _)| b.get())
+                .collect()
+        };
+        assert_eq!(blocks(&[1..3, 0..1]), [1, 5, 2, 6, 0, 4]);
+        assert_eq!(blocks(&[3..9, 2..2, 6..8]), [3, 7]);
     }
 }

@@ -20,14 +20,21 @@
 //!   content.
 //! * **Stash discipline**: a set stash bit implies the block is untracked
 //!   at its home.
+//!
+//! The per-block checks walk the machine one batch of home banks at a
+//! time, so the private copies gathered for them never span the whole
+//! machine: see [`check`].
 
 use crate::machine::Machine;
-use crate::private::PrivateHier;
 use stashdir_common::{BlockAddr, CoreId, FxHashMap};
 use stashdir_protocol::{DirView, PrivState};
 
 /// One valid private copy: `(block, core, state, version)`.
 type PrivCopy = (BlockAddr, CoreId, PrivState, u64);
+
+/// The number of batches a check walks the machine in, when the
+/// geometry has at least as many residues (see [`check`]).
+const BATCHES: usize = 16;
 
 /// Runs every invariant over `machine`, returning human-readable
 /// violation descriptions (empty = clean). `final_check` additionally
@@ -38,31 +45,35 @@ type PrivCopy = (BlockAddr, CoreId, PrivState, u64);
 /// each bank's LLC and directory are read in set order. Messages are
 /// reported in address order within each check, whatever the walk's
 /// order, so failure reports do not depend on cache layout.
+///
+/// The per-block checks run in batches. A block's home bank is its low
+/// `log2(banks)` bits and its L2 set its low `log2(l2 sets)` bits, so
+/// with `m = min(banks, l2 sets)` both are fixed by the block's residue
+/// modulo `m`. A batch is a range of `max(m / 16, 1)` residues: it
+/// covers the banks and the L2 sets with those residues. For each batch
+/// the check gathers every core's copies from those L2 sets into one
+/// reused scratch vector, sorts it, and walks it together with the
+/// batch's written blocks, `banks / m` runs of the sorted written list.
+/// So the check's scratch holds at most one batch's copies plus the
+/// sorted written list, and it reads each L2 set of each core once per
+/// check.
 pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
     let mut problems = Vec::new();
     let uses_stash = machine.config().dir.uses_stash();
     let key = |block| machine.bank_major(block);
 
-    // Gather every valid private copy into one flat vector, core by core.
-    let total = machine.privs.iter().map(PrivateHier::l2_occupancy).sum();
-    let mut copies: Vec<PrivCopy> = Vec::with_capacity(total);
+    // I7: L1 ⊆ L2. L2 stores no Invalid line, so Invalid means absent.
     for hier in &machine.privs {
-        let core = hier.core();
-        // I7: L1 ⊆ L2. L2 stores no Invalid line, so Invalid means absent.
         for l1_block in hier.l1_blocks() {
             if hier.state_of(l1_block) == PrivState::Invalid {
-                problems.push(format!("I7: {core} holds {l1_block} in L1 but not L2"));
+                problems.push(format!(
+                    "I7: {} holds {l1_block} in L1 but not L2",
+                    hier.core()
+                ));
             }
         }
-        copies.extend(
-            hier.l2_entries()
-                .map(|(block, line)| (block, core, line.state, line.version)),
-        );
     }
-    // A core holds a block once, so `(block, core)` is unique: the
-    // unstable sort keeps each block's copies in core order without the
-    // stable sort's scratch buffer.
-    copies.sort_unstable_by_key(|&(block, core, _, _)| (key(block), core));
+
     let mut written: Vec<(BlockAddr, u64)> = machine.values.written().collect();
     written.sort_unstable_by_key(|&(block, _)| key(block));
     let mut wb_versions: FxHashMap<BlockAddr, u64> = FxHashMap::default();
@@ -73,125 +84,45 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
         }
     }
 
-    // One walk over the union of held and written blocks. Per-block
-    // messages (I3, I4, I1/I2, I5 stale copies) and lost writes keep
-    // their block, to be put back in address order below.
-    let mut per_block: Vec<(BlockAddr, String)> = Vec::new();
-    let mut lost: Vec<(BlockAddr, String)> = Vec::new();
-    let untracked = DirView::Untracked;
-    let (mut c, mut w) = (0, 0);
-    loop {
-        let block = match (copies.get(c), written.get(w)) {
-            (Some(copy), Some(&(wrote, _))) if key(wrote) < key(copy.0) => wrote,
-            (Some(copy), _) => copy.0,
-            (None, Some(&(wrote, _))) => wrote,
-            (None, None) => break,
-        };
-        let rest = copies.get(c..).unwrap_or_default();
-        let held = rest.iter().take_while(|copy| copy.0 == block).count();
-        let holders = rest.get(..held).unwrap_or_default();
-        c += held;
-        let written_latest = match written.get(w) {
-            Some(&(wrote, latest)) if wrote == block => {
-                w += 1;
-                Some(latest)
-            }
-            _ => None,
-        };
-        let latest = written_latest.unwrap_or(0);
-        let home = machine.home(block);
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "`home()` returns an in-range BankId"
-        )]
-        let llc = machine.banks[home.index()].llc_peek(block);
-
-        if !holders.is_empty() {
-            // The entry may live away from the home (opaque sharding).
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "`dir_bank_of()` returns an in-range BankId"
-            )]
-            let view = machine.banks[machine.dir_bank_of(block).index()]
-                .dir_lookup(block)
-                .unwrap_or(&untracked);
-            let stash = llc.is_some_and(|l| l.stash);
-            let mut report = |message| per_block.push((block, message));
-
-            // I3: single writer.
-            let exclusive = || {
-                holders
-                    .iter()
-                    .filter(|(_, _, s, _)| s.is_exclusive())
-                    .map(|&(_, c, _, _)| c)
-            };
-            if exclusive().nth(1).is_some() {
-                let exclusive_holders: Vec<CoreId> = exclusive().collect();
-                report(format!(
-                    "I3: {block} has multiple exclusive holders: {exclusive_holders:?}"
-                ));
-            }
-            if let Some(first) = exclusive().next() {
-                if holders.len() > 1 {
-                    report(format!(
-                        "I3: {block} has an exclusive copy at {first} alongside {} other copies",
-                        holders.len() - 1
-                    ));
-                }
-            }
-
-            // I4: LLC inclusion.
-            if llc.is_none() {
-                report(format!(
-                    "I4: {block} cached privately but not resident in {home}'s LLC"
-                ));
-            }
-
-            // I1/I2: directory coverage per holder, plus state agreement.
-            for &(_, core, state, _) in holders {
-                let covered = match view {
-                    DirView::Untracked => false,
-                    DirView::Exclusive(owner) => *owner == core,
-                    DirView::Shared(set) => set.contains(core),
-                };
-                let hidden = uses_stash && stash;
-                if !covered && !hidden {
-                    report(format!(
-                        "I1/I2: {core} holds {block} ({state}) but {home} tracks {view} with stash={stash}"
-                    ));
-                }
-                if covered && state.is_exclusive() && !matches!(view, DirView::Exclusive(_)) {
-                    report(format!(
-                        "I1: {core} holds {block} in {state} but {home} tracks it as {view}"
-                    ));
-                }
-            }
-
-            // I5: every valid copy holds the latest version.
-            for &(_, core, state, version) in holders {
-                if version != latest {
-                    report(format!(
-                        "I5: {core} holds {block} ({state}) at version {version}, latest is {latest}"
-                    ));
-                }
-            }
+    let mut walk = Walk {
+        machine,
+        uses_stash,
+        wb_versions,
+        per_block: Vec::new(),
+        lost: Vec::new(),
+    };
+    let banks = machine.banks.len();
+    let modulus = banks.min(machine.config().l2.num_sets());
+    let width = (modulus / BATCHES).max(1);
+    let mut copies: Vec<PrivCopy> = Vec::new();
+    for first in (0..modulus).step_by(width) {
+        let residues = first..first + width;
+        copies.clear();
+        for hier in &machine.privs {
+            let core = hier.core();
+            copies.extend(
+                hier.l2_entries_in(residues.clone(), modulus)
+                    .map(|(block, line)| (block, core, line.state, line.version)),
+            );
         }
-
-        // I5 reachability: the latest version of a written block exists
-        // somewhere. DRAM is asked last, only when nothing else holds it.
-        if let Some(latest) = written_latest {
-            let reachable = holders.iter().any(|copy| copy.3 == latest)
-                || wb_versions.get(&block).copied().unwrap_or(0) == latest
-                || llc.is_some_and(|l| l.version == latest)
-                || machine.dram_store.get(&block).copied().unwrap_or(0) == latest;
-            if !reachable {
-                lost.push((
-                    block,
-                    format!("I5: latest version {latest} of {block} is unreachable (lost write)"),
-                ));
-            }
-        }
+        // A core holds a block once, so `(block, core)` is unique: the
+        // unstable sort keeps each block's copies in core order without
+        // the stable sort's scratch buffer.
+        copies.sort_unstable_by_key(|&(block, core, _, _)| (key(block), core));
+        // The written list is sorted by home bank first, so the batch's
+        // banks in each group of `modulus` are one run of it.
+        let runs = (0..banks).step_by(modulus).flat_map(|base| {
+            let bank_run = |bank| written.partition_point(|&(b, _)| machine.home(b).index() < bank);
+            let run = bank_run(base + residues.start)..bank_run(base + residues.end);
+            written.get(run).unwrap_or_default()
+        });
+        walk.batch(&copies, runs);
     }
+    let Walk {
+        mut per_block,
+        mut lost,
+        ..
+    } = walk;
     // Stable sorts: a block's messages stay in the order they were found.
     per_block.sort_by_key(|&(block, _)| block);
     lost.sort_by_key(|&(block, _)| block);
@@ -275,6 +206,147 @@ pub fn check(machine: &Machine, final_check: bool) -> Vec<String> {
     problems
 }
 
+/// The per-block checks over the batches of one [`check`], with the
+/// messages they found.
+struct Walk<'m> {
+    machine: &'m Machine,
+    uses_stash: bool,
+    /// Per block, the newest version a parked writeback holds.
+    wb_versions: FxHashMap<BlockAddr, u64>,
+    /// Per-block messages (I3, I4, I1/I2, I5 stale copies), each with its
+    /// block, to be put back in address order.
+    per_block: Vec<(BlockAddr, String)>,
+    /// Lost writes (I5 reachability), each with its block.
+    lost: Vec<(BlockAddr, String)>,
+}
+
+impl Walk<'_> {
+    /// One walk over the union of a batch's held and written blocks:
+    /// `copies` and `written` are both in bank-major order and hold
+    /// blocks of the same banks.
+    fn batch<'w>(
+        &mut self,
+        copies: &[PrivCopy],
+        written: impl Iterator<Item = &'w (BlockAddr, u64)>,
+    ) {
+        let machine = self.machine;
+        let key = |block| machine.bank_major(block);
+        let untracked = DirView::Untracked;
+        let mut written = written.peekable();
+        let mut c = 0;
+        loop {
+            let block = match (copies.get(c), written.peek()) {
+                (Some(copy), Some(&&(wrote, _))) if key(wrote) < key(copy.0) => wrote,
+                (Some(copy), _) => copy.0,
+                (None, Some(&&(wrote, _))) => wrote,
+                (None, None) => break,
+            };
+            let rest = copies.get(c..).unwrap_or_default();
+            let held = rest.iter().take_while(|copy| copy.0 == block).count();
+            let holders = rest.get(..held).unwrap_or_default();
+            c += held;
+            let written_latest = written
+                .next_if(|&&(wrote, _)| wrote == block)
+                .map(|&(_, latest)| latest);
+            let latest = written_latest.unwrap_or(0);
+            let home = machine.home(block);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "`home()` returns an in-range BankId"
+            )]
+            let llc = machine.banks[home.index()].llc_peek(block);
+
+            if !holders.is_empty() {
+                // The entry may live away from the home (opaque sharding).
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "`dir_bank_of()` returns an in-range BankId"
+                )]
+                let view = machine.banks[machine.dir_bank_of(block).index()]
+                    .dir_lookup(block)
+                    .unwrap_or(&untracked);
+                let stash = llc.is_some_and(|l| l.stash);
+                let mut report = |message| self.per_block.push((block, message));
+
+                // I3: single writer.
+                let exclusive = || {
+                    holders
+                        .iter()
+                        .filter(|(_, _, s, _)| s.is_exclusive())
+                        .map(|&(_, c, _, _)| c)
+                };
+                if exclusive().nth(1).is_some() {
+                    let exclusive_holders: Vec<CoreId> = exclusive().collect();
+                    report(format!(
+                        "I3: {block} has multiple exclusive holders: {exclusive_holders:?}"
+                    ));
+                }
+                if let Some(first) = exclusive().next() {
+                    if holders.len() > 1 {
+                        report(format!(
+                            "I3: {block} has an exclusive copy at {first} alongside {} other copies",
+                            holders.len() - 1
+                        ));
+                    }
+                }
+
+                // I4: LLC inclusion.
+                if llc.is_none() {
+                    report(format!(
+                        "I4: {block} cached privately but not resident in {home}'s LLC"
+                    ));
+                }
+
+                // I1/I2: directory coverage per holder, plus state agreement.
+                for &(_, core, state, _) in holders {
+                    let covered = match view {
+                        DirView::Untracked => false,
+                        DirView::Exclusive(owner) => *owner == core,
+                        DirView::Shared(set) => set.contains(core),
+                    };
+                    let hidden = self.uses_stash && stash;
+                    if !covered && !hidden {
+                        report(format!(
+                            "I1/I2: {core} holds {block} ({state}) but {home} tracks {view} with stash={stash}"
+                        ));
+                    }
+                    if covered && state.is_exclusive() && !matches!(view, DirView::Exclusive(_)) {
+                        report(format!(
+                            "I1: {core} holds {block} in {state} but {home} tracks it as {view}"
+                        ));
+                    }
+                }
+
+                // I5: every valid copy holds the latest version.
+                for &(_, core, state, version) in holders {
+                    if version != latest {
+                        report(format!(
+                            "I5: {core} holds {block} ({state}) at version {version}, latest is {latest}"
+                        ));
+                    }
+                }
+            }
+
+            // I5 reachability: the latest version of a written block exists
+            // somewhere. DRAM is asked last, only when nothing else holds it.
+            if let Some(latest) = written_latest {
+                let reachable = holders.iter().any(|copy| copy.3 == latest)
+                    || self.wb_versions.get(&block).copied().unwrap_or(0) == latest
+                    || llc.is_some_and(|l| l.version == latest)
+                    || machine.dram_store.get(&block).copied().unwrap_or(0) == latest;
+                if !reachable {
+                    self.lost.push((
+                        block,
+                        format!(
+                            "I5: latest version {latest} of {block} is unreachable (lost write)"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,19 +358,31 @@ mod tests {
     use stashdir_common::{BlockAddr, MemOp};
     use stashdir_protocol::Grant;
 
-    /// A fresh, empty machine whose state the tests corrupt by hand.
+    /// A fresh, empty machine whose state the tests corrupt by hand:
+    /// four cores and four banks over a 4-set L2.
     fn machine(dir: DirSpec) -> Machine {
+        machine_with(dir, L2_GEOMETRIES[0])
+    }
+
+    /// [`machine`] with an L2 of `(bytes, ways)`.
+    fn machine_with(dir: DirSpec, (bytes, ways): (u64, usize)) -> Machine {
         use stashdir_mem::CacheConfig;
         let cfg = SystemConfig {
             cores: 4,
             l1: CacheConfig::new(256, 2, 64, 1),
-            l2: CacheConfig::new(512, 2, 64, 4),
+            l2: CacheConfig::new(bytes, ways, 64, 4),
             llc_bank: CacheConfig::new(1024, 2, 64, 8),
             dir,
             ..SystemConfig::default()
         };
         Machine::new(cfg)
     }
+
+    /// L2 `(bytes, ways)` against the four banks: as many sets as banks
+    /// (4), fewer (2, as on E20) and more (16, as on E9), so a check
+    /// batch covers one bank and one set, two banks, or one bank and
+    /// four sets.
+    const L2_GEOMETRIES: [(u64, usize); 3] = [(512, 2), (512, 4), (2048, 2)];
 
     fn stash_machine() -> Machine {
         machine(DirSpec::stash(CoverageRatio::new(1, 8)))
@@ -876,7 +960,7 @@ mod tests {
         }
     }
 
-    /// One core's trace over 24 blocks, three times the 8-block L2, so
+    /// One core's trace over 24 blocks, three times the 8-block L2s, so
     /// replacements, discovery and directory evictions all happen.
     fn trace() -> impl Strategy<Value = Vec<MemOp>> {
         prop::collection::vec(
@@ -894,28 +978,31 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// On every backend, stopped anywhere in a random run and
-        /// damaged in any of seven ways, the machine gets exactly the
-        /// reference's messages, in the reference's order, with and
-        /// without the liveness checks.
+        /// On every backend and L2 geometry, stopped anywhere in a
+        /// random run and damaged in any of seven ways, the machine gets
+        /// exactly the reference's messages, in the reference's order,
+        /// with and without the liveness checks.
         #[test]
         fn bank_major_check_matches_the_reference(
             traces in prop::collection::vec(trace(), 4),
             events in 0usize..600,
             damage in prop::collection::vec(corruption(), 0..4),
         ) {
-            for dir in every_backend() {
-                let mut m = machine(dir);
-                m.run_events(traces.clone(), events);
-                for &d in &damage {
-                    corrupt(&mut m, d);
-                }
-                for final_check in [false, true] {
-                    prop_assert_eq!(
-                        check(&m, final_check),
-                        reference::check(&m, final_check),
-                        "{} after {} events, {:?}, final={}", dir, events, damage, final_check
-                    );
+            for l2 in L2_GEOMETRIES {
+                for dir in every_backend() {
+                    let mut m = machine_with(dir, l2);
+                    m.run_events(traces.clone(), events);
+                    for &d in &damage {
+                        corrupt(&mut m, d);
+                    }
+                    for final_check in [false, true] {
+                        prop_assert_eq!(
+                            check(&m, final_check),
+                            reference::check(&m, final_check),
+                            "{} with L2 {:?} after {} events, {:?}, final={}",
+                            dir, l2, events, damage, final_check
+                        );
+                    }
                 }
             }
         }

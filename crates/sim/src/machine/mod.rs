@@ -369,8 +369,9 @@ impl Machine {
             "every Put sent was taken at its home"
         );
         // Only discovery reads the hidden-holder records and the Put
-        // counts: free them before the final check builds its copy
-        // vectors, the run's peak.
+        // counts: free them before the final check, whose scratch (one
+        // batch of private copies and the sorted written list) comes on
+        // top of the machine's own state.
         self.hidden_owners = None;
         self.puts_in_flight = None;
         let violations = self.final_check();

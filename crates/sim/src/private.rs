@@ -16,6 +16,7 @@ use stashdir_mem::{CacheConfig, CacheStats, SetAssoc};
 use stashdir_protocol::{
     local_access, probe as probe_fsm, AccessOutcome, Grant, PrivState, Probe, ProbeReply, Request,
 };
+use std::ops::Range;
 
 /// An L2 line: coherence state plus the data version it holds.
 ///
@@ -408,6 +409,27 @@ impl PrivateHier {
     /// Every L2-resident block with its line, in set order.
     pub fn l2_entries(&self) -> impl Iterator<Item = (BlockAddr, L2Line)> + '_ {
         self.l2.iter().map(|(b, l)| (b, *l))
+    }
+
+    /// The L2-resident blocks, with their lines, whose set index modulo
+    /// `modulus` lies in `residues`, in set order. With `modulus` a
+    /// divisor of the set count, the residue ranges that cover
+    /// `0..modulus` together give every entry of [`l2_entries`] once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `modulus` is zero.
+    ///
+    /// [`l2_entries`]: PrivateHier::l2_entries
+    pub(crate) fn l2_entries_in(
+        &self,
+        residues: Range<usize>,
+        modulus: usize,
+    ) -> impl Iterator<Item = (BlockAddr, L2Line)> + '_ {
+        let sets = (0..self.l2.num_sets())
+            .step_by(modulus)
+            .map(move |base| base + residues.start..base + residues.end);
+        self.l2.iter_sets(sets).map(|(b, l)| (b, *l))
     }
 
     /// Every L1-resident block, in set order.
