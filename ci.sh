@@ -13,8 +13,12 @@ cargo fmt --check
 # --all-targets compiles tests, examples and benches too, so removing a
 # public API a bench still uses fails here rather than going unnoticed.
 # It also enforces panic hygiene in the hot crates (the clippy `deny` in
-# their lib.rs; test code is exempt via clippy.toml) and fails on an
-# `#[expect]` that no longer fires (unfulfilled_lint_expectations).
+# their lib.rs; test code is exempt via crates/clippy.toml) and artifact
+# determinism: crates/clippy.toml bans std HashMap/HashSet and the
+# Instant/SystemTime::now wall-clock reads, and the crates that build
+# artifacts deny `for` loops over a hash map (iter_over_hash_type). It
+# fails on an `#[expect]` that no longer fires
+# (unfulfilled_lint_expectations).
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -23,18 +27,18 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo doc --workspace --no-deps (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# Protocol-aware static analysis: transition-matrix coverage against the
-# model checker, waits-for liveness, and artifact determinism. Prints
-# per-pass timings, writes results/lint/protocol_model.json (v3) plus
-# the machine-readable findings list, and fails on any finding. The
+# Protocol-aware static analysis of the compiled decision functions:
+# transition-matrix coverage against the model checker, and waits-for
+# liveness. It reads no source files. Prints per-pass timings, writes
+# results/lint/protocol_model.json (v3) plus the machine-readable
+# findings list (v2), and fails on any finding. The
 # model is committed and the lint rewrites it in place, so it is
 # compared with the committed copy: a change to the protocol's decisions
 # or to the reachable set that was not committed fails here.
 echo "== stashdir-lint"
 model_before=$(mktemp)
 cp results/lint/protocol_model.json "$model_before"
-cargo run -q -p stashdir-lint --offline -- --root . \
-  --json results/lint/findings.json
+cargo run -q -p stashdir-lint --offline -- --json results/lint/findings.json
 cmp "$model_before" results/lint/protocol_model.json \
   || { rm -f "$model_before"; echo "stashdir-lint FAILED: the protocol model changed and results/lint/protocol_model.json is stale; commit the rewritten file"; exit 1; }
 rm -f "$model_before"

@@ -24,7 +24,6 @@
 //!
 //! [`BlockAddr`]: crate::BlockAddr
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The FxHash multiplication constant (64-bit golden-ratio mix, as used
@@ -36,10 +35,18 @@ const ROTATE: u32 = 5;
 
 /// A `HashMap` keyed with [`FxHasher`] (deterministic, fast, not
 /// DoS-resistant).
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the fixed-seed hasher is what makes the std map deterministic"
+)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the fixed-seed hasher is what makes the std set deterministic"
+)]
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// `BuildHasher` producing [`FxHasher`]s; zero-sized, fixed seed.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
@@ -131,7 +138,7 @@ mod tests {
     fn distinct_keys_spread() {
         // Sequential block addresses (the common key pattern) must not
         // collapse onto one bucket chain.
-        let hashes: std::collections::HashSet<u64> = (0..1024u64).map(|k| hash_of(&k)).collect();
+        let hashes: std::collections::BTreeSet<u64> = (0..1024u64).map(|k| hash_of(&k)).collect();
         assert_eq!(hashes.len(), 1024, "sequential keys all hash distinctly");
     }
 

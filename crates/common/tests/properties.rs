@@ -1,9 +1,9 @@
-//! Property tests: `SharerSet` against a `HashSet` reference model, RNG
+//! Property tests: `SharerSet` against a `BTreeSet` reference model, RNG
 //! bounds, histogram accounting.
 
 use proptest::prelude::*;
 use stashdir_common::{CoreId, DetRng, Histogram, SharerSet};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
 enum SetOp {
@@ -22,7 +22,7 @@ fn arb_ops(capacity: u16) -> impl Strategy<Value = Vec<SetOp>> {
 }
 
 proptest! {
-    /// SharerSet behaves exactly like a HashSet<u16> under any op
+    /// SharerSet behaves exactly like a BTreeSet<u16> under any op
     /// sequence, for capacities spanning one to several words.
     #[test]
     fn sharer_set_matches_hashset(
@@ -30,7 +30,7 @@ proptest! {
         ops in arb_ops(130),
     ) {
         let mut set = SharerSet::new(capacity);
-        let mut model: HashSet<u16> = HashSet::new();
+        let mut model: BTreeSet<u16> = BTreeSet::new();
         for op in ops {
             match op {
                 SetOp::Insert(c) if c < capacity => {

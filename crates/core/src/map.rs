@@ -20,9 +20,9 @@
 
 use crate::cost::CostParams;
 use crate::model::{DirStats, DirectoryModel, EvictionAction};
+use stashdir_common::fxhash::FxHashMap;
 use stashdir_common::BlockAddr;
 use stashdir_protocol::DirView;
-use std::collections::HashMap;
 
 /// Which map-backed organization a [`MapDirectory`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,7 +64,7 @@ impl MapOrg {
 #[derive(Debug)]
 pub struct MapDirectory {
     org: MapOrg,
-    map: HashMap<BlockAddr, DirView>,
+    map: FxHashMap<BlockAddr, DirView>,
     stats: DirStats,
 }
 
@@ -73,7 +73,7 @@ impl MapDirectory {
     pub fn new(org: MapOrg) -> Self {
         MapDirectory {
             org,
-            map: HashMap::new(),
+            map: FxHashMap::default(),
             stats: DirStats::default(),
         }
     }

@@ -153,7 +153,7 @@ impl CampaignOutcome {
 /// Loads the reachable-transition model: the lint artifact when `path`
 /// is given and readable, the in-crate model checker otherwise. Either
 /// way the `fault_response` section (which lives above the protocol
-/// crate) is filled in from the fault taxonomy when absent.
+/// crate) comes from the fault taxonomy.
 ///
 /// # Errors
 ///
@@ -173,8 +173,7 @@ pub fn load_model(path: Option<&Path>) -> io::Result<(ReachableModel, String)> {
     };
     model
         .sections
-        .entry("fault_response".to_string())
-        .or_insert_with(fault_response_labels);
+        .insert("fault_response".to_string(), fault_response_labels());
     Ok((model, origin))
 }
 

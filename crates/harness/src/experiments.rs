@@ -20,10 +20,10 @@ use stashdir::{
     EnergyCounts, EnergyModel, FaultClass, FaultConfig, SharerFormat, SimReport, SystemConfig,
     Workload,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Completed reports keyed by [`CaseSpec::id`].
-pub type ResultSet = HashMap<String, SimReport>;
+pub type ResultSet = BTreeMap<String, SimReport>;
 
 /// An assembled experiment: the table plus an optional trailing note
 /// (printed after the CSV save line, exactly like the serial binaries).
@@ -725,7 +725,7 @@ fn e10_assemble(_p: Params, _results: &ResultSet) -> Assembled {
             }))
             .collect();
 
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = BTreeSet::new();
     for (label, spec) in cases {
         if !seen.insert(label.clone()) {
             continue;
@@ -1355,7 +1355,7 @@ fn e18_assemble(p: Params, results: &ResultSet) -> Assembled {
             "slice_KiB",
         ],
     );
-    let mut norms: HashMap<&'static str, Vec<f64>> = HashMap::new();
+    let mut norms: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
     for workload in E9_WORKLOADS {
         let ideal = report(results, &case(DirSpec::FullMap, workload, p));
         let ideal_cycles = ideal.cycles as f64;

@@ -38,6 +38,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Artifact determinism: no `for` loop over a hash map or set; the
+// std maps and wall-clock reads are banned in `crates/clippy.toml`.
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod artifact;
 pub mod campaign;

@@ -208,6 +208,10 @@ enum CaseEnd {
 /// and notice a fail-fast cancellation promptly; on either, the case
 /// thread is abandoned — it holds only clones and its late result goes
 /// to a closed channel.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the per-case deadline is wall-clock by design; it decides only timeouts"
+)]
 fn run_one(
     spec: &CaseSpec,
     hooks: &Hooks,
@@ -270,6 +274,10 @@ fn run_one(
 ///   come back as [`CaseStatus::Skipped`].
 /// * Outcomes carry the same reports a serial loop would produce — the
 ///   simulator is deterministic and cases share nothing.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "case durations go to the manifest, which is not byte-compared"
+)]
 pub fn run_cases(specs: &[CaseSpec], opts: &RunOptions) -> Vec<CaseOutcome> {
     install_quiet_hook();
     let jobs = opts.resolved_jobs().min(specs.len()).max(1);
@@ -460,6 +468,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test bounds the pool's wall-clock return time"
+    )]
     fn fail_fast_cancels_promptly_despite_hung_sibling() {
         let specs = small_specs(6);
         let hang = specs[0].id();

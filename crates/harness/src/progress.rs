@@ -20,6 +20,10 @@ pub struct Progress {
 
 impl Progress {
     /// Starts tracking a sweep of `total` cases on `jobs` workers.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the ETA on stderr is wall-clock; it reaches no artifact"
+    )]
     pub fn new(total: usize, jobs: usize) -> Self {
         Progress {
             total,

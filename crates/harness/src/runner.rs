@@ -11,7 +11,7 @@ use crate::manifest::RunManifest;
 use crate::params::Params;
 use crate::plan::CaseSpec;
 use crate::pool::{run_cases, CaseOutcome, CaseStatus, RunOptions};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::io;
 use std::io::IsTerminal as _;
 use std::path::{Path, PathBuf};
@@ -99,6 +99,10 @@ pub struct ExecReport {
 /// `Other` error if the pool does not return one outcome per case
 /// submitted; simulation panics are *not* errors (they become `failed`
 /// case records).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the run's wall time goes to the manifest, which is not byte-compared"
+)]
 pub fn execute_cases(
     cases: &[CaseSpec],
     run: &str,
@@ -269,7 +273,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> io::Result<SweepSummary> {
         resolve(&cfg.experiments).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
 
     // The union of every experiment's cases, first-seen order.
-    let mut seen = HashSet::new();
+    let mut seen = BTreeSet::new();
     let mut cases: Vec<CaseSpec> = Vec::new();
     for exp in &experiments {
         for case in exp.cases(cfg.params) {

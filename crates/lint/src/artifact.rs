@@ -12,13 +12,13 @@
 //!   campaign's coverage artifact.
 
 use crate::coverage::Section;
-use crate::directives::SUPPRESSIBLE;
 use crate::waitsfor::WaitsForModel;
 use crate::Finding;
 use stashdir_common::json::Value;
 use stashdir_protocol::model::MODEL_SCHEMA_V3;
+
 /// Schema identifier of the findings artifact.
-pub const SCHEMA_FINDINGS: &str = "stashdir-lint/findings/v1";
+pub const SCHEMA_FINDINGS: &str = "stashdir-lint/findings/v2";
 /// Schema identifier of the chaos-campaign coverage artifact (written
 /// by the harness `campaign` binary, verified here so `ci.sh` can gate
 /// on its shape the same way it gates on the protocol model).
@@ -77,7 +77,6 @@ fn finding_json(f: &Finding) -> Value {
     Value::object(vec![
         ("rule".to_string(), Value::String(f.rule.clone())),
         ("file".to_string(), Value::String(f.file.clone())),
-        ("line".to_string(), Value::Number(f.line as f64)),
         ("message".to_string(), Value::String(f.message.clone())),
     ])
 }
@@ -173,17 +172,8 @@ pub fn findings_json(findings: &[Finding]) -> Value {
                                 Value::String(pass_of(&f.rule).to_string()),
                             ),
                             ("rule".to_string(), Value::String(f.rule.clone())),
-                            (
-                                "severity".to_string(),
-                                Value::String(severity_of(&f.rule).to_string()),
-                            ),
                             ("file".to_string(), Value::String(f.file.clone())),
-                            ("line".to_string(), Value::Number(f.line as f64)),
                             ("message".to_string(), Value::String(f.message.clone())),
-                            (
-                                "suppressible".to_string(),
-                                Value::Bool(SUPPRESSIBLE.contains(&f.rule.as_str())),
-                            ),
                         ])
                     })
                     .collect(),
@@ -197,18 +187,7 @@ pub fn pass_of(rule: &str) -> &'static str {
     match rule {
         crate::RULE_COVERAGE_UNCOVERED | crate::RULE_COVERAGE_DEAD => "coverage",
         crate::RULE_WAITSFOR_UNSATISFIABLE | crate::RULE_WAITSFOR_CYCLE => "waitsfor",
-        crate::RULE_DETERMINISM => "determinism",
-        crate::RULE_DIRECTIVE | crate::RULE_ALLOW_UNUSED => "directives",
         _ => "unknown",
-    }
-}
-
-/// Finding severity: liveness and coverage defects are errors; stale
-/// directives are warnings (still gate-failing, but mechanical to fix).
-pub fn severity_of(rule: &str) -> &'static str {
-    match rule {
-        crate::RULE_ALLOW_UNUSED => "warning",
-        _ => "error",
     }
 }
 

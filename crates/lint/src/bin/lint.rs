@@ -1,17 +1,17 @@
-//! The `lint` binary: runs every `stashdir-lint` pass over a repo root,
-//! prints findings and per-pass timings, writes the artifacts, and exits
-//! non-zero when anything fires.
+//! The `lint` binary: runs every `stashdir-lint` pass over the compiled
+//! protocol, prints findings and per-pass timings, writes the artifacts,
+//! and exits non-zero when anything fires.
 //!
 //! ```text
-//! usage: lint [--root DIR] [--model FILE | --no-artifact] [--json FILE] [--quiet]
+//! usage: lint [--model FILE | --no-artifact] [--json FILE] [--quiet]
 //!        lint --verify-coverage FILE
 //! ```
 //!
-//! Defaults: `--root .`, protocol model (v3) at
-//! `<root>/results/lint/protocol_model.json`. `--json FILE` additionally
-//! writes the machine-readable findings artifact. All artifact writes go
-//! through the shared atomic temp+rename discipline
-//! (`stashdir_common::fsio`).
+//! The protocol model (v3) goes to `results/lint/protocol_model.json`
+//! under the working directory unless `--model` names another file.
+//! `--json FILE` additionally writes the machine-readable findings
+//! artifact. All artifact writes go through the shared atomic
+//! temp+rename discipline (`stashdir_common::fsio`).
 //!
 //! `--verify-coverage FILE` is a standalone mode: it parses `FILE` and
 //! checks it is a well-formed harness campaign
@@ -63,7 +63,6 @@ fn verify_coverage(path: &Path) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut root = PathBuf::from(".");
     let mut model: Option<PathBuf> = None;
     let mut json: Option<PathBuf> = None;
     let mut verify_cov: Option<PathBuf> = None;
@@ -73,10 +72,6 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => match args.next() {
-                Some(v) => root = PathBuf::from(v),
-                None => return usage("--root needs a value"),
-            },
             "--model" => match args.next() {
                 Some(v) => model = Some(PathBuf::from(v)),
                 None => return usage("--model needs a value"),
@@ -100,13 +95,7 @@ fn main() -> ExitCode {
         return verify_coverage(&path);
     }
 
-    let report = match stashdir_lint::run(&root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("lint: failed to read sources under {}: {e}", root.display());
-            return ExitCode::from(2);
-        }
-    };
+    let report = stashdir_lint::run();
 
     if !quiet {
         let total: f64 = report.timings.iter().map(|t| t.millis).sum();
@@ -119,8 +108,7 @@ fn main() -> ExitCode {
     }
 
     if !no_artifact {
-        let lint_dir = root.join("results").join("lint");
-        let model_path = model.unwrap_or_else(|| lint_dir.join("protocol_model.json"));
+        let model_path = model.unwrap_or_else(|| PathBuf::from("results/lint/protocol_model.json"));
         if let Err(code) = write_artifact(&model_path, &report.model) {
             return code;
         }
@@ -157,7 +145,7 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("lint: {err}");
     }
     eprintln!(
-        "usage: lint [--root DIR] [--model FILE | --no-artifact] [--json FILE] [--quiet]\n       lint --verify-coverage FILE"
+        "usage: lint [--model FILE | --no-artifact] [--json FILE] [--quiet]\n       lint --verify-coverage FILE"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

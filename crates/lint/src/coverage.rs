@@ -8,10 +8,6 @@
 //! finding. The race allowlist holds the pairs that only arise with
 //! in-flight messages — the atomic-transaction model cannot reach them,
 //! but the timed simulator can, so the handling is load-bearing.
-//!
-//! A fourth section records the chaos layer's fault-response matrix:
-//! every fault class mapped through `expected_detector`, which is both
-//! what is handled and what the chaos campaign must witness.
 
 use crate::decisions::{self, Decisions, Pair};
 use crate::{Finding, RULE_COVERAGE_DEAD, RULE_COVERAGE_UNCOVERED};
@@ -77,15 +73,10 @@ pub const RACE_ALLOWED_HOME: &[(&str, &str, &str)] = &[
 /// reachable.
 pub const RACE_ALLOWED_LOCAL: &[(&str, &str, &str)] = &[];
 
-/// No fault-response pairs are exceptional: `expected_detector` is the
-/// complete truth about which detector owns which fault class.
-pub const RACE_ALLOWED_FAULT: &[(&str, &str, &str)] = &[];
-
 /// One transition-matrix section plus its diff against the model.
 #[derive(Debug, Clone)]
 pub struct Section {
-    /// Section name (`private_probe`, `local_access`, `home`,
-    /// `fault_response`).
+    /// Section name (`private_probe`, `local_access`, `home`).
     pub name: &'static str,
     /// Repo-relative file of the decision function, for findings.
     pub file: &'static str,
@@ -108,7 +99,6 @@ impl Section {
             findings.push(Finding {
                 rule: rule.to_string(),
                 file: self.file.to_string(),
-                line: 0,
                 message: format!("[{}] {what}", self.name),
             });
         };
@@ -178,7 +168,7 @@ fn allowlist(entries: &'static [(&str, &str, &str)]) -> BTreeMap<Pair, &'static 
         .collect()
 }
 
-/// Builds the four matrix sections from the decision data and diffs
+/// Builds the three matrix sections from the decision data and diffs
 /// each against the model.
 pub fn analyze(d: &Decisions, reachable: &ReachablePairs) -> (Vec<Section>, Vec<Finding>) {
     let private = "crates/protocol/src/private.rs";
@@ -213,15 +203,6 @@ pub fn analyze(d: &Decisions, reachable: &ReachablePairs) -> (Vec<Section>, Vec<
             source: d.home.keys().cloned().collect(),
             reachable: reachable.home.clone(),
             race_allowed: allowlist(RACE_ALLOWED_HOME),
-        },
-        Section {
-            name: "fault_response",
-            file: "crates/sim/src/fault.rs",
-            rows: decisions::fault_classes(),
-            cols: decisions::detectors(),
-            source: d.fault.clone(),
-            reachable: d.fault.clone(),
-            race_allowed: allowlist(RACE_ALLOWED_FAULT),
         },
     ];
     let mut findings = Vec::new();

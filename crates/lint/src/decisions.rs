@@ -1,6 +1,6 @@
 //! The protocol's decision tables, read by calling the compiled decision
-//! functions — `probe`, `local_access`, `decide`, `decide_put` and
-//! `expected_detector` — once per key of their finite domains.
+//! functions — `probe`, `local_access`, `decide` and `decide_put` — once
+//! per key of their finite domains.
 //!
 //! A call that panics marks its key as *rejected*: the function's
 //! `panic!`/`unreachable!` arm says the key is outside what it handles
@@ -19,8 +19,6 @@ use stashdir_protocol::{
     decide, decide_put, local_access, probe, AccessOutcome, DirView, MemOpKind, PrivState, Probe,
     Request,
 };
-use stashdir_sim::fault::fault_response_labels;
-use stashdir_sim::{Detector, FaultClass};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{self, AssertUnwindSafe};
@@ -67,8 +65,6 @@ pub struct Decisions {
     pub local: Vec<Access>,
     /// Handled `(request, view-kind)` keys of `decide` and `decide_put`.
     pub home: BTreeMap<Pair, Emission>,
-    /// `(fault class, detector)` pairs of `expected_detector`.
-    pub fault: BTreeSet<Pair>,
 }
 
 thread_local! {
@@ -137,16 +133,6 @@ pub(crate) fn views() -> Vec<String> {
         .collect()
 }
 
-/// Fault-class labels in declaration order.
-pub(crate) fn fault_classes() -> Vec<String> {
-    FaultClass::ALL.iter().map(|c| format!("{c:?}")).collect()
-}
-
-/// Detector labels in declaration order.
-pub(crate) fn detectors() -> Vec<String> {
-    Detector::ALL.iter().map(|d| format!("{d:?}")).collect()
-}
-
 impl Decisions {
     /// Calls each decision function once per key of its domain. `decide`
     /// and `decide_put` see every request × view kind twice: once with
@@ -192,7 +178,6 @@ impl Decisions {
                 }
             }
         }
-        d.fault = fault_response_labels();
         d
     }
 }

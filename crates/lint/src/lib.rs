@@ -1,10 +1,9 @@
 //! `stashdir-lint`: repo-specific static analysis for the stash-directory
 //! reproduction.
 //!
-//! Three analysis passes. The two protocol passes read the decision
-//! tables by calling the compiled protocol functions ([`decisions`]); the
-//! third scans the repo's sources with a hand-rolled lexer (no `syn`, no
-//! network — consistent with the offline `stubs/` policy):
+//! Two analysis passes, both over the decision tables read by calling
+//! the compiled protocol functions ([`decisions`]). The lint reads no
+//! source files.
 //!
 //! 1. **Transition coverage** ([`coverage`]): the
 //!    `(state × incoming-message)` keys the decision functions handle,
@@ -12,32 +11,28 @@
 //!    model-check explorer (`stashdir_protocol::reachability`).
 //!    Uncovered reachable transitions and dead handled keys both fail the
 //!    lint; pairs that only arise through in-flight races live on a
-//!    documented allowlist. A fourth section records the chaos layer's
-//!    `(FaultClass × Detector)` map, `expected_detector`.
+//!    documented allowlist.
 //! 2. **Waits-for liveness** ([`waitsfor`]): which request each
 //!    transient state blocks on and which probes each home decision
 //!    emits, as a waits-for graph whose every blocking edge is
 //!    cross-checked against the model — waits no reachable peer can
 //!    satisfy and probe cycles with no escape edge are hard findings.
-//! 3. **Artifact determinism** ([`determinism`]): taint-tracks from the
-//!    CSV/JSON export functions and flags unordered-map iteration and
-//!    wall-clock reads that can scramble artifact bytes across runs.
 //!
-//! `// lint: allow(determinism)` directives are tracked centrally
-//! ([`directives`]): one that suppresses nothing is itself a finding.
-//!
-//! Two repo checks are the compiler's, not passes here. Panic hygiene in
+//! Three repo checks are the compiler's, not passes here. Panic hygiene in
 //! the hot crates (`core`, `protocol`, `sim`, `mem`, `noc`) is a `deny`
 //! of clippy's `unwrap_used`, `expect_used` and `indexing_slicing` in
 //! each crate root, with justified sites under `#[expect(…, reason)]`.
 //! Stat registration is exhaustive destructuring: every stats merge and
 //! serializer binds each field of its struct without `..`, so a new
-//! field fails `cargo build`.
+//! field fails `cargo build`. Artifact determinism is clippy's too:
+//! `crates/clippy.toml` bans std `HashMap`/`HashSet` and the wall-clock
+//! `Instant::now`/`SystemTime::now`, and the crates that build artifacts
+//! deny `clippy::iter_over_hash_type` in their roots.
 //!
-//! The `lint` binary runs all passes over a repo root, prints findings
-//! and per-pass timings, writes the v3 protocol-model JSON artifact,
-//! and exits non-zero on any finding —
-//! `ci.sh` runs it as a hard gate between clippy and tests.
+//! The `lint` binary runs both passes, prints findings and per-pass
+//! timings, writes the v3 protocol-model JSON artifact, and exits
+//! non-zero on any finding — `ci.sh` runs it as a hard gate between
+//! clippy and tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,15 +40,9 @@
 pub mod artifact;
 pub mod coverage;
 pub mod decisions;
-pub mod determinism;
-pub mod directives;
-pub mod files;
-pub mod lexer;
 pub mod waitsfor;
 
 use stashdir_common::json::Value;
-use std::io;
-use std::path::Path;
 use std::time::Instant;
 
 /// Rule name: reachable transition the decision function rejects.
@@ -65,33 +54,21 @@ pub const RULE_COVERAGE_DEAD: &str = "transition-dead";
 pub const RULE_WAITSFOR_UNSATISFIABLE: &str = "waitsfor-unsatisfiable";
 /// Rule name: a probe wait with no escape edge — a deadlockable cycle.
 pub const RULE_WAITSFOR_CYCLE: &str = "waitsfor-cycle";
-/// Rule name: nondeterminism on an artifact-export path.
-pub const RULE_DETERMINISM: &str = "determinism";
-/// Rule name: malformed or unknown `// lint:` directive.
-pub const RULE_DIRECTIVE: &str = "lint-directive";
-/// Rule name: an allow directive that suppresses nothing.
-pub const RULE_ALLOW_UNUSED: &str = "lint-allow-unused";
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// The rule that fired (one of the `RULE_*` constants).
     pub rule: String,
-    /// Repo-relative file the finding points at.
+    /// Repo-relative file of the decision function the finding is about.
     pub file: String,
-    /// 1-based line, or 0 when the finding is file- or model-level.
-    pub line: u32,
     /// Human-readable description.
     pub message: String,
 }
 
 impl std::fmt::Display for Finding {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file, self.line, self.rule, self.message
-        )
+        write!(f, "{}: [{}] {}", self.file, self.rule, self.message)
     }
 }
 
@@ -107,7 +84,7 @@ pub struct PassTiming {
 /// The result of running every pass.
 #[derive(Debug, Clone)]
 pub struct LintReport {
-    /// All findings, sorted by file, line, then rule.
+    /// All findings, sorted by file, rule, then message.
     pub findings: Vec<Finding>,
     /// The v3 protocol-model artifact: the transition-matrix sections,
     /// the waits-for graph and the findings.
@@ -116,6 +93,10 @@ pub struct LintReport {
     pub timings: Vec<PassTiming>,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "pass timings are printed, never written to an artifact"
+)]
 fn lap(timings: &mut Vec<PassTiming>, clock: &mut Instant, name: &str) {
     timings.push(PassTiming {
         name: name.to_string(),
@@ -124,17 +105,15 @@ fn lap(timings: &mut Vec<PassTiming>, clock: &mut Instant, name: &str) {
     *clock = Instant::now();
 }
 
-/// Runs all passes over the repo at `root`. The protocol passes read
-/// the compiled protocol, not `root`, so the `sections` and `model` of
-/// the artifact are the same for every tree.
-pub fn run(root: &Path) -> io::Result<LintReport> {
+/// Runs both passes over the compiled protocol.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "pass timings are printed, never written to an artifact"
+)]
+pub fn run() -> LintReport {
     let mut findings = Vec::new();
     let mut timings = Vec::new();
     let mut clock = Instant::now();
-
-    let loaded = files::load(root, files::SCANNED_CRATES)?;
-    let mut directives = directives::DirectiveIndex::collect(&loaded);
-    lap(&mut timings, &mut clock, "load");
 
     let model = stashdir_protocol::reachability::reachable_transitions();
     let reachable = coverage::ReachablePairs::from_model(&model);
@@ -149,19 +128,11 @@ pub fn run(root: &Path) -> io::Result<LintReport> {
     findings.extend(wf_findings);
     lap(&mut timings, &mut clock, "waitsfor");
 
-    findings.extend(determinism::analyze(&loaded, &mut directives));
-    lap(&mut timings, &mut clock, "determinism");
-
-    findings.extend(directives.finish());
-    lap(&mut timings, &mut clock, "directives");
-
-    findings.sort_by(|a, b| {
-        (&a.file, a.line, &a.rule, &a.message).cmp(&(&b.file, b.line, &b.rule, &b.message))
-    });
+    findings.sort_by(|a, b| (&a.file, &a.rule, &a.message).cmp(&(&b.file, &b.rule, &b.message)));
     let model_artifact = artifact::model_json(&sections, &waits, &findings);
-    Ok(LintReport {
+    LintReport {
         findings,
         model: model_artifact,
         timings,
-    })
+    }
 }

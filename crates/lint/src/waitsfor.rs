@@ -169,7 +169,6 @@ pub fn analyze(
         findings.push(Finding {
             rule: RULE_WAITSFOR_UNSATISFIABLE.to_string(),
             file: PRIVATE_FILE.to_string(),
-            line: 0,
             message: format!(
                 "requester transient ({}, {}) blocks on a grant for {req}, but {why} {req}",
                 r.state, r.op
@@ -219,7 +218,6 @@ pub fn analyze(
                 findings.push(Finding {
                     rule: rule.to_string(),
                     file: HOME_FILE.to_string(),
-                    line: 0,
                     message,
                 });
             }

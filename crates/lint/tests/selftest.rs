@@ -1,17 +1,15 @@
 //! End-to-end self-tests for `stashdir-lint`.
 //!
 //! Three directions: the lint must be **clean on this repository** (the
-//! CI gate); it must **fire on the seeded fixture tree** under
-//! `tests/fixtures/seeded/`, which plants one violation per source-scanning
-//! rule (an unordered-map CSV export, a stale allow directive, and a
-//! comment directive naming a retired panic rule); and each protocol rule
-//! must fire on a
-//! **mutation of the decision data** it reads: two uncovered reachable
-//! probe transitions, an unsatisfiable waits-for edge (a `Nudge` probe no
-//! state handles), a waits-for cycle (`Recall` with its escape edge
-//! removed), and a dead handled transition. The protocol passes call the
-//! compiled protocol, so the fixture tree carries no protocol sources:
-//! a `match` with a missing arm would not compile (E0004).
+//! CI gate); each protocol rule must fire on a **mutation of the
+//! decision data** it reads: two uncovered reachable probe transitions,
+//! an unsatisfiable waits-for edge (a `Nudge` probe no state handles), a
+//! waits-for cycle (`Recall` with its escape edge removed), and a dead
+//! handled transition; and the checks that are clippy's, not the lint's
+//! (panic hygiene and artifact determinism), must stay **switched on**
+//! in the crate roots and in `crates/clippy.toml`. The passes call the
+//! compiled protocol, so a mutation is made on the tabulated data: a
+//! `match` with a missing arm would not compile (E0004).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -20,30 +18,13 @@ use stashdir_common::json::Value;
 use stashdir_lint::coverage::{self, ReachablePairs};
 use stashdir_lint::decisions::Decisions;
 use stashdir_lint::{
-    artifact, waitsfor, Finding, RULE_ALLOW_UNUSED, RULE_COVERAGE_DEAD, RULE_COVERAGE_UNCOVERED,
-    RULE_DETERMINISM, RULE_DIRECTIVE, RULE_WAITSFOR_CYCLE, RULE_WAITSFOR_UNSATISFIABLE,
+    artifact, waitsfor, Finding, RULE_COVERAGE_DEAD, RULE_COVERAGE_UNCOVERED, RULE_WAITSFOR_CYCLE,
+    RULE_WAITSFOR_UNSATISFIABLE,
 };
 use stashdir_protocol::reachability::reachable_transitions;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-fn fixture_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/seeded")
-}
-
-/// 1-based line of the first occurrence of `marker` in a fixture file.
-fn marker_line(rel: &str, marker: &str) -> u32 {
-    let path = fixture_root().join(rel);
-    let src =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    for (i, line) in src.lines().enumerate() {
-        if line.contains(marker) {
-            return (i + 1) as u32;
-        }
-    }
-    panic!("marker `{marker}` not found in {rel}");
 }
 
 fn render_findings(findings: &[Finding]) -> String {
@@ -88,7 +69,7 @@ fn fires(findings: &[Finding], rule: &str, frag: &str) -> bool {
 /// The CI gate in test form: zero findings on the repository itself.
 #[test]
 fn repo_is_clean() {
-    let report = stashdir_lint::run(&repo_root()).expect("repo sources readable");
+    let report = stashdir_lint::run();
     assert!(
         report.findings.is_empty(),
         "lint findings on the repo:\n{}",
@@ -96,66 +77,52 @@ fn repo_is_clean() {
     );
 }
 
-/// Every seeded fixture violation fires, and nothing else does.
-#[test]
-fn seeded_fixture_fires_each_rule() {
-    let report = stashdir_lint::run(&fixture_root()).expect("fixture sources readable");
-    let has_at = |rule: &str, file: &str, line: u32| {
-        report
-            .findings
-            .iter()
-            .any(|f| f.rule == rule && f.file == file && f.line == line)
-    };
-    assert!(
-        has_at(
-            RULE_DETERMINISM,
-            "crates/harness/src/table.rs",
-            marker_line("crates/harness/src/table.rs", "self.rows.iter()"),
-        ),
-        "missing determinism finding at the unordered export:\n{}",
-        render_findings(&report.findings)
-    );
-    assert!(
-        has_at(
-            RULE_ALLOW_UNUSED,
-            "crates/sim/src/bad.rs",
-            marker_line("crates/sim/src/bad.rs", "// lint: allow(determinism)"),
-        ),
-        "missing unused-directive finding:\n{}",
-        render_findings(&report.findings)
-    );
-    assert!(
-        has_at(
-            RULE_DIRECTIVE,
-            "crates/sim/src/bad.rs",
-            marker_line("crates/sim/src/bad.rs", "// lint: allow(unwrap)"),
-        ),
-        "missing unknown-rule finding for the retired `unwrap` directive:\n{}",
-        render_findings(&report.findings)
-    );
-    assert_eq!(
-        report.findings.len(),
-        3,
-        "exactly the three seeded violations:\n{}",
-        render_findings(&report.findings)
-    );
+/// Fails unless each of `krates` carries `attr` as a line of its root.
+fn assert_roots_carry(krates: &[&str], attr: &str) {
+    for krate in krates {
+        let path = repo_root().join("crates").join(krate).join("src/lib.rs");
+        let src = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        assert!(
+            src.lines().any(|l| l.trim() == attr),
+            "crates/{krate}/src/lib.rs lost its `{attr}`"
+        );
+    }
 }
 
 /// Panic hygiene in the hot crates is clippy's: each crate root denies
 /// the three panic lints, so dropping the line cannot go unnoticed.
 #[test]
 fn hot_crates_deny_panics() {
-    const DENY: &str =
-        "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]";
-    for krate in ["core", "protocol", "sim", "mem", "noc"] {
-        let path = repo_root().join("crates").join(krate).join("src/lib.rs");
-        let src = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    assert_roots_carry(
+        &["core", "protocol", "sim", "mem", "noc"],
+        "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]",
+    );
+}
+
+/// Artifact determinism is clippy's: `crates/clippy.toml` bans the std
+/// hash types and the wall-clock reads, and each crate that builds
+/// artifacts denies `for` loops over a hash map in its root.
+#[test]
+fn artifact_crates_deny_nondeterminism() {
+    let path = repo_root().join("crates/clippy.toml");
+    let config =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    for banned in [
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+    ] {
         assert!(
-            src.lines().any(|l| l.trim() == DENY),
-            "crates/{krate}/src/lib.rs lost its panic-hygiene `{DENY}`"
+            config.contains(&format!("path = \"{banned}\"")),
+            "crates/clippy.toml no longer disallows `{banned}`"
         );
     }
+    assert_roots_carry(
+        &["common", "core", "harness", "mem", "noc", "protocol", "sim"],
+        "#![deny(clippy::iter_over_hash_type)]",
+    );
 }
 
 /// The decision functions handle exactly the model's reachable set plus
@@ -170,7 +137,7 @@ fn repo_matrix_matches_model_reachable_set() {
     );
     assert_eq!(
         sections.iter().map(|s| s.name).collect::<Vec<_>>(),
-        ["private_probe", "local_access", "home", "fault_response"]
+        ["private_probe", "local_access", "home"]
     );
     for s in &sections {
         assert!(
@@ -333,11 +300,11 @@ fn dead_pair_seed_fires() {
     assert_eq!(findings.len(), 1, "{}", render_findings(&findings));
 }
 
-/// The protocol model comes from the compiled protocol, not the scanned
-/// tree: the fixture and the repo give the same `sections` and `model`,
-/// and neither records a source line.
+/// The v3 protocol-model artifact carries the waits-for graph, records
+/// no source line, and parses under the campaign's model reader; the
+/// findings artifact is well-formed.
 #[test]
-fn model_does_not_depend_on_the_scanned_tree() {
+fn v3_model_artifact_is_well_formed() {
     fn has_line_member(v: &Value) -> bool {
         match v {
             Value::Object(fields) => fields
@@ -347,22 +314,7 @@ fn model_does_not_depend_on_the_scanned_tree() {
             _ => false,
         }
     }
-    let repo = stashdir_lint::run(&repo_root()).expect("repo sources readable");
-    let fixture = stashdir_lint::run(&fixture_root()).expect("fixture sources readable");
-    for key in ["sections", "model"] {
-        let a = repo.model.get(key).expect("repo artifact member");
-        let b = fixture.model.get(key).expect("fixture artifact member");
-        assert_eq!(a, b, "`{key}` differs between the repo and the fixture");
-        assert!(!has_line_member(a), "`{key}` records a source line");
-    }
-}
-
-/// The v3 protocol-model artifact carries the waits-for graph and
-/// parses under the campaign's model reader, and the findings artifact
-/// is well-formed.
-#[test]
-fn v3_model_artifact_is_well_formed() {
-    let report = stashdir_lint::run(&repo_root()).expect("repo sources readable");
+    let report = stashdir_lint::run();
     let model = Value::parse(&report.model.render()).expect("model renders valid JSON");
     assert_eq!(
         model.get("schema").and_then(Value::as_str),
@@ -370,6 +322,10 @@ fn v3_model_artifact_is_well_formed() {
     );
     stashdir_protocol::model::ReachableModel::parse(&model.render())
         .expect("v3 model readable by the campaign reader");
+    for key in ["sections", "model"] {
+        let member = model.get(key).expect("artifact member");
+        assert!(!has_line_member(member), "`{key}` records a source line");
+    }
 
     let graph = model.get("model").expect("model object");
     for key in ["requesters", "home", "probes"] {
@@ -386,41 +342,63 @@ fn v3_model_artifact_is_well_formed() {
         assert_eq!(row.get("escape").and_then(Value::as_bool), Some(true));
     }
 
-    let fixture = stashdir_lint::run(&fixture_root()).expect("fixture sources readable");
-    let findings = artifact::findings_json(&fixture.findings);
+    // One finding of each pass, from mutated decision data.
+    let mut d = Decisions::tabulate();
+    assert!(d.probe.remove(&pair("Modified", "FwdGetS")));
+    d.home
+        .get_mut(&pair("GetS", "Exclusive"))
+        .expect("GetS/Exclusive is handled")
+        .probes
+        .insert("Nudge".to_string());
+    let (_, _, mutated) = protocol_passes(&d, &real_reachable());
+    let findings = artifact::findings_json(&mutated);
     assert_eq!(
         findings.get("schema").and_then(Value::as_str),
-        Some("stashdir-lint/findings/v1")
+        Some("stashdir-lint/findings/v2")
     );
     let rows = findings
         .get("findings")
         .and_then(Value::as_array)
         .expect("findings array");
-    assert_eq!(rows.len(), 3);
+    assert_eq!(rows.len(), 2, "{}", render_findings(&mutated));
+    let mut passes: Vec<&str> = rows
+        .iter()
+        .map(|row| row.get("pass").and_then(Value::as_str).expect("pass"))
+        .collect();
+    passes.sort_unstable();
+    assert_eq!(passes, ["coverage", "waitsfor"]);
     for row in rows {
-        let pass = row.get("pass").and_then(Value::as_str).expect("pass");
-        assert_ne!(pass, "unknown");
-        assert!(row.get("severity").and_then(Value::as_str).is_some());
-        assert!(row.get("suppressible").and_then(Value::as_bool).is_some());
+        let keys: Vec<&str> = row
+            .as_object()
+            .expect("finding object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["pass", "rule", "file", "message"]);
     }
 }
 
 /// The `lint` binary's exit codes and artifact plumbing: 0 on the clean
-/// repo, 1 on the seeded fixture, with the model and findings written.
+/// repo, with the model and findings written; 1 on a malformed coverage
+/// artifact under `--verify-coverage`.
 #[test]
 fn binary_exit_codes_gate_ci() {
+    let tmp = std::env::temp_dir().join(format!("stashdir_lint_selftest_{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("create temp dir");
+    let model = tmp.join("model.json");
+    let findings = tmp.join("findings.json");
     let clean = Command::new(env!("CARGO_BIN_EXE_lint"))
-        .args(["--root"])
-        .arg(repo_root())
-        .arg("--no-artifact")
-        .arg("--quiet")
+        .arg("--model")
+        .arg(&model)
+        .arg("--json")
+        .arg(&findings)
         .output()
         .expect("run lint binary");
+    let out = String::from_utf8_lossy(&clean.stdout);
     assert_eq!(
         clean.status.code(),
         Some(0),
-        "stdout:\n{}\nstderr:\n{}",
-        String::from_utf8_lossy(&clean.stdout),
+        "stdout:\n{out}\nstderr:\n{}",
         String::from_utf8_lossy(&clean.stderr)
     );
     assert!(
@@ -428,27 +406,23 @@ fn binary_exit_codes_gate_ci() {
         "rejected keys print nothing:\n{}",
         String::from_utf8_lossy(&clean.stderr)
     );
-
-    let tmp = std::env::temp_dir().join(format!("stashdir_lint_selftest_{}", std::process::id()));
-    std::fs::create_dir_all(&tmp).expect("create temp dir");
-    let model = tmp.join("model.json");
-    let findings = tmp.join("findings.json");
-    let seeded = Command::new(env!("CARGO_BIN_EXE_lint"))
-        .args(["--root"])
-        .arg(fixture_root())
-        .arg("--model")
-        .arg(&model)
-        .arg("--json")
-        .arg(&findings)
-        .output()
-        .expect("run lint binary");
-    assert_eq!(seeded.status.code(), Some(1));
-    let out = String::from_utf8_lossy(&seeded.stdout);
-    assert!(out.contains("3 finding(s)"), "stdout:\n{out}");
     assert!(out.contains("lint: passes:"), "stdout:\n{out}");
+    assert!(out.contains("lint: clean (0 findings)"), "stdout:\n{out}");
     for path in [&model, &findings] {
         let text = std::fs::read_to_string(path).expect("artifact written");
         assert!(Value::parse(&text).is_ok(), "artifact is valid JSON");
     }
+
+    let malformed = tmp.join("coverage.json");
+    std::fs::write(&malformed, r#"{"schema": "stashdir/chaos-coverage/v0"}"#)
+        .expect("write malformed artifact");
+    let rejected = Command::new(env!("CARGO_BIN_EXE_lint"))
+        .arg("--verify-coverage")
+        .arg(&malformed)
+        .output()
+        .expect("run lint binary");
+    assert_eq!(rejected.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&rejected.stderr);
+    assert!(err.contains("unknown schema"), "stderr:\n{err}");
     let _ = std::fs::remove_dir_all(&tmp);
 }

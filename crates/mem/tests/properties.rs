@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use stashdir_common::BlockAddr;
 use stashdir_mem::SetAssoc;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -37,7 +37,7 @@ proptest! {
         let mut array: SetAssoc<u64> = SetAssoc::new(sets, ways);
         // Block -> payload; each insert gets a fresh payload, so a payload
         // left behind by an earlier fill of the same way shows up.
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for (payload, op) in (0u64..).zip(ops) {
             match op {
                 Op::Access(b) => {
@@ -62,7 +62,7 @@ proptest! {
             }
             prop_assert_eq!(array.occupancy(), model.len());
             // Per-set occupancy bound.
-            let mut per_set: HashMap<usize, usize> = HashMap::new();
+            let mut per_set: BTreeMap<usize, usize> = BTreeMap::new();
             for (block, payload) in array.iter() {
                 *per_set.entry(array.set_index(block)).or_default() += 1;
                 prop_assert_eq!(model.get(&block.get()), Some(payload));

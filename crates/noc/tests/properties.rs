@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use stashdir_common::{Cycle, NodeId};
 use stashdir_noc::{Mesh, Network, NocConfig};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn cfg(contention: bool) -> NocConfig {
     NocConfig {
@@ -33,7 +33,7 @@ struct Reference {
     link_free: Vec<Cycle>,
     flit_hops: u64,
     /// `(messages, flits)` per class.
-    classes: HashMap<&'static str, (u64, u64)>,
+    classes: BTreeMap<&'static str, (u64, u64)>,
 }
 
 impl Reference {
@@ -43,7 +43,7 @@ impl Reference {
             config,
             link_free: vec![Cycle::ZERO; mesh.directed_links()],
             flit_hops: 0,
-            classes: HashMap::new(),
+            classes: BTreeMap::new(),
         }
     }
 
@@ -315,7 +315,7 @@ proptest! {
                 let (a, b) = (NodeId::new(a), NodeId::new(b));
                 let route = mesh.xy_route(a, b);
                 prop_assert_eq!(route.len() as u64, mesh.hops(a, b));
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = std::collections::BTreeSet::new();
                 seen.insert(a);
                 for link in &route {
                     prop_assert!(seen.insert(link.to), "loop through {}", link.to);

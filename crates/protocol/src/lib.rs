@@ -25,8 +25,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Artifact determinism: no `for` loop over a hash map or set; the
+// std maps and wall-clock reads are banned in `crates/clippy.toml`.
+#![deny(clippy::iter_over_hash_type)]
 // Panic hygiene: a justified site carries `#[expect(clippy::…, reason)]`;
-// test code is exempt through the root `clippy.toml`.
+// test code is exempt through `crates/clippy.toml`.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 pub mod home;

@@ -19,7 +19,8 @@ use std::collections::{BTreeMap, BTreeSet};
 pub const MODEL_SCHEMA_V3: &str = "stashdir/protocol-model/v3";
 
 /// Per-section reachable transition sets, keyed by section name
-/// (`private_probe`, `local_access`, `home`, `fault_response`).
+/// (`private_probe`, `local_access`, `home`; the chaos campaign adds
+/// `fault_response`).
 /// `BTreeMap`/`BTreeSet` keep iteration deterministic — coverage
 /// artifacts are rendered straight from these sets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -45,8 +45,9 @@
 use crate::home::{decide, decide_put, discovery_intent, needs_discovery, DirView, PutOutcome};
 use crate::msg::{DiscoveryIntent, Grant, Probe, Request};
 use crate::private::{local_access, probe, AccessOutcome, MemOpKind, PrivState};
+use stashdir_common::fxhash::FxHashSet;
 use stashdir_common::{CoreId, SharerSet};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 const N: usize = 3;
 
@@ -683,7 +684,7 @@ pub fn explore(mode: Mode) -> Exploration {
         mode,
         transitions: TransitionSet::new(),
     };
-    let mut seen: HashSet<St> = HashSet::new();
+    let mut seen: FxHashSet<St> = FxHashSet::default();
     let mut queue: VecDeque<St> = VecDeque::new();
     seen.insert(St::initial());
     queue.push_back(St::initial());

@@ -114,8 +114,8 @@ impl Detector {
 }
 
 /// The detector responsible for `class`: the fault-response matrix.
-/// [`FaultClass::ALL`] mapped through it is the lint's `fault_response`
-/// section, and the mutation gate asserts each class is caught by its
+/// [`FaultClass::ALL`] mapped through it is the chaos campaign's
+/// `fault_response` section, and the mutation gate asserts each class is caught by its
 /// detector in practice.
 ///
 /// Delay and stuck-transient faults starve forward progress without
@@ -135,7 +135,7 @@ pub fn expected_detector(class: FaultClass) -> Detector {
 
 /// [`FaultClass::ALL`] mapped through [`expected_detector`], as
 /// `(class, detector)` pairs spelled by `Debug`: the `fault_response`
-/// section of the lint's protocol model and of the campaign's model.
+/// section of the campaign's model.
 pub fn fault_response_labels() -> BTreeSet<(String, String)> {
     FaultClass::ALL
         .iter()

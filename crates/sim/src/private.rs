@@ -470,7 +470,9 @@ impl PrivateHier {
 
     /// Every parked writeback, borrowed, in no particular order.
     pub fn parked(&self) -> impl Iterator<Item = (BlockAddr, &WbEntry)> {
-        // lint: allow(determinism) — the order is the caller's to fix; the checker folds it into a map.
+        // Order contract: FxHashMap order, fixed for a given insert sequence
+        // but not sorted. The caller fixes the order (the checker folds it
+        // into a map) before anything reaches an artifact.
         self.wb.iter().map(|(b, e)| (*b, e))
     }
 

@@ -163,7 +163,9 @@ impl ValueTracker {
     /// Blocks that have ever been written with their latest versions, in
     /// no particular order.
     pub(crate) fn written(&self) -> impl Iterator<Item = (BlockAddr, u64)> + '_ {
-        // lint: allow(determinism) — the order is the caller's to fix; the checker sorts it.
+        // Order contract: FxHashMap order, fixed for a given insert sequence
+        // but not sorted. The caller fixes the order (the checker sorts it)
+        // before anything reaches an artifact.
         self.latest.iter().map(|(b, v)| (*b, *v))
     }
 

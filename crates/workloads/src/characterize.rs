@@ -6,8 +6,8 @@
 //! **private-block fraction** — the share of blocks touched by exactly
 //! one core, which is the opportunity the stash directory exploits.
 
+use stashdir_common::fxhash::{FxHashMap, FxHashSet};
 use stashdir_common::MemOp;
-use std::collections::HashMap;
 
 /// Summary statistics of one multi-core trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,11 +29,11 @@ pub struct Characterization {
 impl Characterization {
     /// Computes the characterization of `traces`.
     pub fn of(traces: &[Vec<MemOp>]) -> Self {
-        type CoreSet = std::collections::HashSet<usize>;
+        type CoreSet = FxHashSet<usize>;
         let mut ops = 0u64;
         let mut reads = 0u64;
         // block -> (cores touching it, cores writing it)
-        let mut toucher_sets: HashMap<u64, (CoreSet, CoreSet)> = HashMap::new();
+        let mut toucher_sets: FxHashMap<u64, (CoreSet, CoreSet)> = FxHashMap::default();
         for (core, trace) in traces.iter().enumerate() {
             for op in trace {
                 ops += 1;

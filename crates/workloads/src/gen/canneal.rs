@@ -58,7 +58,7 @@ mod tests {
     #[test]
     fn poor_locality() {
         let traces = generate(1, 5000, 1);
-        let distinct: std::collections::HashSet<u64> =
+        let distinct: std::collections::BTreeSet<u64> =
             traces[0].iter().map(|o| o.block.get()).collect();
         assert!(
             distinct.len() > 4000,

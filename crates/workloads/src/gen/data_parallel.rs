@@ -57,7 +57,7 @@ mod tests {
     #[test]
     fn mostly_private_blocks() {
         let traces = generate(4, 2000, 1);
-        let mut holders: std::collections::HashMap<u64, std::collections::HashSet<usize>> =
+        let mut holders: std::collections::BTreeMap<u64, std::collections::BTreeSet<usize>> =
             Default::default();
         for (c, t) in traces.iter().enumerate() {
             for op in t {

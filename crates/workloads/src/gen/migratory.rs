@@ -65,7 +65,7 @@ mod tests {
     #[test]
     fn objects_are_written_by_multiple_cores() {
         let traces = generate(4, 4000, 1);
-        let mut writers: std::collections::HashMap<u64, std::collections::HashSet<usize>> =
+        let mut writers: std::collections::BTreeMap<u64, std::collections::BTreeSet<usize>> =
             Default::default();
         for (c, t) in traces.iter().enumerate() {
             for op in t

@@ -69,12 +69,12 @@ mod tests {
     fn stages_chain_through_queues() {
         let traces = generate(4, 2000, 1);
         // Stage 1 reads what stage 0 writes (queue region 0).
-        let stage0_writes: std::collections::HashSet<u64> = traces[0]
+        let stage0_writes: std::collections::BTreeSet<u64> = traces[0]
             .iter()
             .filter(|o| o.is_write() && o.block.get() >= (1 << 30))
             .map(|o| o.block.get())
             .collect();
-        let stage1_reads: std::collections::HashSet<u64> = traces[1]
+        let stage1_reads: std::collections::BTreeSet<u64> = traces[1]
             .iter()
             .filter(|o| !o.is_write() && o.block.get() >= (1 << 30))
             .map(|o| o.block.get())
@@ -101,7 +101,7 @@ mod tests {
     #[test]
     fn scratch_stays_private() {
         let traces = generate(4, 2000, 2);
-        let mut writers: std::collections::HashMap<u64, std::collections::HashSet<usize>> =
+        let mut writers: std::collections::BTreeMap<u64, std::collections::BTreeSet<usize>> =
             Default::default();
         for (c, t) in traces.iter().enumerate() {
             for op in t

@@ -57,12 +57,12 @@ mod tests {
     #[test]
     fn pairs_share_a_ring() {
         let traces = generate(4, 1000, 0);
-        let ring0: std::collections::HashSet<u64> = traces[0]
+        let ring0: std::collections::BTreeSet<u64> = traces[0]
             .iter()
             .filter(|o| o.is_write())
             .map(|o| o.block.get())
             .collect();
-        let consumed0: std::collections::HashSet<u64> = traces[1]
+        let consumed0: std::collections::BTreeSet<u64> = traces[1]
             .iter()
             .filter(|o| !o.is_write())
             .map(|o| o.block.get())
@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn different_pairs_use_different_rings() {
         let traces = generate(4, 1000, 0);
-        let ring_of = |t: &Vec<MemOp>| -> std::collections::HashSet<u64> {
+        let ring_of = |t: &Vec<MemOp>| -> std::collections::BTreeSet<u64> {
             t.iter()
                 .map(|o| o.block.get())
                 .filter(|b| *b >= (1 << 30))

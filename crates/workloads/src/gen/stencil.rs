@@ -67,7 +67,7 @@ mod tests {
     fn neighbors_share_boundary_rows() {
         let traces = generate(4, 4 * ROWS_PER_CORE as usize, 0);
         // Core 1 must read core 0's last row and core 2's first row.
-        let core1_blocks: std::collections::HashSet<u64> =
+        let core1_blocks: std::collections::BTreeSet<u64> =
             traces[1].iter().map(|o| o.block.get()).collect();
         let core0_last = traces[0]
             .iter()

@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn particles_stay_private() {
         let traces = generate(4, 3000, 4);
-        let mut writers: std::collections::HashMap<u64, std::collections::HashSet<usize>> =
+        let mut writers: std::collections::BTreeMap<u64, std::collections::BTreeSet<usize>> =
             Default::default();
         for (c, t) in traces.iter().enumerate() {
             for op in t

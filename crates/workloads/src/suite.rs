@@ -126,7 +126,7 @@ mod tests {
     fn suite_has_twelve_distinct_workloads() {
         let suite = Workload::suite();
         assert_eq!(suite.len(), 12);
-        let names: std::collections::HashSet<&str> = suite.iter().map(|w| w.name()).collect();
+        let names: std::collections::BTreeSet<&str> = suite.iter().map(|w| w.name()).collect();
         assert_eq!(names.len(), 12);
     }
 
